@@ -62,7 +62,7 @@ def main() -> int:
 
     fields = ["kind", "n", "rep", "method", "tpr", "fpr", "precision",
               "f_score", "pauc", "n_selected", "p0_hat", "a", "b",
-              "em_iterations", "error"]
+              "em_iterations", "em_converged", "error"]
     with open(out / "metrics.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fields, restval="")
         w.writeheader()

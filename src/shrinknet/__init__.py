@@ -6,7 +6,6 @@ from .data import (  # noqa: F401
     ExpressionMatrix,
     RegressionProblem,
     ReducedProblem,
-    back_transform,
     build_problem,
     load_expression_matrix,
     standardize,
@@ -28,7 +27,6 @@ from .selection import (  # noqa: F401
     forward_select,
     kappa_scores,
     rank_edges,
-    selection_bayes_factor,
     threshold_gamma,
 )
 from .simulate import (  # noqa: F401

@@ -130,6 +130,7 @@ def _run_sim_task(args):
                     "a": result.fit.hyper.a,
                     "b": result.fit.hyper.b,
                     "em_iterations": result.fit.em_iterations,
+                    "em_converged": result.fit.converged,
                     "error": "",
                 }
             )

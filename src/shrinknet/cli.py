@@ -39,7 +39,6 @@ from .errors import (
     NumericalFailureError,
 )
 from .manifest import RunManifest
-from .metrics import partial_roc  # noqa: F401  (re-export for scripts)
 from .pipeline import infer_network
 from .selection import StopConfig
 from .simulate import GRAPH_KINDS, make_structure, sample_mvn, sample_precision
@@ -131,7 +130,7 @@ def main():
 @click.option("--no-rmax", is_flag=True,
               help="Disable the rank budget implied by the null fraction.")
 @click.option("--threads", default=None, type=int,
-              help="Worker processes (default: SHRINKNET_THREADS or cores).")
+              help="Has no effect: infer runs in one process.")
 @handle_errors
 def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
           no_global_shrinkage, eb, alpha, p0, patience, no_rmax, threads):
@@ -318,7 +317,7 @@ def benchmark(kinds, n_genes, n_list, reps, seed, alpha, dof, threads,
     result = run_model_sim(config)
     fields = ["kind", "n", "rep", "method", "tpr", "fpr", "precision",
               "f_score", "pauc", "n_selected", "p0_hat", "a", "b",
-              "em_iterations", "error"]
+              "em_iterations", "em_converged", "error"]
     with open(out / "metrics.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fields, restval="")
         w.writeheader()

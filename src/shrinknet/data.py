@@ -1,9 +1,9 @@
 """Expression matrix ingestion, standardization and per-gene regression setup.
 
 The matrix convention is samples in rows, genes in columns. Every gene in
-turn acts as a regression response with the remaining genes as covariates;
-when the number of covariates reaches the sample size the design is reduced
-through its SVD and posterior moments are mapped back afterwards.
+turn acts as a regression response with the remaining genes as covariates,
+and every design with at least one covariate is factored through its SVD so
+the variational fit works on the spectrum alone.
 """
 
 from __future__ import annotations
@@ -244,22 +244,3 @@ def svd_reduce(prob: RegressionProblem) -> ReducedProblem:
         response=prob.response,
     )
 
-
-def back_transform(theta_mean, theta_cov, V):
-    """Map reduced-space posterior moments to coefficient space.
-
-    Returns the mean V @ theta_mean and the per-coordinate variances
-    diag(V @ theta_cov @ V^T) without materializing the full covariance.
-    """
-    theta_mean = np.asarray(theta_mean, dtype=float)
-    theta_cov = np.atleast_2d(np.asarray(theta_cov, dtype=float))
-    V = np.asarray(V, dtype=float)
-    r = theta_mean.shape[0]
-    if theta_cov.shape != (r, r) or V.shape[1] != r:
-        raise ValueError(
-            f"dimension mismatch: mean {theta_mean.shape}, cov "
-            f"{theta_cov.shape}, factors {V.shape}"
-        )
-    beta_mean = V @ theta_mean
-    beta_var = np.einsum("ij,jk,ik->i", V, theta_cov, V)
-    return beta_mean, beta_var

@@ -22,8 +22,8 @@ from .vb import (
     DEFAULT_TOL,
     HyperParameters,
     VariationalPosterior,
-    _bound,
     _posterior_from,
+    _swept_bound,
     make_workspace,
 )
 
@@ -45,7 +45,6 @@ class EmConfig:
     c: float = 0.001
     d: float = 0.001
     a_max: float = A_MAX
-    threads: int = 1
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -181,11 +180,7 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
                     f"gene {m.gene_ids[j]}: {exc}"
                 ) from exc
             b_stars[j], d_stars[j] = res.b_star, res.d_star
-            ebb = float(res.beta_mean @ res.beta_mean) + res.sigma_trace
-            bounds[j] = _bound(
-                n, k, hp, a_star, res.b_star, c_star, res.d_star,
-                res.sigma_logdet, ebb,
-            )
+            bounds[j] = _swept_bound(n, k, hp, a_star, c_star, res)
             results[j] = res
         if not np.isfinite(bounds).all():
             bad = m.gene_ids[int(np.argmax(~np.isfinite(bounds)))]

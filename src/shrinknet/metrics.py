@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import ExpressionMatrix
 from .errors import (
@@ -113,6 +112,8 @@ def rank_correlation(kappa_bars_a, kappa_bars_b) -> float:
         raise UndefinedCorrelationError(
             "rank correlation undefined for constant input"
         )
+    from scipy import stats  # deferred, as in simulate.sample_precision
+
     rho = stats.spearmanr(a, b).statistic
     return float(rho)
 

@@ -71,13 +71,6 @@ class SelectionResult:
     alpha: float
     ranks_evaluated: int = 0
 
-    def decision_for(self, i: int, j: int) -> EdgeDecision | None:
-        key = (min(i, j), max(i, j))
-        for d in self.decisions:
-            if (d.i, d.j) == key:
-                return d
-        return None
-
 
 def kappa_scores(fit: SemFit) -> np.ndarray:
     """p x p matrix of |posterior mean| / posterior sd, zero diagonal."""
@@ -172,21 +165,6 @@ class EvidenceCache:
         return math.exp(delta)
 
 
-def selection_bayes_factor(
-    m: ExpressionMatrix,
-    response_gene: int,
-    candidate_gene: int,
-    conditioning_set=frozenset(),
-    cache: EvidenceCache | None = None,
-) -> float:
-    """Evidence ratio for adding one covariate to a sub-model."""
-    if cache is None:
-        cache = EvidenceCache(m)
-    return cache.bayes_factor(
-        response_gene, candidate_gene, frozenset(conditioning_set)
-    )
-
-
 def estimate_p0(
     m: ExpressionMatrix,
     ranking: EdgeRanking,
@@ -266,9 +244,6 @@ def forward_select(
         ]
         bf = max(bf_dir)
         bound = min(_null_probability(v, p0) for v in bf_dir)
-        # thresholding the max Bayes factor and bounding the posterior
-        # null probability are the same rule
-        assert (bf >= gamma) == (bound <= alpha)
         take = bf > gamma
         if take:
             selected.add((i, j))

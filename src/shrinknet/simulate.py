@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import ExpressionMatrix
 from .errors import GenerationFailureError, InvalidParamsError
@@ -228,6 +227,10 @@ def sample_precision(
     The degrees-of-freedom parameter maps to dof + p - 1 in the
     unconstrained Wishart draw so diagonal scale is comparable across p.
     """
+    # deferred: scipy.stats takes about a second to import, and commands
+    # that draw no precision matrix should not pay for it at start-up
+    from scipy import stats
+
     if dof <= 2:
         raise InvalidParamsError("dof must exceed 2")
     rng = np.random.default_rng(rng)

@@ -6,18 +6,20 @@ coordinate ascent on a factorized posterior. The evidence lower bound is
 the convergence criterion and doubles as the model-evidence surrogate used
 for Bayes factors downstream.
 
-Two equivalent computational routes exist: a direct one that materializes
-the (p-1) x (p-1) coefficient covariance, and a reduced one that works in
-the SVD basis of the design and only ever forms the covariance diagonal.
-The reduced route is used when the covariate count reaches the sample size.
+Every regression with at least one covariate is fitted in the SVD basis
+of its design, where the coefficient posterior is diagonal: a sweep only
+touches the squared singular values d^2, w = F^T y and y^T y, and the
+coefficient covariance is never formed beyond its diagonal. The route is
+exact for any shape: directions outside the design's row space keep their
+conditional prior, and there are none when the design has full column
+rank. A regression without covariates has a closed-form sigma posterior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma, gammaln
 
 from .data import RegressionProblem, svd_reduce
@@ -61,7 +63,6 @@ class VariationalPosterior:
     converged: bool
     sigma_trace: float
     sigma_logdet: float
-    beta_cov: np.ndarray | None = None  # materialized on the direct path only
 
     @property
     def e_beta_sq(self) -> float:
@@ -88,59 +89,10 @@ class _SweepResult:
     d_star: float
     sigma_trace: float
     sigma_logdet: float
-    beta_cov: np.ndarray | None = None
-
-
-class _DirectPath:
-    """Dense route: full covariance via Cholesky, valid for any dimensions."""
-
-    def __init__(self, prob: RegressionProblem):
-        X, y = prob.design, prob.response
-        self.n, self.k = X.shape
-        self.XtX = X.T @ X
-        self.Xty = X.T @ y
-        self.yty = float(y @ y)
-
-    def sweep(self, b_star, d_star, a_star, c_star, hp) -> _SweepResult:
-        e_tau = a_star / b_star
-        e_sig = c_star / d_star
-        M = self.XtX + e_tau * np.eye(self.k)
-        try:
-            cho = cho_factor(M, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(
-                f"covariance update failed: {exc}"
-            ) from exc
-        Minv = cho_solve(cho, np.eye(self.k))
-        Sigma = Minv / e_sig
-        beta = Minv @ self.Xty
-        sigma_logdet = -2.0 * float(
-            np.sum(np.log(np.diag(cho[0])))
-        ) - self.k * np.log(e_sig)
-        sigma_trace = float(np.trace(Sigma))
-        ebb = float(beta @ beta) + sigma_trace
-        rss = self.yty - 2.0 * float(beta @ self.Xty) + float(
-            beta @ (self.XtX @ beta)
-        )
-        tr_xtx_sigma = float(np.sum(self.XtX * Sigma))
-        d_new = max(
-            hp.d + 0.5 * (rss + tr_xtx_sigma) + 0.5 * e_tau * ebb, RATE_FLOOR
-        )
-        e_sig_new = c_star / d_new
-        b_new = max(hp.b + 0.5 * e_sig_new * ebb, RATE_FLOOR)
-        return _SweepResult(
-            beta_mean=beta,
-            beta_var=np.diag(Sigma).copy(),
-            b_star=b_new,
-            d_star=d_new,
-            sigma_trace=sigma_trace,
-            sigma_logdet=sigma_logdet,
-            beta_cov=Sigma,
-        )
 
 
 class _SvdPath:
-    """Reduced route: diagonal algebra in the SVD basis of the design.
+    """Spectral route: diagonal algebra in the SVD basis of the design.
 
     The coefficient posterior decomposes into the span of the design's right
     singular vectors (data-informed, diagonal in that basis) and its
@@ -214,17 +166,11 @@ class _EmptyPath:
         )
 
 
-def make_workspace(prob: RegressionProblem, method: str = "auto"):
-    """Precompute the per-problem quantities reused across sweeps."""
+def make_workspace(prob: RegressionProblem):
+    """Precompute the per-problem spectral quantities reused across sweeps."""
     if prob.n_covariates == 0:
         return _EmptyPath(prob)
-    if method == "auto":
-        method = "svd" if prob.n_covariates >= prob.n else "direct"
-    if method == "direct":
-        return _DirectPath(prob)
-    if method == "svd":
-        return _SvdPath(prob)
-    raise ValueError(f"unknown method {method!r}")
+    return _SvdPath(prob)
 
 
 def _bound(n, k, hp, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
@@ -244,13 +190,20 @@ def _bound(n, k, hp, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
     )
 
 
+def _swept_bound(n, k, hp, a_star, c_star, state) -> float:
+    """Evidence lower bound of a swept state, via its E[beta' beta].
+
+    ``state`` is a sweep result or a fitted posterior: both carry the two
+    rates, the coefficient mean and the covariance trace and log-determinant.
+    """
+    ebb = float(state.beta_mean @ state.beta_mean) + state.sigma_trace
+    return float(_bound(n, k, hp, a_star, state.b_star, c_star,
+                        state.d_star, state.sigma_logdet, ebb))
+
+
 def _posterior_from(res: _SweepResult, ws, hp, a_star, c_star, iterations,
                     converged) -> VariationalPosterior:
-    ebb = float(res.beta_mean @ res.beta_mean) + res.sigma_trace
-    lb = _bound(
-        ws.n, ws.k, hp, a_star, res.b_star, c_star, res.d_star,
-        res.sigma_logdet, ebb,
-    )
+    lb = _swept_bound(ws.n, ws.k, hp, a_star, c_star, res)
     if not np.isfinite(lb):
         raise NumericalFailureError("non-finite lower bound")
     return VariationalPosterior(
@@ -260,12 +213,11 @@ def _posterior_from(res: _SweepResult, ws, hp, a_star, c_star, iterations,
         b_star=res.b_star,
         c_star=c_star,
         d_star=res.d_star,
-        lower_bound=float(lb),
+        lower_bound=lb,
         iterations=iterations,
         converged=converged,
         sigma_trace=res.sigma_trace,
         sigma_logdet=res.sigma_logdet,
-        beta_cov=res.beta_cov,
     )
 
 
@@ -273,7 +225,6 @@ def vb_sweep(
     state: VariationalPosterior,
     prob: RegressionProblem,
     hp: HyperParameters,
-    method: str = "auto",
 ) -> VariationalPosterior:
     """One coordinate-ascent pass: covariance/mean, then the two rates.
 
@@ -282,7 +233,7 @@ def vb_sweep(
     """
     if not (state.b_star > 0 and state.d_star > 0):
         raise ValueError("state rates must be positive")
-    ws = make_workspace(prob, method)
+    ws = make_workspace(prob)
     res = ws.sweep(state.b_star, state.d_star, state.a_star, state.c_star, hp)
     return _posterior_from(
         res, ws, hp, state.a_star, state.c_star, state.iterations + 1,
@@ -298,19 +249,8 @@ def lower_bound(
     """Evidence lower bound of a swept state (model-evidence surrogate)."""
     if state.sigma_logdet is None or not np.isfinite(state.sigma_logdet):
         raise NumericalFailureError("state has no valid covariance logdet")
-    return float(
-        _bound(
-            prob.n,
-            prob.n_covariates,
-            hp,
-            state.a_star,
-            state.b_star,
-            state.c_star,
-            state.d_star,
-            state.sigma_logdet,
-            state.e_beta_sq,
-        )
-    )
+    return _swept_bound(prob.n, prob.n_covariates, hp, state.a_star,
+                       state.c_star, state)
 
 
 def fit_local(
@@ -318,7 +258,6 @@ def fit_local(
     hp: HyperParameters,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "auto",
     rate_init: float = DEFAULT_RATE_INIT,
 ) -> VariationalPosterior:
     """Iterate sweeps until the lower bound changes by less than ``tol``."""
@@ -326,30 +265,22 @@ def fit_local(
         raise ValueError("tol must be positive")
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2")
-    ws = make_workspace(prob, method)
+    ws = make_workspace(prob)
     a_star = hp.a + 0.5 * ws.k
     c_star = hp.c + 0.5 * (ws.n + ws.k)
     b_star = d_star = rate_init
     prev = None
     converged = False
-    t = 0
-    res = None
     for t in range(1, max_iter + 1):
         res = ws.sweep(b_star, d_star, a_star, c_star, hp)
         b_star, d_star = res.b_star, res.d_star
-        ebb = float(res.beta_mean @ res.beta_mean) + res.sigma_trace
-        lb = _bound(
-            ws.n, ws.k, hp, a_star, b_star, c_star, d_star,
-            res.sigma_logdet, ebb,
-        )
+        lb = _swept_bound(ws.n, ws.k, hp, a_star, c_star, res)
         if not np.isfinite(lb):
             raise NumericalFailureError(
                 f"non-finite lower bound at iteration {t}"
             )
         if prev is not None and abs(lb - prev) < tol:
             converged = True
-            prev = lb
             break
         prev = lb
-    post = _posterior_from(res, ws, hp, a_star, c_star, t, converged)
-    return replace(post, lower_bound=float(prev))
+    return _posterior_from(res, ws, hp, a_star, c_star, t, converged)

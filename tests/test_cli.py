@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,12 @@ class TestBenchmark:
         assert res.exit_code == 0, res.output
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 methods
+        header = lines[0].split(",")
+        assert header.index("em_converged") == header.index(
+            "em_iterations") + 1
+        for row in lines[1:]:
+            assert row.split(",")[header.index("em_converged")] in (
+                "True", "False")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_failed"] == 0
 
@@ -180,6 +190,18 @@ class TestStability:
         assert res.exit_code == 0, res.output
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["threads"] == 1
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about a second to import and infer never uses it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, shrinknet.cli; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_outputs_confined_to_out_dir(runner, sim_dir, tmp_path,

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from shrinknet.data import (
     ExpressionMatrix,
-    back_transform,
     build_problem,
     load_expression_matrix,
     standardize,
@@ -167,20 +166,6 @@ class TestProblems:
             0,
         )
         assert svd_reduce(prob).rank == 3
-
-    def test_back_transform_matches_dense(self):
-        rng = np.random.default_rng(1)
-        V = rng.standard_normal((6, 3))
-        mean = rng.standard_normal(3)
-        A = rng.standard_normal((3, 3))
-        cov = A @ A.T + np.eye(3)
-        bm, bv = back_transform(mean, cov, V)
-        np.testing.assert_allclose(bm, V @ mean)
-        np.testing.assert_allclose(bv, np.diag(V @ cov @ V.T))
-
-    def test_back_transform_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            back_transform(np.zeros(2), np.eye(3), np.zeros((4, 2)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -152,7 +152,7 @@ class TestFitSem:
         assert f_ap.hyper.b == pytest.approx(f_ex.hyper.b, rel=0.25)
 
     def test_wide_matrix(self):
-        # more genes than samples exercises the reduced route throughout
+        # more genes than samples: every design is rank deficient
         rng = np.random.default_rng(7)
         m = standardize(
             ExpressionMatrix(

@@ -14,7 +14,6 @@ from shrinknet.selection import (
     forward_select,
     kappa_scores,
     rank_edges,
-    selection_bayes_factor,
     selection_prior,
     threshold_gamma,
 )
@@ -82,8 +81,8 @@ class TestBayesFactors:
         cache = EvidenceCache(m)
         # (3, 4) has the largest partial correlation among band edges in
         # this draw; (0, 9) is off-graph
-        bf_edge = selection_bayes_factor(m, 3, 4, cache=cache)
-        bf_far = selection_bayes_factor(m, 0, 9, cache=cache)
+        bf_edge = cache.bayes_factor(3, 4, frozenset())
+        bf_far = cache.bayes_factor(0, 9, frozenset())
         assert bf_edge > 1.0 > bf_far
 
     def test_cache_hits_are_exact(self, dataset):
@@ -151,6 +150,29 @@ class TestP0AndSelection:
             assert (d.bayes_factor_max >= res.gamma) == (
                 d.p0_posterior_bound <= 0.1
             )
+
+    def test_bayes_factor_at_threshold_is_rejected(self, dataset):
+        # at alpha = 0.05, p0 = 0.5 a Bayes factor of exactly gamma maps to
+        # a null-probability bound a rounding step above alpha; the edge
+        # must be rejected by the one rule, with no exception
+        _, m = dataset
+        alpha, p0 = 0.05, 0.5
+        gamma = threshold_gamma(alpha, p0)
+
+        class AtThreshold:
+            p = 3
+
+            def bayes_factor(self, response, candidate, conditioning):
+                return gamma
+
+        ranking = rank_edges(np.ones((3, 3)) - np.eye(3))
+        res = forward_select(m, ranking, alpha=alpha, p0=p0,
+                             stop=StopConfig(use_rmax=False),
+                             cache=AtThreshold())
+        assert res.ranks_evaluated == 3
+        assert res.selected == frozenset()
+        assert not any(d.selected for d in res.decisions)
+        assert all(d.bayes_factor_max == gamma for d in res.decisions)
 
     def test_selected_edges_recover_band_neighbors(self, dataset, fitted):
         g, m = dataset

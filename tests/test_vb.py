@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 from scipy.special import digamma, gammaln
 
 from conftest import random_problem
-from oracles import gibbs_posterior_moments, quadrature_log_evidence
+from oracles import (
+    dense_vb_fit,
+    gibbs_posterior_moments,
+    quadrature_log_evidence,
+)
 from shrinknet.data import RegressionProblem
 from shrinknet.vb import (
     HyperParameters,
@@ -120,10 +124,22 @@ class TestSweep:
             vb_sweep(bad, prob, VAGUE)
 
 
+def _assert_matches_dense_oracle(prob, tol, max_iter):
+    s = fit_local(prob, VAGUE, tol=tol, max_iter=max_iter)
+    mean, var, bound = dense_vb_fit(
+        prob.response, prob.design, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
+        tol=tol, max_iter=max_iter,
+    )
+    np.testing.assert_allclose(s.beta_mean, mean, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(s.beta_var, var, rtol=1e-8)
+    assert s.lower_bound == pytest.approx(bound, rel=1e-10)
+    return s
+
+
 class TestPaths:
     def test_auto_route_choice(self):
         assert type(make_workspace(random_problem(10, 3))).__name__ == \
-            "_DirectPath"
+            "_SvdPath"
         assert type(make_workspace(random_problem(5, 8))).__name__ == \
             "_SvdPath"
         empty = RegressionProblem(
@@ -133,20 +149,19 @@ class TestPaths:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_direct_and_reduced_agree(self, seed):
-        prob = random_problem(20, 6, seed=seed)
-        d = fit_local(prob, VAGUE, tol=1e-10, max_iter=3000, method="direct")
-        s = fit_local(prob, VAGUE, tol=1e-10, max_iter=3000, method="svd")
-        np.testing.assert_allclose(d.beta_mean, s.beta_mean, rtol=1e-8,
-                                   atol=1e-12)
-        np.testing.assert_allclose(d.beta_var, s.beta_var, rtol=1e-8)
-        assert d.lower_bound == pytest.approx(s.lower_bound, rel=1e-10)
+        # the spectral fit against the dense Cholesky formula
+        _assert_matches_dense_oracle(
+            random_problem(20, 6, seed=seed), tol=1e-10, max_iter=3000
+        )
 
     def test_reduced_handles_wide_designs(self):
-        prob = random_problem(8, 20, seed=9)
-        vp = fit_local(prob, VAGUE, tol=1e-8)
-        assert vp.beta_mean.shape == (20,)
-        assert np.all(vp.beta_var > 0)
-        assert np.isfinite(vp.lower_bound)
+        for n, k in ((8, 20), (8, 8)):
+            vp = _assert_matches_dense_oracle(
+                random_problem(n, k, seed=9), tol=1e-10, max_iter=3000
+            )
+            assert vp.beta_mean.shape == (k,)
+            assert np.all(vp.beta_var > 0)
+            assert np.isfinite(vp.lower_bound)
 
     def test_zero_covariate_bound_closed_form(self):
         y = np.random.default_rng(2).standard_normal(12)
