@@ -61,7 +61,7 @@ def main() -> int:
     elapsed = time.monotonic() - t0
 
     fields = ["kind", "n", "rep", "method", "tpr", "fpr", "precision",
-              "f_score", "pauc", "n_selected", "p0_hat", "a", "b",
+              "f_score", "pauc", "n_selected", "p0_true", "p0_hat", "a", "b",
               "em_iterations", "em_converged", "error"]
     with open(out / "metrics.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fields, restval="")

@@ -103,6 +103,7 @@ def _run_sim_task(args):
     try:
         g, _, data = _simulate_dataset(kind, config.p, n, config.dof, rng)
         std = standardize(data)
+        p0_true = 1.0 - g.edge_count / (config.p * (config.p - 1) / 2)
         for method in config.methods:
             result = infer_network(
                 std,
@@ -126,6 +127,7 @@ def _run_sim_task(args):
                     "f_score": f,
                     "pauc": pauc,
                     "n_selected": len(result.selection.selected),
+                    "p0_true": p0_true,
                     "p0_hat": result.p0_hat,
                     "a": result.fit.hyper.a,
                     "b": result.fit.hyper.b,

@@ -20,15 +20,14 @@ import click
 import numpy as np
 
 from .benchmark import (
-    METHODS,
     SimConfig,
     SplitConfig,
     mean_pairwise_rank_correlation,
     run_model_sim,
     run_split_harness,
 )
-from .data import load_expression_matrix, standardize
-from .em import EmConfig, fit_sem
+from .data import load_expression_matrix
+from .em import EmConfig
 from .errors import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -213,6 +212,11 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
         "load": round((t_load - t0) * 1000, 3),
         "fit_and_select": round((t_fit - t_load) * 1000, 3),
     }
+    manifest.stats = {
+        "em_iterations": fit.em_iterations,
+        "em_converged": fit.converged,
+        **result.submodel_stats,
+    }
     manifest.write(out)
     click.echo(
         f"selected {len(result.selection.selected)} of {len(result.ranking)} "
@@ -316,7 +320,7 @@ def benchmark(kinds, n_genes, n_list, reps, seed, alpha, dof, threads,
     )
     result = run_model_sim(config)
     fields = ["kind", "n", "rep", "method", "tpr", "fpr", "precision",
-              "f_score", "pauc", "n_selected", "p0_hat", "a", "b",
+              "f_score", "pauc", "n_selected", "p0_true", "p0_hat", "a", "b",
               "em_iterations", "em_converged", "error"]
     with open(out / "metrics.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fields, restval="")

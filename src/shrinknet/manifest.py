@@ -27,6 +27,8 @@ class RunManifest:
     seed: int | None = None
     input_digests: dict = field(default_factory=dict)
     timings_ms: dict = field(default_factory=dict)
+    #: run counters, such as EM iterations and sub-model fits
+    stats: dict = field(default_factory=dict)
 
     def add_input(self, path):
         self.input_digests[str(path)] = file_digest(path)
@@ -40,6 +42,7 @@ class RunManifest:
             "seed": self.seed,
             "input_digests": self.input_digests,
             "timings_ms": self.timings_ms,
+            "stats": self.stats,
         }
         path = Path(out_dir) / name
         with open(path, "w") as fh:

@@ -27,6 +27,8 @@ class InferenceResult:
     ranking: EdgeRanking
     p0_hat: float
     selection: SelectionResult
+    #: sub-model fits, sweeps and non-converged fits of the evidence cache
+    submodel_stats: dict
 
 
 def infer_network(
@@ -58,4 +60,5 @@ def infer_network(
         ranking=ranking,
         p0_hat=p0_hat,
         selection=selection,
+        submodel_stats=dict(cache.stats),
     )

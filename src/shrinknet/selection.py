@@ -5,7 +5,9 @@ directed coefficients. Selection then walks the ranking and accepts an edge
 when the larger of its two directed Bayes factors clears a threshold tied
 to a bound on the posterior probability that both coefficients are zero.
 Sub-model evidences are variational lower bounds computed under a fixed
-unit-information prior on the local precision.
+unit-information prior on the local precision. The evidences of the
+null-fraction scan, every prefix of every gene's partners in ranking
+order, are computed together in one batched pass.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ExpressionMatrix, RegressionProblem
+from .data import RANK_RTOL, ExpressionMatrix, RegressionProblem
 from .em import SemFit
-from .errors import NumericalFailureError
-from .vb import HyperParameters, fit_local
+from .errors import DegenerateDesignError, NumericalFailureError
+from .vb import HyperParameters, Spectra, fit_local, fit_spectra
 
-#: Posterior-sd denominators below this are treated as numerically zero.
-_VAR_FLOOR = 0.0
+#: Working-memory budget of the batched p0 scan, in doubles: it bounds
+#: the stacked designs of one block of responses and the directions of the
+#: sub-models being swept at once.
+_SCAN_DOUBLES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -75,15 +79,16 @@ class SelectionResult:
 def kappa_scores(fit: SemFit) -> np.ndarray:
     """p x p matrix of |posterior mean| / posterior sd, zero diagonal."""
     p = fit.n_genes
+    mean = np.array([vp.beta_mean for vp in fit.posteriors])
+    var = np.array([vp.beta_var for vp in fit.posteriors])
+    if np.any(var <= 0.0):
+        j, col = np.argwhere(var <= 0.0)[0]
+        k = col + (col >= j)  # the design of gene j skips column j
+        raise NumericalFailureError(
+            f"zero posterior variance for pair ({j}, {k})"
+        )
     kappa = np.zeros((p, p))
-    for j, vp in enumerate(fit.posteriors):
-        partners = [k for k in range(p) if k != j]
-        if np.any(vp.beta_var <= _VAR_FLOOR):
-            k = partners[int(np.argmax(vp.beta_var <= _VAR_FLOOR))]
-            raise NumericalFailureError(
-                f"zero posterior variance for pair ({j}, {k})"
-            )
-        kappa[j, partners] = np.abs(vp.beta_mean) / np.sqrt(vp.beta_var)
+    kappa[~np.eye(p, dtype=bool)] = (np.abs(mean) / np.sqrt(var)).ravel()
     return kappa
 
 
@@ -96,14 +101,14 @@ def rank_edges(kappa: np.ndarray) -> EdgeRanking:
     p = kappa.shape[0]
     if kappa.shape != (p, p):
         raise ValueError("kappa matrix must be square")
-    pairs = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            pairs.append((0.5 * (kappa[i, j] + kappa[j, i]), i, j))
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    i, j = np.triu_indices(p, 1)
+    kappa_bar = 0.5 * (kappa[i, j] + kappa[j, i])
+    order = np.lexsort((j, i, -kappa_bar))
     edges = tuple(
-        RankedEdge(i=i, j=j, kappa_bar=kb, rank=r + 1)
-        for r, (kb, i, j) in enumerate(pairs)
+        RankedEdge(i=a, j=b, kappa_bar=kb, rank=r + 1)
+        for r, (a, b, kb) in enumerate(zip(i[order].tolist(),
+                                           j[order].tolist(),
+                                           kappa_bar[order].tolist()))
     )
     return EdgeRanking(edges=edges)
 
@@ -113,12 +118,42 @@ def selection_prior(n: int) -> HyperParameters:
     return HyperParameters(a=0.5, b=n / 2.0, c=0.001, d=0.001)
 
 
+def _prefix_spectra(values: np.ndarray, order: np.ndarray, genes: np.ndarray,
+                    t: int) -> Spectra:
+    """Spectra of the sub-models regressing each of ``genes`` on its first
+    ``t`` partners in ``order``.
+
+    One stacked SVD factors every (n, t) design, with its columns in index
+    order and the rank cutoff of ``svd_reduce``.
+    """
+    n = values.shape[0]
+    y = values[:, genes].T
+    yty = np.einsum("gn,gn->g", y, y)
+    k = np.full(len(genes), t)
+    if t == 0:
+        empty = np.empty((len(genes), 0))
+        return Spectra(empty, empty, empty, yty, k, n)
+    designs = values[:, np.sort(order[genes, :t], axis=1)].transpose(1, 0, 2)
+    u, s, _ = np.linalg.svd(designs, full_matrices=False)
+    if not np.all(s[:, 0] > 0.0):
+        gene = genes[int(np.argmin(s[:, 0] > 0.0))]
+        raise DegenerateDesignError(f"design for gene {gene} is all zeros")
+    mask = s > RANK_RTOL * s[:, :1]
+    d2 = np.where(mask, s * s, 0.0)
+    w = np.where(mask, s * np.einsum("gnr,gn->gr", u, y), 0.0)
+    return Spectra(d2, w, mask.astype(float), yty, k, n)
+
+
 class EvidenceCache:
     """Memoized sub-model evidences on a fixed (centered) matrix.
 
     Sub-models get an intercept by centering response and covariates, which
-    matches an unpenalized intercept in the conjugate updates. Keys are
-    (response gene, frozenset of covariate genes).
+    matches an unpenalized intercept in the conjugate updates. Evidences of
+    the ranking prefixes, filled in one batched pass by ``fill_prefixes``,
+    are kept by (response gene, prefix length); any other sub-model is
+    fitted on first use and kept by (response gene, frozenset of covariate
+    genes). ``stats`` counts the fits, their sweeps and the fits that hit
+    ``max_iter``, from both routes.
     """
 
     def __init__(self, m: ExpressionMatrix, tol: float = 1e-3,
@@ -130,8 +165,71 @@ class EvidenceCache:
         self.tol = tol
         self.max_iter = max_iter
         self._cache: dict[tuple[int, frozenset], float] = {}
+        # _partner_rank[g, h]: position of h among g's ranked partners (p if
+        # none); _prefix[g, t]: evidence of g on its first t partners
+        self._partner_rank = None
+        self._prefix = None
+        self.stats = {"submodel_fits": 0, "submodel_sweeps": 0,
+                      "submodel_nonconverged": 0}
+
+    def _count(self, iterations, converged) -> None:
+        self.stats["submodel_fits"] += np.size(iterations)
+        self.stats["submodel_sweeps"] += int(np.sum(iterations))
+        self.stats["submodel_nonconverged"] += int(
+            np.size(converged) - np.count_nonzero(converged))
+
+    def fill_prefixes(self, ranking: EdgeRanking) -> None:
+        """Fit, in one batched pass, every sub-model that regresses a gene
+        on a prefix of its partners in ranking order.
+
+        The designs are factored a block of responses and one prefix length
+        at a time, and swept a bounded number of directions at a time, so
+        the working memory stays bounded whatever the number of genes.
+        """
+        p, n = self.p, self.n
+        partners = [[] for _ in range(p)]
+        for edge in ranking:
+            partners[edge.i].append(edge.j)
+            partners[edge.j].append(edge.i)
+        lengths = np.array([len(got) for got in partners])
+        order = np.zeros((p, p), dtype=int)
+        rank = np.full((p, p), p)
+        for g, got in enumerate(partners):
+            order[g, :len(got)] = got
+            rank[g, got] = np.arange(len(got))
+        self._partner_rank = rank.tolist()  # read per lookup, element-wise
+        self._prefix = np.full((p, p), np.nan)
+        chunk = max(1, _SCAN_DOUBLES // (n * p))
+        plan = []  # (responses, prefix length) of each stacked block
+        for start in range(0, p, chunk):
+            block = np.arange(start, min(start + chunk, p))
+            for t in range(int(lengths[block].max()) + 1):
+                plan.append((block[lengths[block] >= t], t))
+        fit = fit_spectra(
+            (_prefix_spectra(self.values, order, genes, t)
+             for genes, t in plan),
+            self.prior, tol=self.tol, max_iter=self.max_iter,
+            capacity=_SCAN_DOUBLES,
+        )
+        self._prefix[np.concatenate([genes for genes, _ in plan]),
+                     np.concatenate([np.full(len(genes), t)
+                                     for genes, t in plan])] = fit.bound
+        self._count(fit.iterations, fit.converged)
+
+    def _prefix_length(self, response: int, covariates: frozenset):
+        """Length of the ranking prefix ``covariates`` is, or None."""
+        if self._prefix is None:
+            return None
+        t = len(covariates)
+        rank = self._partner_rank[response]
+        if t and max(map(rank.__getitem__, covariates)) != t - 1:
+            return None
+        return t
 
     def log_evidence(self, response: int, covariates: frozenset) -> float:
+        t = self._prefix_length(response, covariates)
+        if t is not None:
+            return float(self._prefix[response, t])
         key = (response, covariates)
         got = self._cache.get(key)
         if got is not None:
@@ -144,6 +242,7 @@ class EvidenceCache:
         )
         vp = fit_local(prob, self.prior, tol=self.tol,
                        max_iter=self.max_iter)
+        self._count(vp.iterations, vp.converged)
         self._cache[key] = vp.lower_bound
         return vp.lower_bound
 
@@ -164,7 +263,6 @@ class EvidenceCache:
             return math.inf
         return math.exp(delta)
 
-
 def estimate_p0(
     m: ExpressionMatrix,
     ranking: EdgeRanking,
@@ -179,6 +277,7 @@ def estimate_p0(
     """
     if cache is None:
         cache = EvidenceCache(m)
+    cache.fill_prefixes(ranking)
     partners: dict[int, set] = {g: set() for g in range(cache.p)}
     big_p = len(ranking)
     count = 0

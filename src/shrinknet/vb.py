@@ -13,6 +13,11 @@ coefficient covariance is never formed beyond its diagonal. The route is
 exact for any shape: directions outside the design's row space keep their
 conditional prior, and there are none when the design has full column
 rank. A regression without covariates has a closed-form sigma posterior.
+
+The sweep is written once, as array code over a stack of spectra with one
+row per regression: ``fit_spectra`` sweeps many regressions at once, each
+with its own stopping rule, and ``fit_local`` is that recursion on a stack
+of one.
 """
 
 from __future__ import annotations
@@ -91,6 +96,91 @@ class _SweepResult:
     sigma_logdet: float
 
 
+@dataclass(frozen=True)
+class Spectra:
+    """Stacked regression spectra, one row per regression.
+
+    ``d2`` holds the squared singular values of each design and ``w`` the
+    matching F^T y, for F = U D; past a row's numerical rank both are zero
+    and ``mask`` is zero. A fit depends on its data only through these,
+    ``y^T y``, the number of covariates ``k`` and the sample count ``n``.
+    """
+
+    d2: np.ndarray  # (rows, width)
+    w: np.ndarray  # (rows, width)
+    mask: np.ndarray  # (rows, width), 1.0 on a direction, 0.0 on padding
+    yty: np.ndarray  # (rows,)
+    k: np.ndarray  # (rows,)
+    n: int
+
+    @property
+    def comp(self) -> np.ndarray:
+        """Directions outside each design's row space."""
+        return self.k - self.mask.sum(axis=-1)
+
+
+@dataclass
+class _Update:
+    theta: np.ndarray
+    theta_var: np.ndarray
+    comp_var: np.ndarray
+    b_star: np.ndarray
+    d_star: np.ndarray
+    sigma_trace: np.ndarray
+    sigma_logdet: np.ndarray
+    ebb: np.ndarray
+
+
+def _rowdot(x, y):
+    """Dot products along the last axis: one per regression.
+
+    One design, or a stack of one, takes the BLAS product, which costs
+    less than einsum's set-up at that size.
+    """
+    if x.ndim == 1:
+        return x @ y
+    if len(x) == 1:
+        return x @ y[0]
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _col(x):
+    """Per-regression values, lined up against the direction axis."""
+    return x[..., None] if getattr(x, "ndim", 0) else x
+
+
+def _spectral_update(d2, w, mask, yty, comp, b_star, d_star, a_star, c_star,
+                     hp) -> _Update:
+    """One coordinate-ascent pass in the SVD basis of each design.
+
+    The last axis of ``d2``, ``w`` and ``mask`` runs over directions (see
+    ``Spectra``); ``yty``, ``comp`` (directions outside the row space),
+    the rates and the shapes hold one value per regression. Directions
+    outside the row space keep their conditional prior variance
+    ``comp_var``. Returns the coefficient mean and variance in that basis,
+    then the two rates updated in turn.
+    """
+    e_tau = a_star / b_star
+    e_sig = c_star / d_star
+    denom = d2 + _col(e_tau)
+    theta = w / denom
+    theta_var = mask / (_col(e_sig) * denom)
+    comp_var = 1.0 / (e_sig * e_tau)
+    sigma_trace = _rowdot(mask, theta_var) + comp * comp_var
+    sigma_logdet = -_rowdot(mask, np.log(_col(e_sig) * denom)) - (
+        comp * np.log(e_sig * e_tau)
+    )
+    ebb = _rowdot(theta, theta) + sigma_trace
+    rss = yty - 2.0 * _rowdot(theta, w) + _rowdot(d2, theta * theta)
+    tr_xtx_sigma = _rowdot(d2, theta_var)
+    d_new = np.maximum(
+        hp.d + 0.5 * (rss + tr_xtx_sigma) + 0.5 * e_tau * ebb, RATE_FLOOR
+    )
+    b_new = np.maximum(hp.b + 0.5 * (c_star / d_new) * ebb, RATE_FLOOR)
+    return _Update(theta, theta_var, comp_var, b_new, d_new, sigma_trace,
+                   sigma_logdet, ebb)
+
+
 class _SvdPath:
     """Spectral route: diagonal algebra in the SVD basis of the design.
 
@@ -110,60 +200,41 @@ class _SvdPath:
         self.w = red.reduced_design.T @ prob.response
         self.yty = float(prob.response @ prob.response)
         self.row_norm_sq = np.sum(self.V**2, axis=1)
+        self.mask = np.ones(self.r)
+
+    def spectra(self) -> Spectra:
+        """This design's spectrum as a stack of one row."""
+        return Spectra(self.d2[None], self.w[None], self.mask[None],
+                       np.array([self.yty]), np.array([self.k]), self.n)
 
     def sweep(self, b_star, d_star, a_star, c_star, hp) -> _SweepResult:
-        e_tau = a_star / b_star
-        e_sig = c_star / d_star
-        comp = self.k - self.r
-        denom = self.d2 + e_tau
-        theta = self.w / denom
-        theta_var = 1.0 / (e_sig * denom)
-        comp_var = 1.0 / (e_sig * e_tau)
-        sigma_trace = float(np.sum(theta_var)) + comp * comp_var
-        sigma_logdet = -float(np.sum(np.log(e_sig * denom))) - comp * np.log(
-            e_sig * e_tau
-        )
-        beta = self.V @ theta
-        beta_var = (self.V**2) @ theta_var + (
+        up = _spectral_update(self.d2, self.w, self.mask, self.yty,
+                              self.k - self.r, b_star, d_star, a_star,
+                              c_star, hp)
+        beta = self.V @ up.theta
+        beta_var = (self.V**2) @ up.theta_var + (
             1.0 - self.row_norm_sq
-        ) * comp_var
-        ebb = float(theta @ theta) + sigma_trace
-        rss = self.yty - 2.0 * float(theta @ self.w) + float(
-            self.d2 @ theta**2
-        )
-        tr_xtx_sigma = float(np.sum(self.d2 * theta_var))
-        d_new = max(
-            hp.d + 0.5 * (rss + tr_xtx_sigma) + 0.5 * e_tau * ebb, RATE_FLOOR
-        )
-        e_sig_new = c_star / d_new
-        b_new = max(hp.b + 0.5 * e_sig_new * ebb, RATE_FLOOR)
+        ) * up.comp_var
         return _SweepResult(
             beta_mean=beta,
             beta_var=beta_var,
-            b_star=b_new,
-            d_star=d_new,
-            sigma_trace=sigma_trace,
-            sigma_logdet=sigma_logdet,
+            b_star=float(up.b_star),
+            d_star=float(up.d_star),
+            sigma_trace=float(up.sigma_trace),
+            sigma_logdet=float(up.sigma_logdet),
         )
 
 
-class _EmptyPath:
-    """No covariates: the sigma posterior is exact after one sweep."""
+class _EmptyPath(_SvdPath):
+    """No covariates: an empty spectrum, so the sigma posterior is exact
+    after one sweep."""
 
     def __init__(self, prob: RegressionProblem):
         self.n = prob.n
-        self.k = 0
+        self.k = self.r = 0
+        self.V = np.empty((0, 0))
+        self.d2 = self.w = self.row_norm_sq = self.mask = np.empty(0)
         self.yty = float(prob.response @ prob.response)
-
-    def sweep(self, b_star, d_star, a_star, c_star, hp) -> _SweepResult:
-        return _SweepResult(
-            beta_mean=np.empty(0),
-            beta_var=np.empty(0),
-            b_star=hp.b,
-            d_star=max(hp.d + 0.5 * self.yty, RATE_FLOOR),
-            sigma_trace=0.0,
-            sigma_logdet=0.0,
-        )
 
 
 def make_workspace(prob: RegressionProblem):
@@ -173,19 +244,27 @@ def make_workspace(prob: RegressionProblem):
     return _SvdPath(prob)
 
 
-def _bound(n, k, hp, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
+def _bound_constant(n, k, hp, a_star, c_star):
+    """The terms of the lower bound that do not move between sweeps."""
     return (
         -0.5 * n * np.log(2.0 * np.pi)
-        + 0.5 * sigma_logdet
         + 0.5 * k
         + hp.a * np.log(hp.b)
         - gammaln(hp.a)
-        - a_star * np.log(b_star)
         + gammaln(a_star)
         + hp.c * np.log(hp.d)
         - gammaln(hp.c)
-        - c_star * np.log(d_star)
         + gammaln(c_star)
+    )
+
+
+def _bound(constant, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
+    """Evidence lower bound, given ``_bound_constant`` of the regression."""
+    return (
+        constant
+        + 0.5 * sigma_logdet
+        - a_star * np.log(b_star)
+        - c_star * np.log(d_star)
         + 0.5 * (c_star / d_star) * (a_star / b_star) * ebb
     )
 
@@ -197,8 +276,9 @@ def _swept_bound(n, k, hp, a_star, c_star, state) -> float:
     rates, the coefficient mean and the covariance trace and log-determinant.
     """
     ebb = float(state.beta_mean @ state.beta_mean) + state.sigma_trace
-    return float(_bound(n, k, hp, a_star, state.b_star, c_star,
-                        state.d_star, state.sigma_logdet, ebb))
+    return float(_bound(_bound_constant(n, k, hp, a_star, c_star), a_star,
+                        state.b_star, c_star, state.d_star,
+                        state.sigma_logdet, ebb))
 
 
 def _posterior_from(res: _SweepResult, ws, hp, a_star, c_star, iterations,
@@ -253,6 +333,121 @@ def lower_bound(
                        state.c_star, state)
 
 
+@dataclass
+class SpectraFit:
+    """Per-row outcome of ``fit_spectra``.
+
+    ``b_last`` and ``d_last`` are the rates the final sweep started from:
+    one sweep from them reproduces each row's final state.
+    """
+
+    bound: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    b_last: np.ndarray
+    d_last: np.ndarray
+
+
+def _posterior_shapes(hp: HyperParameters, n, k):
+    """Gamma shapes of the tau^-2 and sigma^-2 posteriors; fixed by (n, k)."""
+    return hp.a + 0.5 * k, hp.c + 0.5 * (n + k)
+
+
+def _widen(x: np.ndarray, width: int) -> np.ndarray:
+    """Zero-pad the direction axis of a per-row array out to ``width``."""
+    if x.ndim == 1 or x.shape[1] == width:
+        return x
+    out = np.zeros((x.shape[0], width))
+    out[:, :x.shape[1]] = x
+    return out
+
+
+def _joined_size(live: dict, block: Spectra) -> int:
+    """Directions the live rows would hold with ``block`` joined."""
+    rows = len(live["yty"]) + len(block.yty)
+    return rows * max(live["d2"].shape[1], block.d2.shape[1])
+
+
+def fit_spectra(
+    blocks,
+    hp: HyperParameters,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    rate_init: float = DEFAULT_RATE_INIT,
+    capacity: int = 0,
+) -> SpectraFit:
+    """Fit every row of a stream of ``Spectra`` blocks by the sweeps of one
+    fit, sweeping all live rows at once.
+
+    Each row stops on its own once its lower bound changes by less than
+    ``tol`` in a sweep, or after ``max_iter`` sweeps, and keeps the bound
+    of its last sweep. A block joins the live rows when they would then
+    hold at most ``capacity`` directions (padding included), or when no
+    row is live, so the working memory stays bounded however long the
+    stream is. Results follow the rows' order in the stream.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 2:
+        raise ValueError("max_iter must be at least 2")
+    blocks = iter(blocks)
+    live: dict[str, np.ndarray] = {}
+    ended = []
+    total = 0
+    block = next(blocks, None)
+    while True:
+        while block is not None and (not live or _joined_size(live, block)
+                                     <= capacity):
+            rows = len(block.yty)
+            a_star, c_star = _posterior_shapes(hp, block.n, block.k)
+            joined = dict(
+                d2=block.d2, w=block.w, mask=block.mask, yty=block.yty,
+                comp=block.comp, a_star=a_star, c_star=c_star,
+                constant=_bound_constant(block.n, block.k, hp, a_star,
+                                         c_star),
+                b=np.full(rows, rate_init), d=np.full(rows, rate_init),
+                prev=np.full(rows, np.nan), age=np.zeros(rows, dtype=int),
+                row=np.arange(total, total + rows),
+            )
+            total += rows
+            if live:
+                width = max(live["d2"].shape[1], block.d2.shape[1])
+                joined = {key: np.concatenate([_widen(live[key], width),
+                                               _widen(value, width)])
+                          for key, value in joined.items()}
+            live = joined
+            block = next(blocks, None)
+        if not live:
+            break
+        up = _spectral_update(live["d2"], live["w"], live["mask"],
+                              live["yty"], live["comp"], live["b"],
+                              live["d"], live["a_star"], live["c_star"], hp)
+        lb = _bound(live["constant"], live["a_star"], up.b_star,
+                    live["c_star"], up.d_star, up.sigma_logdet, up.ebb)
+        age = live["age"] + 1
+        if not np.isfinite(lb).all():
+            bad = ~np.isfinite(lb)
+            raise NumericalFailureError(
+                f"non-finite lower bound at iteration {age[bad][0]}"
+            )
+        settled = np.abs(lb - live["prev"]) < tol
+        done = settled | (age >= max_iter)
+        if not done.any():
+            live.update(b=up.b_star, d=up.d_star, prev=lb, age=age)
+            continue
+        ended.append((live["row"][done], lb[done], age[done], settled[done],
+                      live["b"][done], live["d"][done]))
+        if len(ended) > 32:  # a few long arrays, not one set per sweep
+            ended = [tuple(map(np.concatenate, zip(*ended)))]
+        keep = ~done
+        live.update(b=up.b_star, d=up.d_star, prev=lb, age=age)
+        live = {key: value[keep] for key, value in live.items()
+                } if keep.any() else {}
+    order = np.argsort(np.concatenate([e[0] for e in ended]))
+    return SpectraFit(*(np.concatenate(column)[order]
+                        for column in list(zip(*ended))[1:]))
+
+
 def fit_local(
     prob: RegressionProblem,
     hp: HyperParameters,
@@ -261,26 +456,10 @@ def fit_local(
     rate_init: float = DEFAULT_RATE_INIT,
 ) -> VariationalPosterior:
     """Iterate sweeps until the lower bound changes by less than ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 2:
-        raise ValueError("max_iter must be at least 2")
     ws = make_workspace(prob)
-    a_star = hp.a + 0.5 * ws.k
-    c_star = hp.c + 0.5 * (ws.n + ws.k)
-    b_star = d_star = rate_init
-    prev = None
-    converged = False
-    for t in range(1, max_iter + 1):
-        res = ws.sweep(b_star, d_star, a_star, c_star, hp)
-        b_star, d_star = res.b_star, res.d_star
-        lb = _swept_bound(ws.n, ws.k, hp, a_star, c_star, res)
-        if not np.isfinite(lb):
-            raise NumericalFailureError(
-                f"non-finite lower bound at iteration {t}"
-            )
-        if prev is not None and abs(lb - prev) < tol:
-            converged = True
-            break
-        prev = lb
-    return _posterior_from(res, ws, hp, a_star, c_star, t, converged)
+    fit = fit_spectra([ws.spectra()], hp, tol=tol, max_iter=max_iter,
+                      rate_init=rate_init)
+    a_star, c_star = _posterior_shapes(hp, ws.n, ws.k)
+    res = ws.sweep(fit.b_last[0], fit.d_last[0], a_star, c_star, hp)
+    return _posterior_from(res, ws, hp, a_star, c_star,
+                           int(fit.iterations[0]), bool(fit.converged[0]))

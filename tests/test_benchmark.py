@@ -58,6 +58,17 @@ class TestModelSim:
             assert 0.0 <= r["fpr"] <= 1.0
             assert 0.0 <= r["pauc"] <= 1.0
 
+    def test_p0_hat_against_p0_true_pinned(self):
+        # p0_hat is pinned as it stands, so any change to the estimator is
+        # deliberate: on this band graph it reads 0.83 where the true null
+        # fraction is 0.52
+        cfg = tiny_sim_config(p=15, n_list=(40,), reps=1, seed=1,
+                              methods=("shrinknet",))
+        (row,) = run_model_sim(cfg).rows
+        big_p = 15 * 14 // 2
+        assert row["p0_true"] == 1.0 - 50 / big_p  # band width 4: 50 edges
+        assert row["p0_hat"] == 175 / (2.0 * big_p)
+
     def test_bit_reproducible(self):
         cfg = tiny_sim_config()
         a = run_model_sim(cfg)

@@ -93,7 +93,15 @@ class TestInfer:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["converged"] is True
         assert 0.0 < fit["p0_hat"] < 1.0
-        assert (tmp_path / "manifest.json").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        stats = manifest["stats"]
+        assert stats["em_iterations"] == fit["em_iterations"]
+        assert stats["em_converged"] is True
+        # the p0 scan fits every ranking prefix: p^2 sub-models at p=10
+        assert stats["submodel_fits"] >= 100
+        assert stats["submodel_sweeps"] >= 2 * stats["submodel_fits"]
+        assert stats["submodel_nonconverged"] == 0
+        assert "stats" not in fit
 
     def test_missing_file_exit_2(self, runner, tmp_path):
         res = runner.invoke(
@@ -144,6 +152,7 @@ class TestBenchmark:
         header = lines[0].split(",")
         assert header.index("em_converged") == header.index(
             "em_iterations") + 1
+        assert header.index("p0_true") == header.index("p0_hat") - 1
         for row in lines[1:]:
             assert row.split(",")[header.index("em_converged")] in (
                 "True", "False")

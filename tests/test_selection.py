@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinknet.data import standardize
+from shrinknet.data import ExpressionMatrix, RegressionProblem, standardize
 from shrinknet.em import EmConfig, fit_sem
+from shrinknet.errors import NumericalFailureError
+from shrinknet.pipeline import infer_network
 from shrinknet.selection import (
     EvidenceCache,
     StopConfig,
+    _prefix_spectra,
     estimate_p0,
     forward_select,
     kappa_scores,
@@ -18,6 +21,7 @@ from shrinknet.selection import (
     threshold_gamma,
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
+from shrinknet.vb import fit_local, fit_spectra
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +54,48 @@ class TestKappa:
         np.testing.assert_allclose(kappa[0, 1:], expect)
 
 
+    def test_matches_per_gene_loop(self, fitted):
+        p = fitted.n_genes
+        expect = np.zeros((p, p))
+        for j, vp in enumerate(fitted.posteriors):
+            partners = [k for k in range(p) if k != j]
+            expect[j, partners] = np.abs(vp.beta_mean) / np.sqrt(vp.beta_var)
+        np.testing.assert_array_equal(kappa_scores(fitted), expect)
+
+    def test_zero_variance_names_the_pair(self, fitted):
+        vp = fitted.posteriors[3]
+        var = vp.beta_var.copy()
+        var[4] = 0.0  # gene 3's design skips column 3: entry 4 is gene 5
+        bad = type(fitted)(**{
+            **fitted.__dict__,
+            "posteriors": [*fitted.posteriors[:3],
+                           type(vp)(**{**vp.__dict__, "beta_var": var}),
+                           *fitted.posteriors[4:]],
+        })
+        with pytest.raises(NumericalFailureError, match=r"pair \(3, 5\)"):
+            kappa_scores(bad)
+
+
+def _rank_by_sort(kappa):
+    """The ranking as a sort of (-kappa_bar, i, j) tuples."""
+    p = kappa.shape[0]
+    pairs = sorted(
+        (-(0.5 * (kappa[i, j] + kappa[j, i])), i, j)
+        for i in range(p) for j in range(i + 1, p)
+    )
+    return [(i, j, -neg) for neg, i, j in pairs]
+
+
 class TestRanking:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_tuple_sort(self, seed):
+        # rounded entries make many ties, broken on (i, j)
+        kappa = np.round(np.random.default_rng(seed).random((9, 9)), 1)
+        ranking = rank_edges(kappa)
+        assert [(e.i, e.j, e.kappa_bar) for e in ranking] == \
+            _rank_by_sort(kappa)
+        assert [e.rank for e in ranking] == list(range(1, 37))
+
     def test_orders_descending_with_deterministic_ties(self):
         kappa = np.array(
             [[0.0, 2.0, 1.0], [4.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
@@ -205,3 +250,119 @@ class TestP0AndSelection:
         assert trailing == [False, False] or res.ranks_evaluated == len(
             ranking
         )
+
+
+def _ranked_partners(ranking, p):
+    partners = [[] for _ in range(p)]
+    for e in ranking:
+        partners[e.i].append(e.j)
+        partners[e.j].append(e.i)
+    return partners
+
+
+def _scan_input(p, n, seed, duplicate):
+    """Correlated standardized data and a random ranking of its pairs."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    x[:, 1:] += 0.6 * x[:, :-1]
+    if duplicate:
+        x[:, -1] = x[:, 0]  # every design holding both is rank-deficient
+    m = standardize(ExpressionMatrix(
+        x, [f"g{i}" for i in range(p)], [f"s{i}" for i in range(n)]
+    ))
+    return m, rank_edges(rng.random((p, p)))
+
+
+SCAN_CASES = {
+    "tall": (12, 30, 0, False),
+    "wide": (20, 8, 1, False),  # prefixes of 8 or more genes have k >= n
+    "duplicate": (10, 15, 2, True),
+}
+
+
+class _PerFitCache(EvidenceCache):
+    """Every evidence through ``fit_local``, as before the batched pass."""
+
+    def fill_prefixes(self, ranking):
+        pass
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("max_iter", [1000, 2])
+    @pytest.mark.parametrize("case", sorted(SCAN_CASES))
+    def test_matches_fit_local_on_every_prefix(self, case, max_iter):
+        m, ranking = _scan_input(*SCAN_CASES[case])
+        p = m.n_genes
+        cache = EvidenceCache(m, max_iter=max_iter)
+        partners = _ranked_partners(ranking, p)
+        order = np.array(partners)
+        # two blocks of responses per prefix length; a small capacity makes
+        # blocks of different widths join and leave the live rows
+        plan = [(genes, t) for t in range(p)
+                for genes in np.array_split(np.arange(p), 2)]
+        fit = fit_spectra(
+            (_prefix_spectra(cache.values, order, genes, t)
+             for genes, t in plan),
+            cache.prior, tol=cache.tol, max_iter=max_iter, capacity=150,
+        )
+        keys = [(g, t) for genes, t in plan for g in genes]
+        assert len(fit.bound) == len(keys) == p * p
+        for row, (g, t) in enumerate(keys):
+            vp = fit_local(
+                RegressionProblem(
+                    response=cache.values[:, g],
+                    design=cache.values[:, sorted(partners[g][:t])],
+                    target_gene=g,
+                ),
+                cache.prior, tol=cache.tol, max_iter=max_iter,
+            )
+            assert abs(fit.bound[row] - vp.lower_bound) <= 1e-8, (g, t)
+            assert fit.iterations[row] == vp.iterations, (g, t)
+            assert fit.converged[row] == vp.converged, (g, t)
+        if max_iter == 2:  # only the closed-form empty prefixes settle
+            assert (fit.converged == [t == 0 for _, t in keys]).all()
+
+    @pytest.mark.parametrize("case", sorted(SCAN_CASES))
+    def test_estimate_p0_matches_per_fit_cache(self, case):
+        m, ranking = _scan_input(*SCAN_CASES[case])
+        p = m.n_genes
+        batched, per_fit = EvidenceCache(m), _PerFitCache(m)
+        assert estimate_p0(m, ranking, cache=batched) == estimate_p0(
+            m, ranking, cache=per_fit)
+        for g, got in enumerate(_ranked_partners(ranking, p)):
+            for t in range(p):
+                key = frozenset(got[:t])
+                assert abs(batched.log_evidence(g, key)
+                           - per_fit.log_evidence(g, key)) <= 1e-8
+        assert batched.stats["submodel_fits"] == p * p
+        assert per_fit.stats["submodel_fits"] == p * p
+        assert batched.stats["submodel_sweeps"] == \
+            per_fit.stats["submodel_sweeps"]
+
+    def test_stats_count_scan_and_selection_misses(self):
+        m, _ = _scan_input(16, 30, 4, False)
+        res = infer_network(m, pre_standardized=True)
+        p = m.n_genes
+        prefixes = {
+            (g, frozenset(got[:t]))
+            for g, got in enumerate(_ranked_partners(res.ranking, p))
+            for t in range(p)
+        }
+        # the sub-models forward selection looks up, replayed from its
+        # decisions: each direction conditions on the partners selected
+        # at earlier ranks
+        chosen = {g: set() for g in range(p)}
+        looked_up = set()
+        for d in res.selection.decisions:
+            for resp, cand in ((d.i, d.j), (d.j, d.i)):
+                cond = frozenset(chosen[resp])
+                looked_up |= {(resp, cond), (resp, cond | {cand})}
+            if d.selected:
+                chosen[d.i].add(d.j)
+                chosen[d.j].add(d.i)
+        misses = len(looked_up - prefixes)
+        assert misses > 0
+        stats = res.submodel_stats
+        assert stats["submodel_fits"] == p * p + misses
+        assert stats["submodel_sweeps"] >= 2 * stats["submodel_fits"]
+        assert stats["submodel_nonconverged"] == 0

@@ -101,6 +101,34 @@ class TestFitLocal:
             fit_local(prob, VAGUE, max_iter=1)
 
 
+    # (n, k, seed, tol, max_iter) -> (iterations, converged), recorded from
+    # the per-fit loop the batched recursion replaced
+    PINNED_RUNS = {
+        (15, 4, 1, 1e-8, 1000): (70, True),
+        (30, 5, 2, 1e-12, 5000): (157, True),
+        (25, 6, 3, 1e-10, 5000): (145, True),
+        (12, 3, 4, 1e-4, 1000): (27, True),
+        (12, 3, 4, 1e-1, 2): (2, False),
+        (10, 3, 0, 1e-3, 1000): (36, True),
+        (15, 4, 6, 1e-8, 1000): (124, True),
+        (15, 4, 8, 1e-10, 5000): (121, True),
+        (20, 6, 0, 1e-10, 3000): (78, True),
+        (20, 6, 1, 1e-10, 3000): (68, True),
+        (20, 6, 2, 1e-10, 3000): (192, True),
+        (20, 6, 3, 1e-10, 3000): (57, True),
+        (20, 6, 4, 1e-10, 3000): (84, True),
+        (8, 20, 9, 1e-10, 3000): (1286, True),
+        (8, 8, 9, 1e-10, 3000): (242, True),
+    }
+
+    @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+    def test_iteration_counts_pinned(self, run):
+        n, k, seed, tol, max_iter = run
+        vp = fit_local(random_problem(n, k, seed=seed), VAGUE, tol=tol,
+                       max_iter=max_iter)
+        assert (vp.iterations, vp.converged) == self.PINNED_RUNS[run]
+
+
 class TestSweep:
     def test_increments_iteration_count(self):
         prob = random_problem(12, 3, seed=4)
