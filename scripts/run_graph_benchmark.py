@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from shrinknet.benchmark import SimConfig, run_model_sim
+from shrinknet.benchmark import METRICS_FIELDS, SimConfig, run_model_sim
 
 
 def main() -> int:
@@ -60,11 +60,8 @@ def main() -> int:
     result = run_model_sim(cfg)
     elapsed = time.monotonic() - t0
 
-    fields = ["kind", "n", "rep", "method", "tpr", "fpr", "precision",
-              "f_score", "pauc", "n_selected", "p0_true", "p0_hat", "a", "b",
-              "em_iterations", "em_converged", "error"]
     with open(out / "metrics.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields, restval="")
+        w = csv.DictWriter(fh, fieldnames=METRICS_FIELDS, restval="")
         w.writeheader()
         w.writerows(result.rows)
     with open(out / "summary.json", "w") as fh:

@@ -37,6 +37,11 @@ DEFAULT_EV = 30.0
 
 METHODS = ("shrinknet", "noshrink")
 
+#: Columns of ``metrics.csv``, one row per (kind, n, rep, method).
+METRICS_FIELDS = ("kind", "n", "rep", "method", "tpr", "fpr", "precision",
+                  "f_score", "pauc", "n_selected", "p0_true", "p0_hat", "a",
+                  "b", "em_iterations", "em_converged", "error")
+
 _PRECISION_RETRIES = 10
 
 

@@ -20,6 +20,7 @@ import click
 import numpy as np
 
 from .benchmark import (
+    METRICS_FIELDS,
     SimConfig,
     SplitConfig,
     mean_pairwise_rank_correlation,
@@ -193,6 +194,7 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
             g: float(vp.lower_bound)
             for g, vp in zip(m.gene_ids, fit.posteriors)
         },
+        "em_trajectory": fit.trajectory,
     }
     with open(out / "fit.json", "w") as fh:
         json.dump(fit_payload, fh, indent=2, sort_keys=True)
@@ -215,6 +217,7 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
     manifest.stats = {
         "em_iterations": fit.em_iterations,
         "em_converged": fit.converged,
+        "em_a_at_cap": bool(fit.hyper.a >= em_config.a_max),
         **result.submodel_stats,
     }
     manifest.write(out)
@@ -319,14 +322,10 @@ def benchmark(kinds, n_genes, n_list, reps, seed, alpha, dof, threads,
         threads=threads if threads is not None else default_threads(),
     )
     result = run_model_sim(config)
-    fields = ["kind", "n", "rep", "method", "tpr", "fpr", "precision",
-              "f_score", "pauc", "n_selected", "p0_true", "p0_hat", "a", "b",
-              "em_iterations", "em_converged", "error"]
     with open(out / "metrics.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields, restval="")
+        w = csv.DictWriter(fh, fieldnames=METRICS_FIELDS, restval="")
         w.writeheader()
-        for row in result.rows:
-            w.writerow(row)
+        w.writerows(result.rows)
     with open(out / "summary.json", "w") as fh:
         json.dump(
             {"cells": result.summary, "n_failed": result.n_failed},

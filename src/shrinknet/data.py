@@ -204,9 +204,12 @@ def load_expression_matrix(
 
 def standardize(m: ExpressionMatrix, scale: bool = True) -> ExpressionMatrix:
     """Center every gene column; with ``scale`` also set unit sample sd."""
-    v = m.values
     if m.n_samples < 2:
         raise ValidationError("standardization needs at least 2 samples")
+    # scale each column's largest |x| into [0.5, 1) so no square underflows
+    # or overflows; a power of two scales exactly, changing nothing else
+    _, exponent = np.frexp(np.abs(m.values).max(axis=0))
+    v = np.ldexp(m.values, -exponent)
     sd = v.std(axis=0, ddof=1)
     if np.any(sd == 0.0):
         gene = m.gene_ids[int(np.argmax(sd == 0.0))]
@@ -214,6 +217,8 @@ def standardize(m: ExpressionMatrix, scale: bool = True) -> ExpressionMatrix:
     out = v - v.mean(axis=0)
     if scale:
         out = out / out.std(axis=0, ddof=1)
+    else:
+        out = np.ldexp(out, exponent)
     return ExpressionMatrix(out, m.gene_ids, m.sample_ids)
 
 

@@ -1,9 +1,10 @@
 """Whole-network fit: variational EM with shared shrinkage hyperparameters.
 
-All p per-gene regressions are swept in turn (E-step), after which the
-shape/rate (a, b) of the shared gamma prior on the local precisions are
-re-estimated from the pooled posterior moments (M-step). The M-step has a
-closed approximate form and an exact fixed-point variant.
+The E-step sweeps all p per-gene regressions as one array update over
+their stacked spectra, after which the shape/rate (a, b) of the shared gamma
+prior on the local precisions are re-estimated from the pooled posterior
+moments (M-step), in a closed approximate form or an exact fixed-point
+variant. Coefficient means and variances are formed once, at the end.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from .vb import (
     DEFAULT_TOL,
     HyperParameters,
     VariationalPosterior,
+    _bound,
+    _bound_constant,
     _posterior_from,
-    _swept_bound,
+    _posterior_shapes,
+    _spectral_update,
     make_workspace,
 )
 
@@ -65,6 +69,9 @@ class SemFit:
     em_iterations: int = 0
     converged: bool = False
     gene_ids: tuple[str, ...] = ()
+    #: per EM iteration: the (a, b) its E-step ran under and the largest
+    #: change in a gene's lower bound since the previous one (None at first)
+    trajectory: list[dict] = field(default_factory=list, repr=False)
 
     @property
     def n_genes(self) -> int:
@@ -143,65 +150,67 @@ def eb_update_fixedpoint(a_star: float, b_stars, a_max: float = A_MAX):
 def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     """EM over all gene regressions with shared-prior re-estimation.
 
-    Each EM iteration performs a single coordinate-ascent sweep per gene
-    under the current (a, b), then updates (a, b) from the pooled moments
-    unless global shrinkage is disabled. Convergence is the max over genes
-    of the per-gene lower-bound change.
+    Each EM iteration sweeps every gene once under the current (a, b), as
+    one array update over the gene spectra stacked and zero-padded past
+    each gene's rank, then updates (a, b) from the pooled moments unless
+    global shrinkage is disabled. Convergence is the max over genes of the
+    per-gene lower-bound change. Coefficient means and variances come from
+    one more sweep of each gene, from the rates its final sweep started from.
     """
     p = m.n_genes
     k = p - 1
     workspaces = [make_workspace(build_problem(m, j)) for j in range(p)]
+    rank = np.array([ws.r for ws in workspaces])
+    d2, w, mask = (np.array([np.pad(getattr(ws, name), (0, rank.max() - ws.r))
+                             for ws in workspaces])
+                   for name in ("d2", "w", "mask"))
+    yty = np.array([ws.yty for ws in workspaces])
     n = m.n_samples
     a, b = config.a_init, config.b_init
     b_stars = np.full(p, DEFAULT_RATE_INIT)
     d_stars = np.full(p, DEFAULT_RATE_INIT)
-    c_star = config.c + 0.5 * (n + k)
     updater = (
         eb_update_approx
         if config.eb_update == "approx"
         else eb_update_fixedpoint
     )
     history: list[np.ndarray] = []
-    prev = None
+    trajectory: list[dict] = []
     converged = False
-    results = [None] * p
-    bounds = np.empty(p)
     t = 0
     for t in range(1, config.max_iter + 1):
         hp = HyperParameters(a=a, b=b, c=config.c, d=config.d)
-        a_star = a + 0.5 * k
-        for j in range(p):
-            try:
-                res = workspaces[j].sweep(
-                    b_stars[j], d_stars[j], a_star, c_star, hp
-                )
-            except NumericalFailureError as exc:
-                raise NumericalFailureError(
-                    f"gene {m.gene_ids[j]}: {exc}"
-                ) from exc
-            b_stars[j], d_stars[j] = res.b_star, res.d_star
-            bounds[j] = _swept_bound(n, k, hp, a_star, c_star, res)
-            results[j] = res
+        a_star, c_star = _posterior_shapes(hp, n, k)
+        up = _spectral_update(d2, w, mask, yty, k - rank, b_stars, d_stars,
+                              a_star, c_star, hp)
+        bounds = _bound(_bound_constant(n, k, hp, a_star, c_star), a_star,
+                        up.b_star, c_star, up.d_star, up.sigma_logdet, up.ebb)
         if not np.isfinite(bounds).all():
             bad = m.gene_ids[int(np.argmax(~np.isfinite(bounds)))]
             raise NumericalFailureError(
                 f"gene {bad}: non-finite lower bound at EM iteration {t}"
             )
-        history.append(bounds.copy())
+        b_last, d_last = b_stars, d_stars
+        b_stars, d_stars = up.b_star, up.d_star
+        delta = (float(np.max(np.abs(bounds - history[-1]))) if history
+                 else None)
+        history.append(bounds)
+        trajectory.append({"a": float(a), "b": float(b),
+                           "max_abs_delta_bound": delta})
         # convergence is checked before the M-step, so on exit (a, b) are
         # exactly the values the final posteriors were swept with
-        if prev is not None and np.max(np.abs(bounds - prev)) < config.tol:
+        if delta is not None and delta < config.tol:
             converged = True
             break
-        prev = bounds.copy()
         if config.global_shrinkage:
             a, b = updater(a_star, b_stars, a_max=config.a_max)
     final_hp = HyperParameters(a=a, b=b, c=config.c, d=config.d)
     posteriors = [
         _posterior_from(
-            results[j], workspaces[j], final_hp, a_star, c_star, t, converged
+            ws.sweep(b_last[j], d_last[j], a_star, c_star, hp), ws, final_hp,
+            a_star, c_star, t, converged,
         )
-        for j in range(p)
+        for j, ws in enumerate(workspaces)
     ]
     return SemFit(
         posteriors=posteriors,
@@ -210,4 +219,5 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
         em_iterations=t,
         converged=converged,
         gene_ids=m.gene_ids,
+        trajectory=trajectory,
     )

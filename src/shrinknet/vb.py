@@ -104,19 +104,16 @@ class Spectra:
     matching F^T y, for F = U D; past a row's numerical rank both are zero
     and ``mask`` is zero. A fit depends on its data only through these,
     ``y^T y``, the number of covariates ``k`` and the sample count ``n``.
+    The spectrum of a single regression may leave out the row axis; its
+    numpy arithmetic then runs on scalars, which costs less.
     """
 
-    d2: np.ndarray  # (rows, width)
-    w: np.ndarray  # (rows, width)
-    mask: np.ndarray  # (rows, width), 1.0 on a direction, 0.0 on padding
-    yty: np.ndarray  # (rows,)
-    k: np.ndarray  # (rows,)
+    d2: np.ndarray  # (rows, width), or (width,) for a single regression
+    w: np.ndarray  # as d2
+    mask: np.ndarray  # as d2, 1.0 on a direction, 0.0 on padding
+    yty: np.ndarray  # (rows,), or a scalar for a single regression
+    k: np.ndarray  # as yty
     n: int
-
-    @property
-    def comp(self) -> np.ndarray:
-        """Directions outside each design's row space."""
-        return self.k - self.mask.sum(axis=-1)
 
 
 @dataclass
@@ -134,14 +131,12 @@ class _Update:
 def _rowdot(x, y):
     """Dot products along the last axis: one per regression.
 
-    One design, or a stack of one, takes the BLAS product, which costs
-    less than einsum's set-up at that size.
+    Each row takes the BLAS product that a single design takes, so a row
+    of a stack sums in the same order as the design swept on its own.
     """
     if x.ndim == 1:
         return x @ y
-    if len(x) == 1:
-        return x @ y[0]
-    return np.einsum("ij,ij->i", x, y)
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _col(x):
@@ -164,11 +159,13 @@ def _spectral_update(d2, w, mask, yty, comp, b_star, d_star, a_star, c_star,
     e_sig = c_star / d_star
     denom = d2 + _col(e_tau)
     theta = w / denom
-    theta_var = mask / (_col(e_sig) * denom)
-    comp_var = 1.0 / (e_sig * e_tau)
+    precision = _col(e_sig) * denom
+    theta_var = mask / precision
+    comp_precision = e_sig * e_tau
+    comp_var = 1.0 / comp_precision
     sigma_trace = _rowdot(mask, theta_var) + comp * comp_var
-    sigma_logdet = -_rowdot(mask, np.log(_col(e_sig) * denom)) - (
-        comp * np.log(e_sig * e_tau)
+    sigma_logdet = -_rowdot(mask, np.log(precision)) - (
+        comp * np.log(comp_precision)
     )
     ebb = _rowdot(theta, theta) + sigma_trace
     rss = yty - 2.0 * _rowdot(theta, w) + _rowdot(d2, theta * theta)
@@ -199,22 +196,19 @@ class _SvdPath:
         self.d2 = np.sum(red.reduced_design**2, axis=0)  # squared sing. values
         self.w = red.reduced_design.T @ prob.response
         self.yty = float(prob.response @ prob.response)
-        self.row_norm_sq = np.sum(self.V**2, axis=1)
         self.mask = np.ones(self.r)
 
     def spectra(self) -> Spectra:
-        """This design's spectrum as a stack of one row."""
-        return Spectra(self.d2[None], self.w[None], self.mask[None],
-                       np.array([self.yty]), np.array([self.k]), self.n)
+        """This design's spectrum, without the row axis."""
+        return Spectra(self.d2, self.w, self.mask, self.yty, self.k, self.n)
 
     def sweep(self, b_star, d_star, a_star, c_star, hp) -> _SweepResult:
         up = _spectral_update(self.d2, self.w, self.mask, self.yty,
                               self.k - self.r, b_star, d_star, a_star,
                               c_star, hp)
         beta = self.V @ up.theta
-        beta_var = (self.V**2) @ up.theta_var + (
-            1.0 - self.row_norm_sq
-        ) * up.comp_var
+        v2 = self.V**2
+        beta_var = v2 @ up.theta_var + (1.0 - v2.sum(axis=1)) * up.comp_var
         return _SweepResult(
             beta_mean=beta,
             beta_var=beta_var,
@@ -233,7 +227,7 @@ class _EmptyPath(_SvdPath):
         self.n = prob.n
         self.k = self.r = 0
         self.V = np.empty((0, 0))
-        self.d2 = self.w = self.row_norm_sq = self.mask = np.empty(0)
+        self.d2 = self.w = self.mask = np.empty(0)
         self.yty = float(prob.response @ prob.response)
 
 
@@ -353,9 +347,13 @@ def _posterior_shapes(hp: HyperParameters, n, k):
     return hp.a + 0.5 * k, hp.c + 0.5 * (n + k)
 
 
-def _widen(x: np.ndarray, width: int) -> np.ndarray:
-    """Zero-pad the direction axis of a per-row array out to ``width``."""
-    if x.ndim == 1 or x.shape[1] == width:
+def _widen(name: str, x, width: int) -> np.ndarray:
+    """The per-row values ``name`` as a stack of rows, with the direction
+    arrays zero-padded out to ``width``."""
+    if name not in ("d2", "w", "mask"):
+        return np.atleast_1d(x)
+    x = np.atleast_2d(x)
+    if x.shape[1] == width:
         return x
     out = np.zeros((x.shape[0], width))
     out[:, :x.shape[1]] = x
@@ -364,8 +362,8 @@ def _widen(x: np.ndarray, width: int) -> np.ndarray:
 
 def _joined_size(live: dict, block: Spectra) -> int:
     """Directions the live rows would hold with ``block`` joined."""
-    rows = len(live["yty"]) + len(block.yty)
-    return rows * max(live["d2"].shape[1], block.d2.shape[1])
+    rows = np.size(live["yty"]) + np.size(block.yty)
+    return rows * max(live["d2"].shape[-1], block.d2.shape[-1])
 
 
 def fit_spectra(
@@ -393,59 +391,62 @@ def fit_spectra(
     blocks = iter(blocks)
     live: dict[str, np.ndarray] = {}
     ended = []
-    total = 0
+    total = sweep = 0
     block = next(blocks, None)
-    while True:
-        while block is not None and (not live or _joined_size(live, block)
-                                     <= capacity):
-            rows = len(block.yty)
+    while block is not None or live:
+        if block is not None and (not live or _joined_size(live, block)
+                                  <= capacity):
+            shape = np.shape(block.yty)
+            count = np.size(block.yty)
             a_star, c_star = _posterior_shapes(hp, block.n, block.k)
             joined = dict(
                 d2=block.d2, w=block.w, mask=block.mask, yty=block.yty,
-                comp=block.comp, a_star=a_star, c_star=c_star,
+                comp=block.k - block.mask.sum(axis=-1),  # outside row space
+                a_star=a_star, c_star=c_star,
                 constant=_bound_constant(block.n, block.k, hp, a_star,
                                          c_star),
-                b=np.full(rows, rate_init), d=np.full(rows, rate_init),
-                prev=np.full(rows, np.nan), age=np.zeros(rows, dtype=int),
-                row=np.arange(total, total + rows),
+                b=np.full(shape, rate_init), d=np.full(shape, rate_init),
+                prev=np.full(shape, np.nan), start=np.full(shape, sweep),
+                row=np.arange(total, total + count).reshape(shape),
             )
-            total += rows
+            total += count
             if live:
-                width = max(live["d2"].shape[1], block.d2.shape[1])
-                joined = {key: np.concatenate([_widen(live[key], width),
-                                               _widen(value, width)])
+                width = max(live["d2"].shape[-1], block.d2.shape[-1])
+                joined = {key: np.concatenate([_widen(key, live[key], width),
+                                               _widen(key, value, width)])
                           for key, value in joined.items()}
             live = joined
             block = next(blocks, None)
-        if not live:
-            break
+            continue
+        sweep += 1
         up = _spectral_update(live["d2"], live["w"], live["mask"],
                               live["yty"], live["comp"], live["b"],
                               live["d"], live["a_star"], live["c_star"], hp)
         lb = _bound(live["constant"], live["a_star"], up.b_star,
                     live["c_star"], up.d_star, up.sigma_logdet, up.ebb)
-        age = live["age"] + 1
         if not np.isfinite(lb).all():
-            bad = ~np.isfinite(lb)
+            age = sweep - live["start"][~np.isfinite(lb)][0]
             raise NumericalFailureError(
-                f"non-finite lower bound at iteration {age[bad][0]}"
+                f"non-finite lower bound at iteration {age}"
             )
         settled = np.abs(lb - live["prev"]) < tol
-        done = settled | (age >= max_iter)
+        done = settled | (live["start"] <= sweep - max_iter)
         if not done.any():
-            live.update(b=up.b_star, d=up.d_star, prev=lb, age=age)
+            live.update(b=up.b_star, d=up.d_star, prev=lb)
             continue
-        ended.append((live["row"][done], lb[done], age[done], settled[done],
+        ended.append((live["row"][done], lb[done],
+                      sweep - live["start"][done], settled[done],
                       live["b"][done], live["d"][done]))
         if len(ended) > 32:  # a few long arrays, not one set per sweep
             ended = [tuple(map(np.concatenate, zip(*ended)))]
         keep = ~done
-        live.update(b=up.b_star, d=up.d_star, prev=lb, age=age)
+        live.update(b=up.b_star, d=up.d_star, prev=lb)
         live = {key: value[keep] for key, value in live.items()
                 } if keep.any() else {}
-    order = np.argsort(np.concatenate([e[0] for e in ended]))
-    return SpectraFit(*(np.concatenate(column)[order]
-                        for column in list(zip(*ended))[1:]))
+    columns = ended[0] if len(ended) == 1 else [
+        np.concatenate(column) for column in zip(*ended)]
+    order = np.argsort(columns[0])
+    return SpectraFit(*(column[order] for column in columns[1:]))
 
 
 def fit_local(

@@ -102,6 +102,13 @@ class TestInfer:
         assert stats["submodel_sweeps"] >= 2 * stats["submodel_fits"]
         assert stats["submodel_nonconverged"] == 0
         assert "stats" not in fit
+        assert stats["em_a_at_cap"] is (fit["a"] == 1e4)
+        trajectory = fit["em_trajectory"]
+        assert len(trajectory) == fit["em_iterations"]
+        assert trajectory[0]["max_abs_delta_bound"] is None
+        assert 0 < trajectory[-1]["max_abs_delta_bound"] < 1e-3
+        assert (trajectory[-1]["a"], trajectory[-1]["b"]) == (fit["a"],
+                                                              fit["b"])
 
     def test_missing_file_exit_2(self, runner, tmp_path):
         res = runner.invoke(
@@ -136,6 +143,68 @@ class TestInfer:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["p0_hat"] == 0.9
         assert fit["gamma"] == pytest.approx(81.0)
+
+
+def _edge_case_matrix(case: str) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    shapes = {"p2_n3": (3, 2), "n3_p30": (3, 30), "p60_n8": (8, 60)}
+    x = rng.standard_normal(shapes.get(case, (20, 8)))
+    if case == "duplicate":
+        x[:, 5] = x[:, 2]
+    elif case == "affine_duplicate":
+        x[:, 5] = -4.0 * x[:, 2] + 7.0
+    elif case == "collinear_triple":
+        x[:, 5] = x[:, 2] - 2.0 * x[:, 3]
+    elif case == "binary":
+        x = (x > 0).astype(float)
+        x[:2] = [[0.0] * 8, [1.0] * 8]  # no gene is constant
+    elif case.startswith("scaled_"):
+        x *= float(case.split("_")[1])
+    elif case == "constant":
+        x[:, 3] = 2.0
+    return x
+
+
+class TestInferEdgeCases:
+    """Shapes and degenerate genes that must end in a well-formed result."""
+
+    @pytest.mark.parametrize("case", [
+        "p2_n3", "n3_p30", "duplicate", "affine_duplicate",
+        "collinear_triple", "binary", "scaled_1e-150", "scaled_1e150",
+        "p60_n8",
+    ])
+    def test_exits_zero_with_well_formed_outputs(self, runner, tmp_path,
+                                                 case):
+        x = _edge_case_matrix(case)
+        p = x.shape[1]
+        path = tmp_path / "data.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g",
+                   header=",".join(f"g{i}" for i in range(p)), comments="")
+        res = runner.invoke(main, ["infer", str(path), "--out-dir",
+                                   str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        rows = [line.split("\t") for line in
+                (tmp_path / "edges.tsv").read_text().splitlines()]
+        assert len(rows) == 1 + p * (p - 1) // 2
+        assert [int(r[2]) for r in rows[1:]] == list(range(1, len(rows)))
+        assert len({frozenset(r[:2]) for r in rows[1:]}) == len(rows) - 1
+        kappa = [float(r[3]) for r in rows[1:]]
+        assert all(np.isfinite(kappa)) and kappa == sorted(kappa,
+                                                           reverse=True)
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert 0.0 < fit["p0_hat"] < 1.0
+        assert fit["n_selected"] == sum(r[6] == "1" for r in rows[1:])
+        assert len(fit["em_trajectory"]) == fit["em_iterations"]
+        assert all(np.isfinite(list(fit["per_gene_lower_bound"].values())))
+
+    def test_constant_gene_exit_2(self, runner, tmp_path):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, _edge_case_matrix("constant"), delimiter=",",
+                   header=",".join(f"g{i}" for i in range(8)), comments="")
+        res = runner.invoke(main, ["infer", str(path), "--out-dir",
+                                   str(tmp_path)])
+        assert res.exit_code == 2
+        assert "g3 is constant" in res.output
 
 
 class TestBenchmark:

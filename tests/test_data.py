@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shrinknet.data import (
@@ -131,6 +131,14 @@ class TestStandardize:
         with pytest.raises(DegenerateGeneError, match="g2"):
             standardize(m)
 
+    @pytest.mark.parametrize("level", [0.0, 1e-300, 1e300])
+    def test_zero_and_extreme_constant_genes_named(self, level):
+        v = np.random.default_rng(0).standard_normal((5, 3))
+        v[:, 1] = level
+        m = ExpressionMatrix(v, ("g1", "g2", "g3"), tuple("abcde"))
+        with pytest.raises(DegenerateGeneError, match="g2"):
+            standardize(m)
+
 
 class TestProblems:
     def test_build_problem_excludes_target(self):
@@ -183,3 +191,25 @@ def test_standardize_idempotent(n, p, seed):
     once = standardize(m)
     twice = standardize(once)
     np.testing.assert_allclose(once.values, twice.values, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    log_scales=st.lists(st.floats(-300.0, 300.0), min_size=4, max_size=4),
+    shifts=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+)
+@example(seed=0, log_scales=[-300.0, 300.0, -160.0, 0.0],
+         shifts=[0.0, 5.0, -10.0, 10.0])
+def test_standardize_ignores_per_gene_affine_maps(seed, log_scales, shifts):
+    """x -> s (x + c) per gene, s from 1e-300 to 1e300, changes nothing
+    once scaled, and only the scale when centred alone."""
+    m = make_matrix(12, 4, seed=seed)
+    scales = 10.0 ** np.array(log_scales)
+    moved = ExpressionMatrix((m.values + shifts) * scales, m.gene_ids,
+                             m.sample_ids)
+    np.testing.assert_allclose(standardize(moved).values,
+                               standardize(m).values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(standardize(moved, scale=False).values / scales,
+                               standardize(m, scale=False).values, rtol=0,
+                               atol=1e-12)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from oracles import grid_maximizer, pooled_prior_objective
-from shrinknet.data import ExpressionMatrix, standardize
+from shrinknet.data import ExpressionMatrix, build_problem, standardize
 from shrinknet.em import (
     EmConfig,
     eb_update_approx,
@@ -15,6 +17,12 @@ from shrinknet.em import (
     fit_sem,
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
+from shrinknet.vb import (
+    DEFAULT_RATE_INIT,
+    HyperParameters,
+    VariationalPosterior,
+    vb_sweep,
+)
 
 
 def gamma_moments(a, rates):
@@ -172,3 +180,108 @@ class TestFitSem:
         assert f1.hyper == f2.hyper
         for a, b in zip(f1.posteriors, f2.posteriors):
             np.testing.assert_array_equal(a.beta_mean, b.beta_mean)
+
+
+def _with_genes(m: ExpressionMatrix, column) -> ExpressionMatrix:
+    """``m`` with one more gene, ``column(values)``, standardized."""
+    return standardize(ExpressionMatrix(
+        np.column_stack([m.values, column(m.values)]),
+        m.gene_ids + ("extra",), m.sample_ids))
+
+
+def _wide(seed=7, n=8, p=12):
+    rng = np.random.default_rng(seed)
+    return ExpressionMatrix(rng.standard_normal((n, p)),
+                            tuple(f"g{i}" for i in range(p)),
+                            tuple(f"s{i}" for i in range(n)))
+
+
+#: name -> (matrix, EM settings) of the stacked E-step's replay cases
+REPLAY_CASES = {
+    "tall": lambda: (small_dataset(), EmConfig(tol=1e-4)),
+    "wide": lambda: (standardize(_wide()), EmConfig()),
+    # duplicated genes give designs of lower rank, so rows are padded
+    "duplicate": lambda: (_with_genes(small_dataset(seed=1), lambda v:
+                                      v[:, 2]), EmConfig(tol=1e-4)),
+    "affine_duplicate": lambda: (_with_genes(small_dataset(seed=1), lambda v:
+                                             3.0 * v[:, 4] + 1.0),
+                                 EmConfig(tol=1e-4)),
+    "no_shrinkage": lambda: (standardize(_wide(seed=3, n=10, p=8)),
+                             EmConfig(global_shrinkage=False)),
+    "exact_update": lambda: (small_dataset(seed=4),
+                             EmConfig(tol=1e-5, eb_update="exact")),
+}
+
+
+class TestStackedEStep:
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_matches_per_gene_replay(self, case):
+        """Replay the EM gene by gene with ``vb_sweep`` at each iteration's
+        (a, b) from the trajectory: same bounds, stopping iteration, next
+        (a, b) and final coefficients."""
+        m, config = REPLAY_CASES[case]()
+        fit = fit_sem(m, config)
+        trajectory = fit.trajectory
+        assert len(trajectory) == len(fit.lower_bounds) == fit.em_iterations
+        p, n = m.n_genes, m.n_samples
+        k = p - 1
+        problems = [build_problem(m, j) for j in range(p)]
+        states = [
+            VariationalPosterior(
+                beta_mean=np.zeros(k), beta_var=np.zeros(k), a_star=1.0,
+                b_star=DEFAULT_RATE_INIT, c_star=config.c + 0.5 * (n + k),
+                d_star=DEFAULT_RATE_INIT, lower_bound=np.nan, iterations=0,
+                converged=False, sigma_trace=0.0, sigma_logdet=0.0,
+            )
+            for _ in range(p)
+        ]
+        updater = (eb_update_approx if config.eb_update == "approx"
+                   else eb_update_fixedpoint)
+        prev = None
+        for t, row in enumerate(trajectory, start=1):
+            hp = HyperParameters(a=row["a"], b=row["b"], c=config.c,
+                                 d=config.d)
+            a_star = row["a"] + 0.5 * k
+            states = [vb_sweep(replace(state, a_star=a_star), prob, hp)
+                      for state, prob in zip(states, problems)]
+            bounds = np.array([state.lower_bound for state in states])
+            np.testing.assert_allclose(bounds, fit.lower_bounds[t - 1],
+                                       rtol=0, atol=1e-8)
+            if prev is None:
+                assert row["max_abs_delta_bound"] is None
+                stop = False
+            else:
+                delta = np.max(np.abs(bounds - prev))
+                assert row["max_abs_delta_bound"] == pytest.approx(
+                    delta, rel=0, abs=1e-8)
+                stop = delta < config.tol
+            assert stop == (t == fit.em_iterations and fit.converged)
+            prev = bounds
+            if t < len(trajectory):
+                want = (updater(a_star, [s.b_star for s in states],
+                                a_max=config.a_max)
+                        if config.global_shrinkage else (row["a"], row["b"]))
+                nxt = trajectory[t]
+                assert (nxt["a"], nxt["b"]) == pytest.approx(want,
+                                                             rel=1e-10)
+        assert fit.converged
+        assert (fit.hyper.a, fit.hyper.b) == (row["a"], row["b"])
+        for got, want in zip(fit.posteriors, states):
+            np.testing.assert_allclose(got.beta_mean, want.beta_mean,
+                                       rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(got.beta_var, want.beta_var,
+                                       rtol=1e-10, atol=0)
+            assert got.lower_bound == pytest.approx(want.lower_bound,
+                                                    rel=0, abs=1e-8)
+
+    def test_trajectory_at_iteration_cap(self):
+        # stopped by max_iter: one row per iteration, and the reported
+        # (a, b) is the update after the last one
+        m = small_dataset(seed=2)
+        fit = fit_sem(m, EmConfig(max_iter=5))
+        rows = fit.trajectory
+        assert not fit.converged and len(rows) == 5
+        assert rows[0] == {"a": 0.001, "b": 0.001,
+                           "max_abs_delta_bound": None}
+        assert all(r["max_abs_delta_bound"] > 0 for r in rows[1:])
+        assert (fit.hyper.a, fit.hyper.b) != (rows[-1]["a"], rows[-1]["b"])

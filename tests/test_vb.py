@@ -13,8 +13,10 @@ from oracles import (
 from shrinknet.data import RegressionProblem
 from shrinknet.vb import (
     HyperParameters,
+    Spectra,
     expected_moments,
     fit_local,
+    fit_spectra,
     lower_bound,
     make_workspace,
     vb_sweep,
@@ -206,6 +208,29 @@ class TestPaths:
             + gammaln(c + 0.5 * n)
         )
         assert vp.lower_bound == pytest.approx(expect, rel=1e-12)
+
+
+class TestFitSpectra:
+    def test_single_regression_form(self):
+        """A spectrum without the row axis fits exactly as a stack of one,
+        and joins other rows in a stream as one more row."""
+        rows = [make_workspace(random_problem(n, k, seed=seed)).spectra()
+                for n, k, seed in ((15, 4, 1), (20, 3, 4), (20, 6, 2),
+                                   (8, 20, 9))]
+        alone = [fit_spectra([row], VAGUE, tol=1e-8) for row in rows]
+        for row, got in zip(rows, alone):
+            stack = Spectra(row.d2[None], row.w[None], row.mask[None],
+                            np.array([row.yty]), np.array([row.k]), row.n)
+            want = fit_spectra([stack], VAGUE, tol=1e-8)
+            for name in ("bound", "iterations", "converged", "b_last",
+                         "d_last"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+        joined = fit_spectra(rows, VAGUE, tol=1e-8, capacity=100)
+        np.testing.assert_array_equal(
+            joined.iterations, [f.iterations[0] for f in alone])
+        np.testing.assert_allclose(joined.bound,
+                                   [f.bound[0] for f in alone], rtol=1e-12)
 
 
 def test_expected_moments_consistency():
