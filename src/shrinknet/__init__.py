@@ -5,11 +5,8 @@ __version__ = "0.1.0"
 from .data import (  # noqa: F401
     ExpressionMatrix,
     RegressionProblem,
-    ReducedProblem,
-    build_problem,
     load_expression_matrix,
     standardize,
-    svd_reduce,
 )
 from .em import (  # noqa: F401
     EmConfig,

@@ -74,7 +74,8 @@ class SimConfig:
                 )
 
 
-def em_config_for(method: str, config: SimConfig) -> EmConfig:
+def em_config_for(method: str, config: SimConfig | SplitConfig) -> EmConfig:
+    """The EM settings of ``method`` under either harness's config."""
     return EmConfig(
         tol=config.em_tol,
         max_iter=config.em_max_iter,
@@ -118,7 +119,7 @@ def _run_sim_task(args):
             )
             _, pauc = partial_roc(result.ranking, g)
             tpr, fpr, precision, f = scores(
-                confusion(result.selection.selected, g)
+                confusion(result.selection.selected, g.edges, g.p)
             )
             rows.append(
                 {
@@ -227,11 +228,7 @@ def _run_split_task(args):
     small, large = random_split(m, cfg.n_small, rng=rng)
     out = {}
     for method in cfg.methods:
-        em = EmConfig(
-            tol=cfg.em_tol,
-            max_iter=cfg.em_max_iter,
-            global_shrinkage=(method == "shrinknet"),
-        )
+        em = em_config_for(method, cfg)
         res_small = infer_network(standardize(small), em_config=em,
                                   alpha=cfg.alpha, pre_standardized=True)
         entry = {
@@ -280,18 +277,11 @@ def run_split_harness(m: ExpressionMatrix, cfg: SplitConfig) -> SplitHarnessResu
         selections = [out[method]["selected_small"] for out in per_split]
         stability[method] = stability_report(selections, cfg.e_v, big_p)
         if cfg.validate_on_large:
-            pairs = []
-            for out in per_split:
-                bench_edges = {tuple(e) for e in out[method]["selected_large"]}
-                small_sel = {tuple(e) for e in out[method]["selected_small"]}
-                tp = len(small_sel & bench_edges)
-                fp = len(small_sel - bench_edges)
-                fn = len(bench_edges - small_sel)
-                tn = big_p - tp - fp - fn
-                tpr = tp / (tp + fn) if tp + fn else 0.0
-                fpr = fp / (fp + tn) if fp + tn else 0.0
-                pairs.append((tpr, fpr))
-            validation[method] = pairs
+            validation[method] = [
+                scores(confusion(out[method]["selected_small"],
+                                 out[method]["selected_large"], p))[:2]
+                for out in per_split
+            ]
     return SplitHarnessResult(
         stability=stability,
         per_split=per_split,
@@ -300,9 +290,7 @@ def run_split_harness(m: ExpressionMatrix, cfg: SplitConfig) -> SplitHarnessResu
     )
 
 
-def mean_pairwise_rank_correlation(per_split, method: str,
-                                   max_pairs: int | None = None,
-                                   rng=None) -> float:
+def mean_pairwise_rank_correlation(per_split, method: str) -> float:
     """Average Spearman correlation of the edge scores across split pairs.
 
     Scores are aligned on the common edge universe before correlating.
@@ -317,10 +305,6 @@ def mean_pairwise_rank_correlation(per_split, method: str,
         universe = sorted(lookup)
         vectors.append(np.array([lookup[e] for e in universe]))
     n = len(vectors)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        rng = np.random.default_rng(rng)
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[k] for k in idx]
-    rhos = [rank_correlation(vectors[i], vectors[j]) for i, j in pairs]
+    rhos = [rank_correlation(vectors[i], vectors[j])
+            for i in range(n) for j in range(i + 1, n)]
     return float(np.mean(rhos))

@@ -28,7 +28,7 @@ from .benchmark import (
     run_split_harness,
 )
 from .data import load_expression_matrix
-from .em import EmConfig
+from .em import A_MAX, EmConfig
 from .errors import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -217,7 +217,7 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
     manifest.stats = {
         "em_iterations": fit.em_iterations,
         "em_converged": fit.converged,
-        "em_a_at_cap": bool(fit.hyper.a >= em_config.a_max),
+        "em_a_at_cap": bool(fit.hyper.a >= A_MAX),
         **result.submodel_stats,
     }
     manifest.write(out)

@@ -1,9 +1,9 @@
-"""Expression matrix ingestion, standardization and per-gene regression setup.
+"""Expression matrix ingestion, standardization and the regression type.
 
 The matrix convention is samples in rows, genes in columns. Every gene in
-turn acts as a regression response with the remaining genes as covariates,
-and every design with at least one covariate is factored through its SVD so
-the variational fit works on the spectrum alone.
+turn acts as a regression response with other genes as covariates; a
+``RegressionProblem`` holds one such regression, whose design ``vb``
+factors into the spectrum the variational fit works on.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DegenerateDesignError,
     DegenerateGeneError,
     MalformedInputError,
     MissingDataError,
     ValidationError,
 )
-
-#: Singular values below this fraction of the largest are treated as zero.
-RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class ExpressionMatrix:
 
 @dataclass(frozen=True)
 class RegressionProblem:
-    """One gene as response against all other genes as covariates."""
+    """One gene as response against other genes as covariates."""
 
     response: np.ndarray
     design: np.ndarray
@@ -92,19 +88,6 @@ class RegressionProblem:
     @property
     def n_covariates(self) -> int:
         return self.design.shape[1]
-
-
-@dataclass(frozen=True)
-class ReducedProblem:
-    """SVD factorization of a regression design: design = F V^T."""
-
-    reduced_design: np.ndarray  # F = U D, n x r
-    right_factors: np.ndarray  # V, (p-1) x r
-    response: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.reduced_design.shape[1]
 
 
 def _is_number(token: str) -> bool:
@@ -220,32 +203,3 @@ def standardize(m: ExpressionMatrix, scale: bool = True) -> ExpressionMatrix:
     else:
         out = np.ldexp(out, exponent)
     return ExpressionMatrix(out, m.gene_ids, m.sample_ids)
-
-
-def build_problem(m: ExpressionMatrix, j: int) -> RegressionProblem:
-    """Response = column j, design = all other columns in original order."""
-    if not 0 <= j < m.n_genes:
-        raise IndexError(f"gene index {j} out of range [0, {m.n_genes})")
-    keep = [k for k in range(m.n_genes) if k != j]
-    return RegressionProblem(
-        response=m.values[:, j].copy(),
-        design=m.values[:, keep].copy(),
-        target_gene=j,
-    )
-
-
-def svd_reduce(prob: RegressionProblem) -> ReducedProblem:
-    """Factor the design as F V^T with F = U D restricted to numerical rank."""
-    X = prob.design
-    if not np.any(X):
-        raise DegenerateDesignError(
-            f"design for gene {prob.target_gene} is all zeros"
-        )
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    r = int(np.sum(s > RANK_RTOL * s[0]))
-    return ReducedProblem(
-        reduced_design=U[:, :r] * s[:r],
-        right_factors=Vt[:r].T.copy(),
-        response=prob.response,
-    )
-

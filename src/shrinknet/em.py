@@ -1,7 +1,8 @@
 """Whole-network fit: variational EM with shared shrinkage hyperparameters.
 
-The E-step sweeps all p per-gene regressions as one array update over
-their stacked spectra, after which the shape/rate (a, b) of the shared gamma
+The spectra of the p per-gene regressions are set up once, a bounded block
+of genes per SVD call. The E-step sweeps them all as one array update over
+their stack, after which the shape/rate (a, b) of the shared gamma
 prior on the local precisions are re-estimated from the pooled posterior
 moments (M-step), in a closed approximate form or an exact fixed-point
 variant. Coefficient means and variances are formed once, at the end.
@@ -15,25 +16,31 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import digamma
 
-from .data import ExpressionMatrix, build_problem
+from .data import ExpressionMatrix
 from .errors import NumericalFailureError
 from .vb import (
     DEFAULT_MAX_ITER,
-    DEFAULT_RATE_INIT,
     DEFAULT_TOL,
+    RATE_INIT,
+    STACK_DOUBLES,
     HyperParameters,
     VariationalPosterior,
     _bound,
     _bound_constant,
-    _posterior_from,
     _posterior_shapes,
+    _posteriors,
     _spectral_update,
+    _widen,
     make_workspace,
 )
 
 #: Cap on the estimated shape when the pooled moments are degenerate
 #: (zero dispersion would drive the shape to infinity, a point-mass prior).
 A_MAX = 1e4
+
+#: Starting (a, b) of the shared prior on the local precisions; the gamma
+#: prior on the noise precision keeps the defaults of ``HyperParameters``.
+A_INIT = B_INIT = 0.001
 
 _DEGENERATE_EPS = 1e-8
 
@@ -44,11 +51,6 @@ class EmConfig:
     max_iter: int = DEFAULT_MAX_ITER
     global_shrinkage: bool = True
     eb_update: str = "approx"  # "approx" or "exact"
-    a_init: float = 0.001
-    b_init: float = 0.001
-    c: float = 0.001
-    d: float = 0.001
-    a_max: float = A_MAX
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -78,7 +80,7 @@ class SemFit:
         return len(self.posteriors)
 
 
-def eb_update_approx_moments(e_tau2inv, e_log_tau2inv, a_max: float = A_MAX):
+def eb_update_approx_moments(e_tau2inv, e_log_tau2inv):
     """Closed-form hyperparameter update from pooled gamma moments.
 
     Uses the approximation digamma(x) ~ log(x) - 0.5/x; the bracketed
@@ -91,15 +93,14 @@ def eb_update_approx_moments(e_tau2inv, e_log_tau2inv, a_max: float = A_MAX):
     total = float(np.sum(e_tau2inv))
     gap = np.log(total) - float(np.mean(e_log_tau2inv)) - np.log(p)
     if gap <= _DEGENERATE_EPS:
-        a_hat = a_max
+        a_hat = A_MAX
     else:
-        a_hat = min(0.5 / gap, a_max)
+        a_hat = min(0.5 / gap, A_MAX)
     b_hat = a_hat * p / total
     return a_hat, b_hat
 
 
-def eb_update_fixedpoint_moments(e_tau2inv, e_log_tau2inv,
-                                 a_max: float = A_MAX):
+def eb_update_fixedpoint_moments(e_tau2inv, e_log_tau2inv):
     """Exact maximizer of the pooled prior likelihood in (a, b).
 
     Profiling out b = a * p / sum(E[tau^-2]) leaves a one-dimensional
@@ -112,16 +113,16 @@ def eb_update_fixedpoint_moments(e_tau2inv, e_log_tau2inv,
     total = float(np.sum(e_tau2inv))
     gap = np.log(total / p) - float(np.mean(e_log_tau2inv))
     if gap <= _DEGENERATE_EPS:
-        a_hat = a_max
+        a_hat = A_MAX
     else:
 
         def f(x):
             return digamma(x) - np.log(x) + gap
 
-        if f(a_max) <= 0:
-            a_hat = a_max
+        if f(A_MAX) <= 0:
+            a_hat = A_MAX
         else:
-            a_hat = brentq(f, 1e-10, a_max, xtol=1e-12, rtol=1e-14)
+            a_hat = brentq(f, 1e-10, A_MAX, xtol=1e-12, rtol=1e-14)
     b_hat = a_hat * p / total
     return a_hat, b_hat
 
@@ -135,16 +136,14 @@ def _moments_from_rates(a_star: float, b_stars):
     return e_tau, e_log
 
 
-def eb_update_approx(a_star: float, b_stars, a_max: float = A_MAX):
+def eb_update_approx(a_star: float, b_stars):
     """Approximate (a, b) update from per-gene posterior gamma parameters."""
-    return eb_update_approx_moments(*_moments_from_rates(a_star, b_stars),
-                                    a_max=a_max)
+    return eb_update_approx_moments(*_moments_from_rates(a_star, b_stars))
 
 
-def eb_update_fixedpoint(a_star: float, b_stars, a_max: float = A_MAX):
+def eb_update_fixedpoint(a_star: float, b_stars):
     """Exact (a, b) update from per-gene posterior gamma parameters."""
-    return eb_update_fixedpoint_moments(*_moments_from_rates(a_star, b_stars),
-                                        a_max=a_max)
+    return eb_update_fixedpoint_moments(*_moments_from_rates(a_star, b_stars))
 
 
 def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
@@ -157,18 +156,29 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     per-gene lower-bound change. Coefficient means and variances come from
     one more sweep of each gene, from the rates its final sweep started from.
     """
-    p = m.n_genes
+    n, p = m.values.shape
     k = p - 1
-    workspaces = [make_workspace(build_problem(m, j)) for j in range(p)]
-    rank = np.array([ws.r for ws in workspaces])
-    d2, w, mask = (np.array([np.pad(getattr(ws, name), (0, rank.max() - ws.r))
-                             for ws in workspaces])
+    chunk = max(1, STACK_DOUBLES // (n * k))
+    blocks = [np.arange(start, min(start + chunk, p))
+              for start in range(0, p, chunk)]
+
+    def setup(genes):
+        # each gene against every other column, in index order
+        others = np.arange(k) + (np.arange(k) >= genes[:, None])
+        return make_workspace(m.values.T[others].swapaxes(1, 2),
+                              m.values.T[genes],
+                              [m.gene_ids[g] for g in genes])
+
+    setups = [setup(genes) for genes in blocks]
+    width = max(spectra.d2.shape[1] for spectra, _ in setups)
+    d2, w, mask = (np.concatenate([_widen(name, getattr(spectra, name), width)
+                                   for spectra, _ in setups])
                    for name in ("d2", "w", "mask"))
-    yty = np.array([ws.yty for ws in workspaces])
-    n = m.n_samples
-    a, b = config.a_init, config.b_init
-    b_stars = np.full(p, DEFAULT_RATE_INIT)
-    d_stars = np.full(p, DEFAULT_RATE_INIT)
+    rank = mask.sum(axis=1)
+    yty = np.concatenate([spectra.yty for spectra, _ in setups])
+    a, b = A_INIT, B_INIT
+    b_stars = np.full(p, RATE_INIT)
+    d_stars = np.full(p, RATE_INIT)
     updater = (
         eb_update_approx
         if config.eb_update == "approx"
@@ -179,7 +189,7 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     converged = False
     t = 0
     for t in range(1, config.max_iter + 1):
-        hp = HyperParameters(a=a, b=b, c=config.c, d=config.d)
+        hp = HyperParameters(a=a, b=b)
         a_star, c_star = _posterior_shapes(hp, n, k)
         up = _spectral_update(d2, w, mask, yty, k - rank, b_stars, d_stars,
                               a_star, c_star, hp)
@@ -203,18 +213,16 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
             converged = True
             break
         if config.global_shrinkage:
-            a, b = updater(a_star, b_stars, a_max=config.a_max)
-    final_hp = HyperParameters(a=a, b=b, c=config.c, d=config.d)
+            a, b = updater(a_star, b_stars)
     posteriors = [
-        _posterior_from(
-            ws.sweep(b_last[j], d_last[j], a_star, c_star, hp), ws, final_hp,
-            a_star, c_star, t, converged,
-        )
-        for j, ws in enumerate(workspaces)
+        vp
+        for genes, (spectra, V) in zip(blocks, setups)
+        for vp in _posteriors(spectra, V, b_last[genes], d_last[genes],
+                              a_star, c_star, hp, t, converged)
     ]
     return SemFit(
         posteriors=posteriors,
-        hyper=final_hp,
+        hyper=HyperParameters(a=a, b=b),
         lower_bounds=history,
         em_iterations=t,
         converged=converged,

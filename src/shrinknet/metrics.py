@@ -33,11 +33,12 @@ def _norm_pairs(pairs) -> set:
     return {(min(i, j), max(i, j)) for i, j in pairs}
 
 
-def confusion(selected, truth: GraphSpec) -> ConfusionCounts:
-    """Counts over all unordered gene pairs."""
+def confusion(selected, truth, p: int) -> ConfusionCounts:
+    """Counts over all unordered pairs of ``p`` genes, against the edge
+    set ``truth``."""
     sel = _norm_pairs(selected)
-    true_edges = truth.edges
-    big_p = truth.p * (truth.p - 1) // 2
+    true_edges = _norm_pairs(truth)
+    big_p = p * (p - 1) // 2
     tp = len(sel & true_edges)
     fp = len(sel - true_edges)
     fn = len(true_edges - sel)

@@ -17,15 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import RANK_RTOL, ExpressionMatrix, RegressionProblem
+from .data import ExpressionMatrix, RegressionProblem
 from .em import SemFit
-from .errors import DegenerateDesignError, NumericalFailureError
-from .vb import HyperParameters, Spectra, fit_local, fit_spectra
-
-#: Working-memory budget of the batched p0 scan, in doubles: it bounds
-#: the stacked designs of one block of responses and the directions of the
-#: sub-models being swept at once.
-_SCAN_DOUBLES = 1 << 12
+from .errors import NumericalFailureError
+from .vb import (
+    STACK_DOUBLES,
+    HyperParameters,
+    Spectra,
+    fit_local,
+    fit_spectra,
+    make_workspace,
+)
 
 
 @dataclass(frozen=True)
@@ -121,27 +123,9 @@ def selection_prior(n: int) -> HyperParameters:
 def _prefix_spectra(values: np.ndarray, order: np.ndarray, genes: np.ndarray,
                     t: int) -> Spectra:
     """Spectra of the sub-models regressing each of ``genes`` on its first
-    ``t`` partners in ``order``.
-
-    One stacked SVD factors every (n, t) design, with its columns in index
-    order and the rank cutoff of ``svd_reduce``.
-    """
-    n = values.shape[0]
-    y = values[:, genes].T
-    yty = np.einsum("gn,gn->g", y, y)
-    k = np.full(len(genes), t)
-    if t == 0:
-        empty = np.empty((len(genes), 0))
-        return Spectra(empty, empty, empty, yty, k, n)
+    ``t`` partners in ``order``, with the design columns in index order."""
     designs = values[:, np.sort(order[genes, :t], axis=1)].transpose(1, 0, 2)
-    u, s, _ = np.linalg.svd(designs, full_matrices=False)
-    if not np.all(s[:, 0] > 0.0):
-        gene = genes[int(np.argmin(s[:, 0] > 0.0))]
-        raise DegenerateDesignError(f"design for gene {gene} is all zeros")
-    mask = s > RANK_RTOL * s[:, :1]
-    d2 = np.where(mask, s * s, 0.0)
-    w = np.where(mask, s * np.einsum("gnr,gn->gr", u, y), 0.0)
-    return Spectra(d2, w, mask.astype(float), yty, k, n)
+    return make_workspace(designs, values[:, genes].T, genes)[0]
 
 
 class EvidenceCache:
@@ -152,18 +136,16 @@ class EvidenceCache:
     the ranking prefixes, filled in one batched pass by ``fill_prefixes``,
     are kept by (response gene, prefix length); any other sub-model is
     fitted on first use and kept by (response gene, frozenset of covariate
-    genes). ``stats`` counts the fits, their sweeps and the fits that hit
-    ``max_iter``, from both routes.
+    genes). Every fit stops at the defaults of ``fit_local``. ``stats``
+    counts the fits, their sweeps and the fits that hit the sweep cap, from
+    both routes.
     """
 
-    def __init__(self, m: ExpressionMatrix, tol: float = 1e-3,
-                 max_iter: int = 1000):
+    def __init__(self, m: ExpressionMatrix):
         self.values = m.values - m.values.mean(axis=0)
         self.n = m.n_samples
         self.p = m.n_genes
         self.prior = selection_prior(self.n)
-        self.tol = tol
-        self.max_iter = max_iter
         self._cache: dict[tuple[int, frozenset], float] = {}
         # _partner_rank[g, h]: position of h among g's ranked partners (p if
         # none); _prefix[g, t]: evidence of g on its first t partners
@@ -199,7 +181,7 @@ class EvidenceCache:
             rank[g, got] = np.arange(len(got))
         self._partner_rank = rank.tolist()  # read per lookup, element-wise
         self._prefix = np.full((p, p), np.nan)
-        chunk = max(1, _SCAN_DOUBLES // (n * p))
+        chunk = max(1, STACK_DOUBLES // (n * p))
         plan = []  # (responses, prefix length) of each stacked block
         for start in range(0, p, chunk):
             block = np.arange(start, min(start + chunk, p))
@@ -208,8 +190,7 @@ class EvidenceCache:
         fit = fit_spectra(
             (_prefix_spectra(self.values, order, genes, t)
              for genes, t in plan),
-            self.prior, tol=self.tol, max_iter=self.max_iter,
-            capacity=_SCAN_DOUBLES,
+            self.prior, capacity=STACK_DOUBLES,
         )
         self._prefix[np.concatenate([genes for genes, _ in plan]),
                      np.concatenate([np.full(len(genes), t)
@@ -240,8 +221,7 @@ class EvidenceCache:
             design=self.values[:, cols],
             target_gene=response,
         )
-        vp = fit_local(prob, self.prior, tol=self.tol,
-                       max_iter=self.max_iter)
+        vp = fit_local(prob, self.prior)
         self._count(vp.iterations, vp.converged)
         self._cache[key] = vp.lower_bound
         return vp.lower_bound

@@ -6,18 +6,22 @@ coordinate ascent on a factorized posterior. The evidence lower bound is
 the convergence criterion and doubles as the model-evidence surrogate used
 for Bayes factors downstream.
 
-Every regression with at least one covariate is fitted in the SVD basis
-of its design, where the coefficient posterior is diagonal: a sweep only
-touches the squared singular values d^2, w = F^T y and y^T y, and the
-coefficient covariance is never formed beyond its diagonal. The route is
-exact for any shape: directions outside the design's row space keep their
-conditional prior, and there are none when the design has full column
-rank. A regression without covariates has a closed-form sigma posterior.
+Every regression is fitted in the SVD basis of its design, where the
+coefficient posterior is diagonal: a sweep only touches the squared
+singular values d^2, w = F^T y and y^T y, and the coefficient covariance is
+never formed beyond its diagonal. The route is exact for any shape:
+directions outside the design's row space keep their conditional prior,
+and there are none when the design has full column rank. A regression
+without covariates has an empty spectrum, and its sigma posterior is exact
+after one sweep.
 
-The sweep is written once, as array code over a stack of spectra with one
-row per regression: ``fit_spectra`` sweeps many regressions at once, each
-with its own stopping rule, and ``fit_local`` is that recursion on a stack
-of one.
+The spectral setup is written once: ``make_workspace`` factors one design,
+or a stack of them, with one SVD. The sweep is written once too, as array
+code over a stack of spectra with one row per regression: ``fit_spectra``
+sweeps many regressions at once, each with its own stopping rule, and
+``fit_local`` is that recursion on a single regression. The coefficient
+means and variances of the fitted regressions come back from the SVD
+basis in one place, ``_posteriors``.
 """
 
 from __future__ import annotations
@@ -27,15 +31,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .data import RegressionProblem, svd_reduce
-from .errors import NumericalFailureError
+from .data import RegressionProblem
+from .errors import DegenerateDesignError, NumericalFailureError
 
 #: Rate parameters are floored here to avoid division blowups.
 RATE_FLOOR = 1e-12
 
+#: Singular values below this fraction of the largest are treated as zero.
+RANK_RTOL = 1e-10
+
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1000
-DEFAULT_RATE_INIT = 0.001
+#: Both rates start here in every fit.
+RATE_INIT = 0.001
+
+#: Working-memory budget of a stacked computation, in doubles: it bounds
+#: the designs factored in one setup call of a block of regressions, and
+#: the directions of the regressions ``fit_spectra`` sweeps at once.
+STACK_DOUBLES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -84,16 +97,6 @@ def expected_moments(vp: VariationalPosterior):
     e_log_tau2inv = digamma(vp.a_star) - np.log(vp.b_star)
     e_sig2inv = vp.c_star / vp.d_star
     return e_tau2inv, e_log_tau2inv, e_sig2inv, vp.e_beta_sq
-
-
-@dataclass
-class _SweepResult:
-    beta_mean: np.ndarray
-    beta_var: np.ndarray
-    b_star: float
-    d_star: float
-    sigma_trace: float
-    sigma_logdet: float
 
 
 @dataclass(frozen=True)
@@ -178,64 +181,42 @@ def _spectral_update(d2, w, mask, yty, comp, b_star, d_star, a_star, c_star,
                    sigma_logdet, ebb)
 
 
-class _SvdPath:
-    """Spectral route: diagonal algebra in the SVD basis of the design.
+def make_workspace(designs, responses, genes):
+    """Spectral setup of one regression design, or of a stack of them.
 
-    The coefficient posterior decomposes into the span of the design's right
-    singular vectors (data-informed, diagonal in that basis) and its
-    orthogonal complement, where the posterior equals the conditional prior
-    with variance 1/(E[sigma^-2] E[tau^-2]) per direction.
+    ``designs`` is one (n, k) design with its (n,) response, or a stack of
+    (n, k) designs with one response per row; one SVD call factors them
+    all as F V^T with F = U D. Singular values below ``RANK_RTOL`` of a
+    design's largest are dropped, and the spectrum holds d^2 = sum(F^2)
+    and w = F^T y for each direction. A stack is as wide as its largest
+    rank, and the directions of a row past its own rank are masked; a
+    single design's spectrum leaves out the row axis (see ``Spectra``).
+    Returns the spectra and the right factors V, (k, rank) for one design
+    and (rows, k, width) for a stack. A design without columns has an
+    empty spectrum; an all-zero design raises ``DegenerateDesignError``
+    naming its entry of ``genes``.
     """
-
-    def __init__(self, prob: RegressionProblem):
-        red = svd_reduce(prob)
-        self.n = prob.n
-        self.k = prob.n_covariates
-        self.r = red.rank
-        self.V = red.right_factors
-        self.d2 = np.sum(red.reduced_design**2, axis=0)  # squared sing. values
-        self.w = red.reduced_design.T @ prob.response
-        self.yty = float(prob.response @ prob.response)
-        self.mask = np.ones(self.r)
-
-    def spectra(self) -> Spectra:
-        """This design's spectrum, without the row axis."""
-        return Spectra(self.d2, self.w, self.mask, self.yty, self.k, self.n)
-
-    def sweep(self, b_star, d_star, a_star, c_star, hp) -> _SweepResult:
-        up = _spectral_update(self.d2, self.w, self.mask, self.yty,
-                              self.k - self.r, b_star, d_star, a_star,
-                              c_star, hp)
-        beta = self.V @ up.theta
-        v2 = self.V**2
-        beta_var = v2 @ up.theta_var + (1.0 - v2.sum(axis=1)) * up.comp_var
-        return _SweepResult(
-            beta_mean=beta,
-            beta_var=beta_var,
-            b_star=float(up.b_star),
-            d_star=float(up.d_star),
-            sigma_trace=float(up.sigma_trace),
-            sigma_logdet=float(up.sigma_logdet),
-        )
-
-
-class _EmptyPath(_SvdPath):
-    """No covariates: an empty spectrum, so the sigma posterior is exact
-    after one sweep."""
-
-    def __init__(self, prob: RegressionProblem):
-        self.n = prob.n
-        self.k = self.r = 0
-        self.V = np.empty((0, 0))
-        self.d2 = self.w = self.mask = np.empty(0)
-        self.yty = float(prob.response @ prob.response)
-
-
-def make_workspace(prob: RegressionProblem):
-    """Precompute the per-problem spectral quantities reused across sweeps."""
-    if prob.n_covariates == 0:
-        return _EmptyPath(prob)
-    return _SvdPath(prob)
+    single = np.ndim(designs) == 2
+    if single:
+        designs, responses, genes = designs[None], responses[None], [genes]
+    rows, n, k = designs.shape
+    u, s, vt = np.linalg.svd(designs, full_matrices=False)
+    if k and not np.all(s[:, 0] > 0.0):
+        gene = genes[int(np.argmin(s[:, 0] > 0.0))]
+        raise DegenerateDesignError(f"design for gene {gene} is all zeros")
+    mask = s > RANK_RTOL * s[:, :1]
+    width = int(mask.sum(axis=1).max(initial=0))
+    u, s, vt = u[..., :width], s[:, :width], vt[:, :width]
+    mask = mask[:, :width]
+    f = u * s[:, None, :]
+    d2 = np.where(mask, np.sum(f * f, axis=1), 0.0)
+    w = np.where(mask, (f.swapaxes(1, 2) @ responses[..., None])[..., 0], 0.0)
+    yty = _rowdot(responses, responses)
+    v = vt.swapaxes(1, 2)
+    if single:
+        return Spectra(d2[0], w[0], mask[0].astype(float), yty[0], k,
+                       n), v[0].copy()
+    return Spectra(d2, w, mask.astype(float), yty, np.full(rows, k), n), v
 
 
 def _bound_constant(n, k, hp, a_star, c_star):
@@ -263,36 +244,53 @@ def _bound(constant, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
     )
 
 
-def _swept_bound(n, k, hp, a_star, c_star, state) -> float:
-    """Evidence lower bound of a swept state, via its E[beta' beta].
+def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
+                hp: HyperParameters, iterations,
+                converged) -> list[VariationalPosterior]:
+    """The posterior of each regression of ``spectra`` after one sweep
+    from the rates ``(b_star, d_star)``, one per row (one in all for a
+    spectrum without the row axis).
 
-    ``state`` is a sweep result or a fitted posterior: both carry the two
-    rates, the coefficient mean and the covariance trace and log-determinant.
+    The coefficient means and variances come back from the SVD basis
+    through the right factors ``V`` returned with the spectra; directions
+    outside a design's row space add their conditional prior variance.
     """
-    ebb = float(state.beta_mean @ state.beta_mean) + state.sigma_trace
-    return float(_bound(_bound_constant(n, k, hp, a_star, c_star), a_star,
-                        state.b_star, c_star, state.d_star,
-                        state.sigma_logdet, ebb))
-
-
-def _posterior_from(res: _SweepResult, ws, hp, a_star, c_star, iterations,
-                    converged) -> VariationalPosterior:
-    lb = _swept_bound(ws.n, ws.k, hp, a_star, c_star, res)
-    if not np.isfinite(lb):
-        raise NumericalFailureError("non-finite lower bound")
-    return VariationalPosterior(
-        beta_mean=res.beta_mean,
-        beta_var=res.beta_var,
-        a_star=a_star,
-        b_star=res.b_star,
-        c_star=c_star,
-        d_star=res.d_star,
-        lower_bound=lb,
-        iterations=iterations,
-        converged=converged,
-        sigma_trace=res.sigma_trace,
-        sigma_logdet=res.sigma_logdet,
-    )
+    rank = spectra.mask.sum(axis=-1)
+    up = _spectral_update(spectra.d2, spectra.w, spectra.mask, spectra.yty,
+                          spectra.k - rank, b_star, d_star, a_star, c_star,
+                          hp)
+    rows = np.size(spectra.yty)
+    theta, theta_var = (x.reshape(rows, -1) for x in (up.theta,
+                                                       up.theta_var))
+    V = V.reshape(rows, *V.shape[-2:])
+    constant = _bound_constant(spectra.n, spectra.k, hp, a_star, c_star)
+    per_row = np.array([rank, up.comp_var, up.b_star, up.d_star,
+                        up.sigma_trace, up.sigma_logdet, constant])
+    posteriors = []
+    for j, (r, comp_var, b, d, trace, logdet, const) in enumerate(
+            per_row.reshape(-1, rows).T.tolist()):
+        r = int(r)
+        v = np.ascontiguousarray(V[j, :, :r])
+        v2 = v**2
+        beta = v @ theta[j, :r]
+        lb = float(_bound(const, a_star, b, c_star, d, logdet,
+                          float(beta @ beta) + trace))
+        if not np.isfinite(lb):
+            raise NumericalFailureError("non-finite lower bound")
+        posteriors.append(VariationalPosterior(
+            beta_mean=beta,
+            beta_var=v2 @ theta_var[j, :r] + (1.0 - v2.sum(axis=1)) * comp_var,
+            a_star=a_star,
+            b_star=b,
+            c_star=c_star,
+            d_star=d,
+            lower_bound=lb,
+            iterations=iterations,
+            converged=converged,
+            sigma_trace=trace,
+            sigma_logdet=logdet,
+        ))
+    return posteriors
 
 
 def vb_sweep(
@@ -307,12 +305,10 @@ def vb_sweep(
     """
     if not (state.b_star > 0 and state.d_star > 0):
         raise ValueError("state rates must be positive")
-    ws = make_workspace(prob)
-    res = ws.sweep(state.b_star, state.d_star, state.a_star, state.c_star, hp)
-    return _posterior_from(
-        res, ws, hp, state.a_star, state.c_star, state.iterations + 1,
-        state.converged,
-    )
+    spectra, V = make_workspace(prob.design, prob.response, prob.target_gene)
+    return _posteriors(spectra, V, state.b_star, state.d_star, state.a_star,
+                       state.c_star, hp, state.iterations + 1,
+                       state.converged)[0]
 
 
 def lower_bound(
@@ -323,8 +319,10 @@ def lower_bound(
     """Evidence lower bound of a swept state (model-evidence surrogate)."""
     if state.sigma_logdet is None or not np.isfinite(state.sigma_logdet):
         raise NumericalFailureError("state has no valid covariance logdet")
-    return _swept_bound(prob.n, prob.n_covariates, hp, state.a_star,
-                       state.c_star, state)
+    constant = _bound_constant(prob.n, prob.n_covariates, hp, state.a_star,
+                               state.c_star)
+    return float(_bound(constant, state.a_star, state.b_star, state.c_star,
+                        state.d_star, state.sigma_logdet, state.e_beta_sq))
 
 
 @dataclass
@@ -371,7 +369,6 @@ def fit_spectra(
     hp: HyperParameters,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    rate_init: float = DEFAULT_RATE_INIT,
     capacity: int = 0,
 ) -> SpectraFit:
     """Fit every row of a stream of ``Spectra`` blocks by the sweeps of one
@@ -405,7 +402,7 @@ def fit_spectra(
                 a_star=a_star, c_star=c_star,
                 constant=_bound_constant(block.n, block.k, hp, a_star,
                                          c_star),
-                b=np.full(shape, rate_init), d=np.full(shape, rate_init),
+                b=np.full(shape, RATE_INIT), d=np.full(shape, RATE_INIT),
                 prev=np.full(shape, np.nan), start=np.full(shape, sweep),
                 row=np.arange(total, total + count).reshape(shape),
             )
@@ -454,13 +451,11 @@ def fit_local(
     hp: HyperParameters,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    rate_init: float = DEFAULT_RATE_INIT,
 ) -> VariationalPosterior:
     """Iterate sweeps until the lower bound changes by less than ``tol``."""
-    ws = make_workspace(prob)
-    fit = fit_spectra([ws.spectra()], hp, tol=tol, max_iter=max_iter,
-                      rate_init=rate_init)
-    a_star, c_star = _posterior_shapes(hp, ws.n, ws.k)
-    res = ws.sweep(fit.b_last[0], fit.d_last[0], a_star, c_star, hp)
-    return _posterior_from(res, ws, hp, a_star, c_star,
-                           int(fit.iterations[0]), bool(fit.converged[0]))
+    spectra, V = make_workspace(prob.design, prob.response, prob.target_gene)
+    fit = fit_spectra([spectra], hp, tol=tol, max_iter=max_iter)
+    a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
+    return _posteriors(spectra, V, fit.b_last[0], fit.d_last[0], a_star,
+                       c_star, hp, int(fit.iterations[0]),
+                       bool(fit.converged[0]))[0]

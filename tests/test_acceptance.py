@@ -278,7 +278,7 @@ def test_criterion_7_selection_error_rates():
         cache = EvidenceCache(m)
         p0 = estimate_p0(m, ranking, cache=cache)
         sel = forward_select(m, ranking, alpha=0.1, p0=p0, cache=cache)
-        tpr, fpr, _, _ = scores(confusion(sel.selected, g))
+        tpr, fpr, _, _ = scores(confusion(sel.selected, g.edges, g.p))
         tprs.append(tpr)
         fprs.append(fpr)
     mean_tpr = float(np.mean(tprs))

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from shrinknet.data import (
     ExpressionMatrix,
-    build_problem,
     load_expression_matrix,
     standardize,
-    svd_reduce,
 )
 from shrinknet.errors import (
     DegenerateGeneError,
@@ -138,42 +136,6 @@ class TestStandardize:
         m = ExpressionMatrix(v, ("g1", "g2", "g3"), tuple("abcde"))
         with pytest.raises(DegenerateGeneError, match="g2"):
             standardize(m)
-
-
-class TestProblems:
-    def test_build_problem_excludes_target(self):
-        m = make_matrix(6, 4)
-        prob = build_problem(m, 2)
-        np.testing.assert_array_equal(prob.response, m.values[:, 2])
-        np.testing.assert_array_equal(
-            prob.design, m.values[:, [0, 1, 3]]
-        )
-
-    def test_build_problem_bounds(self):
-        with pytest.raises(IndexError):
-            build_problem(make_matrix(), 4)
-
-    def test_svd_reduce_reconstructs(self):
-        prob = build_problem(make_matrix(8, 5), 0)
-        red = svd_reduce(prob)
-        np.testing.assert_allclose(
-            red.reduced_design @ red.right_factors.T, prob.design,
-            atol=1e-10,
-        )
-
-    def test_svd_reduce_rank_deficient(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((10, 3))
-        X = np.hstack([X, X[:, :1]])  # duplicated column drops the rank
-        prob = build_problem(
-            ExpressionMatrix(
-                np.hstack([rng.standard_normal((10, 1)), X]),
-                tuple(f"g{i}" for i in range(5)),
-                tuple(f"s{i}" for i in range(10)),
-            ),
-            0,
-        )
-        assert svd_reduce(prob).rank == 3
 
 
 @settings(max_examples=25, deadline=None)

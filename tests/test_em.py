@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from oracles import grid_maximizer, pooled_prior_objective
-from shrinknet.data import ExpressionMatrix, build_problem, standardize
+from shrinknet.data import ExpressionMatrix, RegressionProblem, standardize
 from shrinknet.em import (
     EmConfig,
     eb_update_approx,
@@ -18,7 +18,7 @@ from shrinknet.em import (
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
 from shrinknet.vb import (
-    DEFAULT_RATE_INIT,
+    RATE_INIT,
     HyperParameters,
     VariationalPosterior,
     vb_sweep,
@@ -225,12 +225,16 @@ class TestStackedEStep:
         assert len(trajectory) == len(fit.lower_bounds) == fit.em_iterations
         p, n = m.n_genes, m.n_samples
         k = p - 1
-        problems = [build_problem(m, j) for j in range(p)]
+        problems = [RegressionProblem(response=m.values[:, j],
+                                      design=np.delete(m.values, j, axis=1),
+                                      target_gene=j)
+                    for j in range(p)]
+        c_star = HyperParameters(a=1.0, b=1.0).c + 0.5 * (n + k)
         states = [
             VariationalPosterior(
                 beta_mean=np.zeros(k), beta_var=np.zeros(k), a_star=1.0,
-                b_star=DEFAULT_RATE_INIT, c_star=config.c + 0.5 * (n + k),
-                d_star=DEFAULT_RATE_INIT, lower_bound=np.nan, iterations=0,
+                b_star=RATE_INIT, c_star=c_star,
+                d_star=RATE_INIT, lower_bound=np.nan, iterations=0,
                 converged=False, sigma_trace=0.0, sigma_logdet=0.0,
             )
             for _ in range(p)
@@ -239,8 +243,7 @@ class TestStackedEStep:
                    else eb_update_fixedpoint)
         prev = None
         for t, row in enumerate(trajectory, start=1):
-            hp = HyperParameters(a=row["a"], b=row["b"], c=config.c,
-                                 d=config.d)
+            hp = HyperParameters(a=row["a"], b=row["b"])
             a_star = row["a"] + 0.5 * k
             states = [vb_sweep(replace(state, a_star=a_star), prob, hp)
                       for state, prob in zip(states, problems)]
@@ -258,8 +261,7 @@ class TestStackedEStep:
             assert stop == (t == fit.em_iterations and fit.converged)
             prev = bounds
             if t < len(trajectory):
-                want = (updater(a_star, [s.b_star for s in states],
-                                a_max=config.a_max)
+                want = (updater(a_star, [s.b_star for s in states])
                         if config.global_shrinkage else (row["a"], row["b"]))
                 nxt = trajectory[t]
                 assert (nxt["a"], nxt["b"]) == pytest.approx(want,
@@ -285,3 +287,7 @@ class TestStackedEStep:
                            "max_abs_delta_bound": None}
         assert all(r["max_abs_delta_bound"] > 0 for r in rows[1:])
         assert (fit.hyper.a, fit.hyper.b) != (rows[-1]["a"], rows[-1]["b"])
+        # each posterior's bound is scored under the prior of its final
+        # sweep, as the last row of lower_bounds is, not under fit.hyper
+        np.testing.assert_allclose([vp.lower_bound for vp in fit.posteriors],
+                                   fit.lower_bounds[-1], rtol=1e-10)

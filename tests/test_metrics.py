@@ -37,13 +37,13 @@ class TestConfusion:
     def test_counts(self):
         g = make_structure("band", 5, params={"bandwidth": 1})  # 4 edges
         sel = {(0, 1), (1, 2), (0, 4)}
-        c = confusion(sel, g)
+        c = confusion(sel, g.edges, g.p)
         assert (c.tp, c.fp, c.fn) == (2, 1, 2)
         assert c.total == 10
 
     def test_orientation_insensitive(self):
         g = make_structure("band", 4, params={"bandwidth": 1})
-        assert confusion({(1, 0)}, g).tp == 1
+        assert confusion({(1, 0)}, g.edges, g.p).tp == 1
 
     def test_scores_conventions(self):
         assert scores(ConfusionCounts(0, 0, 0, 10)) == (0, 0, 0, 0)

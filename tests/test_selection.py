@@ -293,7 +293,7 @@ class TestBatchedScan:
     def test_matches_fit_local_on_every_prefix(self, case, max_iter):
         m, ranking = _scan_input(*SCAN_CASES[case])
         p = m.n_genes
-        cache = EvidenceCache(m, max_iter=max_iter)
+        cache = EvidenceCache(m)
         partners = _ranked_partners(ranking, p)
         order = np.array(partners)
         # two blocks of responses per prefix length; a small capacity makes
@@ -303,7 +303,7 @@ class TestBatchedScan:
         fit = fit_spectra(
             (_prefix_spectra(cache.values, order, genes, t)
              for genes, t in plan),
-            cache.prior, tol=cache.tol, max_iter=max_iter, capacity=150,
+            cache.prior, max_iter=max_iter, capacity=150,
         )
         keys = [(g, t) for genes, t in plan for g in genes]
         assert len(fit.bound) == len(keys) == p * p
@@ -314,7 +314,7 @@ class TestBatchedScan:
                     design=cache.values[:, sorted(partners[g][:t])],
                     target_gene=g,
                 ),
-                cache.prior, tol=cache.tol, max_iter=max_iter,
+                cache.prior, max_iter=max_iter,
             )
             assert abs(fit.bound[row] - vp.lower_bound) <= 1e-8, (g, t)
             assert fit.iterations[row] == vp.iterations, (g, t)
@@ -366,3 +366,22 @@ class TestBatchedScan:
         assert stats["submodel_fits"] == p * p + misses
         assert stats["submodel_sweeps"] >= 2 * stats["submodel_fits"]
         assert stats["submodel_nonconverged"] == 0
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), perm=st.permutations(range(8)))
+def test_relabelling_genes_relabels_kappa_and_selection(seed, perm):
+    """Permuting the genes permutes kappa and relabels the selected set:
+    the model gives no gene a special place."""
+    m, _ = _scan_input(8, 40, seed, False)
+    perm = np.array(perm)
+    moved = ExpressionMatrix(m.values[:, perm],
+                             [m.gene_ids[g] for g in perm], m.sample_ids)
+    before = infer_network(m, pre_standardized=True)
+    after = infer_network(moved, pre_standardized=True)
+    # gene c of the permuted matrix is gene perm[c] of the original
+    np.testing.assert_allclose(after.kappa, before.kappa[np.ix_(perm, perm)],
+                               rtol=1e-8, atol=0)
+    assert after.p0_hat == before.p0_hat
+    assert {tuple(sorted((int(perm[i]), int(perm[j]))))
+            for i, j in after.selection.selected} == before.selection.selected

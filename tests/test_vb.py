@@ -10,7 +10,10 @@ from oracles import (
     gibbs_posterior_moments,
     quadrature_log_evidence,
 )
-from shrinknet.data import RegressionProblem
+from shrinknet.data import ExpressionMatrix, RegressionProblem
+from shrinknet.em import fit_sem
+from shrinknet.errors import DegenerateDesignError
+from shrinknet.selection import EvidenceCache, rank_edges
 from shrinknet.vb import (
     HyperParameters,
     Spectra,
@@ -167,16 +170,6 @@ def _assert_matches_dense_oracle(prob, tol, max_iter):
 
 
 class TestPaths:
-    def test_auto_route_choice(self):
-        assert type(make_workspace(random_problem(10, 3))).__name__ == \
-            "_SvdPath"
-        assert type(make_workspace(random_problem(5, 8))).__name__ == \
-            "_SvdPath"
-        empty = RegressionProblem(
-            response=np.ones(5), design=np.empty((5, 0)), target_gene=0
-        )
-        assert type(make_workspace(empty)).__name__ == "_EmptyPath"
-
     @pytest.mark.parametrize("seed", range(5))
     def test_direct_and_reduced_agree(self, seed):
         # the spectral fit against the dense Cholesky formula
@@ -210,11 +203,100 @@ class TestPaths:
         assert vp.lower_bound == pytest.approx(expect, rel=1e-12)
 
 
+def _spectra_of(prob):
+    return make_workspace(prob.design, prob.response, prob.target_gene)[0]
+
+
+def _design(kind, seed=0):
+    """A design of the named shape with a response."""
+    rng = np.random.default_rng(seed)
+    n, k = {"tall": (12, 4), "wide": (5, 9), "rank_deficient": (12, 5),
+            "duplicated_wide": (6, 10)}[kind]
+    X = rng.standard_normal((n, k))
+    if kind == "rank_deficient":
+        X[:, 4] = X[:, 0] - 2.0 * X[:, 1]
+    if kind == "duplicated_wide":
+        X[:, 5:] = X[:, :5]  # rank 5, below n = 6
+    return X, rng.standard_normal(n)
+
+
+class TestSpectralSetup:
+    KINDS = ("tall", "wide", "rank_deficient", "duplicated_wide")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_factors_reproduce_gram(self, kind):
+        """X'X = V diag(d^2) V' and X'y = V w, alone and as a stack row."""
+        X, y = _design(kind)
+        spectra, V = make_workspace(X, y, 0)
+        np.testing.assert_allclose(V @ np.diag(spectra.d2) @ V.T, X.T @ X,
+                                   atol=1e-10)
+        np.testing.assert_allclose(V @ spectra.w, X.T @ y, atol=1e-10)
+        assert spectra.yty == pytest.approx(y @ y, rel=1e-14)
+        rng = np.random.default_rng(1)
+        other, y2 = rng.standard_normal(X.shape), rng.standard_normal(len(y))
+        stack, Vs = make_workspace(np.stack([other, X]), np.stack([y2, y]),
+                                   [1, 0])
+        for j, (design, response) in enumerate(((other, y2), (X, y))):
+            v = Vs[j] * stack.mask[j]
+            np.testing.assert_allclose(v @ np.diag(stack.d2[j]) @ v.T,
+                                       design.T @ design, atol=1e-10)
+            np.testing.assert_allclose(v @ stack.w[j], design.T @ response,
+                                       atol=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mask_counts_rank(self, kind):
+        X, y = _design(kind)
+        rank = np.linalg.matrix_rank(X)
+        spectra, V = make_workspace(X, y, 0)
+        assert spectra.mask.sum() == rank == len(spectra.d2)
+        assert V.shape == (X.shape[1], rank)
+        # a stack is as wide as its largest rank, masked past each row's
+        full = np.random.default_rng(3).standard_normal(X.shape)
+        stack, Vs = make_workspace(np.stack([X, full]), np.stack([y, y]),
+                                   [0, 1])
+        np.testing.assert_array_equal(stack.mask.sum(axis=1),
+                                      [rank, min(X.shape)])
+        assert stack.d2.shape == (2, min(X.shape))
+        assert np.all(stack.d2[0, rank:] == 0) and np.all(
+            stack.w[0, rank:] == 0)
+        np.testing.assert_array_equal(stack.k, [X.shape[1]] * 2)
+
+    def test_empty_design_gives_empty_spectrum(self):
+        y = np.random.default_rng(2).standard_normal(7)
+        spectra, V = make_workspace(np.empty((7, 0)), y, 0)
+        assert spectra.d2.shape == spectra.w.shape == (0,)
+        assert V.shape == (0, 0)
+        assert (spectra.k, spectra.n) == (0, 7)
+        assert spectra.yty == pytest.approx(y @ y, rel=1e-14)
+        stack, Vs = make_workspace(np.empty((3, 7, 0)), np.stack([y] * 3),
+                                   [0, 1, 2])
+        assert stack.d2.shape == (3, 0) and Vs.shape == (3, 0, 0)
+        vp = fit_local(RegressionProblem(y, np.empty((7, 0)), 0), VAGUE)
+        assert vp.beta_mean.shape == vp.beta_var.shape == (0,)
+
+    def test_all_zero_design_names_the_gene(self):
+        """From each caller: a single fit, the EM and the p0 scan."""
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(6)
+        with pytest.raises(DegenerateDesignError, match="gene 7 "):
+            fit_local(RegressionProblem(y, np.zeros((6, 2)), 7), VAGUE)
+        values = rng.standard_normal((6, 3))
+        values[:, 1] = 0.0
+        m = ExpressionMatrix(values, ("a", "b", "c"), tuple("stuvwx"))
+        two = ExpressionMatrix(values[:, :2], ("a", "b"), tuple("stuvwx"))
+        with pytest.raises(DegenerateDesignError, match="gene a "):
+            fit_sem(two)
+        kappa = np.array([[0, 3, 1], [3, 0, 2], [1, 2, 0]], dtype=float)
+        ranking = rank_edges(kappa)  # (0, 1) first: gene 0 on gene 1 alone
+        with pytest.raises(DegenerateDesignError, match="gene 0 "):
+            EvidenceCache(m).fill_prefixes(ranking)
+
+
 class TestFitSpectra:
     def test_single_regression_form(self):
         """A spectrum without the row axis fits exactly as a stack of one,
         and joins other rows in a stream as one more row."""
-        rows = [make_workspace(random_problem(n, k, seed=seed)).spectra()
+        rows = [_spectra_of(random_problem(n, k, seed=seed))
                 for n, k, seed in ((15, 4, 1), (20, 3, 4), (20, 6, 2),
                                    (8, 20, 9))]
         alone = [fit_spectra([row], VAGUE, tol=1e-8) for row in rows]
