@@ -37,8 +37,6 @@ from .simulate import (  # noqa: F401
 from .vb import (  # noqa: F401
     HyperParameters,
     VariationalPosterior,
-    expected_moments,
     fit_local,
-    lower_bound,
     vb_sweep,
 )

@@ -7,7 +7,6 @@ results are bit-reproducible and independent of worker scheduling.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from .metrics import (
 from .pipeline import infer_network
 from .simulate import (
     GRAPH_KINDS,
-    GraphSpec,
     make_structure,
     sample_mvn,
     sample_precision,
@@ -56,8 +54,6 @@ class SimConfig:
     dof: float = 4.0
     methods: tuple = METHODS
     threads: int = 1
-    em_tol: float = 1e-3
-    em_max_iter: int = 1000
 
     def __post_init__(self):
         for kind in self.kinds:
@@ -74,13 +70,10 @@ class SimConfig:
                 )
 
 
-def em_config_for(method: str, config: SimConfig | SplitConfig) -> EmConfig:
-    """The EM settings of ``method`` under either harness's config."""
-    return EmConfig(
-        tol=config.em_tol,
-        max_iter=config.em_max_iter,
-        global_shrinkage=(method == "shrinknet"),
-    )
+def em_config_for(method: str) -> EmConfig:
+    """The EM settings of ``method``: the ``EmConfig`` defaults, with global
+    shrinkage for ``shrinknet`` only."""
+    return EmConfig(global_shrinkage=(method == "shrinknet"))
 
 
 def _simulate_dataset(kind: str, p: int, n: int, dof: float, rng):
@@ -113,7 +106,7 @@ def _run_sim_task(args):
         for method in config.methods:
             result = infer_network(
                 std,
-                em_config=em_config_for(method, config),
+                em_config=em_config_for(method),
                 alpha=config.alpha,
                 pre_standardized=True,
             )
@@ -216,8 +209,6 @@ class SplitConfig:
     e_v: float = DEFAULT_EV
     methods: tuple = METHODS
     threads: int = 1
-    em_tol: float = 1e-3
-    em_max_iter: int = 1000
     validate_on_large: bool = True
 
 
@@ -228,7 +219,7 @@ def _run_split_task(args):
     small, large = random_split(m, cfg.n_small, rng=rng)
     out = {}
     for method in cfg.methods:
-        em = em_config_for(method, cfg)
+        em = em_config_for(method)
         res_small = infer_network(standardize(small), em_config=em,
                                   alpha=cfg.alpha, pre_standardized=True)
         entry = {

@@ -5,15 +5,16 @@ directed coefficients. Selection then walks the ranking and accepts an edge
 when the larger of its two directed Bayes factors clears a threshold tied
 to a bound on the posterior probability that both coefficients are zero.
 Sub-model evidences are variational lower bounds computed under a fixed
-unit-information prior on the local precision. The evidences of the
-null-fraction scan, every prefix of every gene's partners in ranking
-order, are computed together in one batched pass.
+unit-information prior on the local precision. The evidences of every
+prefix of every gene's partners in ranking order are computed together in
+one batched pass, into a table whose steps along a row are exactly the
+rank-conditioned Bayes factors that estimate the null fraction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,8 +148,8 @@ class EvidenceCache:
         self.p = m.n_genes
         self.prior = selection_prior(self.n)
         self._cache: dict[tuple[int, frozenset], float] = {}
-        # _partner_rank[g, h]: position of h among g's ranked partners (p if
-        # none); _prefix[g, t]: evidence of g on its first t partners
+        # _partner_rank[g, h]: position of h among g's ranked partners (p
+        # for h = g); _prefix[g, t]: evidence of g on its first t partners
         self._partner_rank = None
         self._prefix = None
         self.stats = {"submodel_fits": 0, "submodel_sweeps": 0,
@@ -160,42 +161,45 @@ class EvidenceCache:
         self.stats["submodel_nonconverged"] += int(
             np.size(converged) - np.count_nonzero(converged))
 
-    def fill_prefixes(self, ranking: EdgeRanking) -> None:
+    def fill_prefixes(self, ranking: EdgeRanking) -> np.ndarray:
         """Fit, in one batched pass, every sub-model that regresses a gene
-        on a prefix of its partners in ranking order.
+        on a prefix of its partners in ranking order, and return their
+        log-evidences as a (p, p) table: entry [g, t] is gene g on its
+        first t partners.
 
-        The designs are factored a block of responses and one prefix length
+        The ranking must hold every gene pair exactly once, as
+        ``rank_edges`` makes it; otherwise ``ValueError`` is raised. The
+        designs are factored a block of responses and one prefix length
         at a time, and swept a bounded number of directions at a time, so
         the working memory stays bounded whatever the number of genes.
         """
         p, n = self.p, self.n
-        partners = [[] for _ in range(p)]
-        for edge in ranking:
-            partners[edge.i].append(edge.j)
-            partners[edge.j].append(edge.i)
-        lengths = np.array([len(got) for got in partners])
-        order = np.zeros((p, p), dtype=int)
-        rank = np.full((p, p), p)
-        for g, got in enumerate(partners):
-            order[g, :len(got)] = got
-            rank[g, got] = np.arange(len(got))
-        self._partner_rank = rank.tolist()  # read per lookup, element-wise
-        self._prefix = np.full((p, p), np.nan)
+        i, j, rank = np.array([(e.i, e.j, e.rank) for e in ranking],
+                              dtype=int).reshape(-1, 3).T
+        response, partner = np.concatenate([i, j]), np.concatenate([j, i])
+        pairs = np.zeros((p, p), dtype=int)
+        np.add.at(pairs, (response, partner), 1)
+        if not np.array_equal(pairs, 1 - np.eye(p, dtype=int)):
+            raise ValueError("the ranking must hold every gene pair once")
+        order = partner[np.lexsort((np.concatenate([rank, rank]), response))
+                        ].reshape(p, p - 1)
+        partner_rank = np.full((p, p), p)
+        partner_rank[np.arange(p)[:, None], order] = np.arange(p - 1)
+        self._partner_rank = partner_rank.tolist()  # read per lookup
         chunk = max(1, STACK_DOUBLES // (n * p))
-        plan = []  # (responses, prefix length) of each stacked block
-        for start in range(0, p, chunk):
-            block = np.arange(start, min(start + chunk, p))
-            for t in range(int(lengths[block].max()) + 1):
-                plan.append((block[lengths[block] >= t], t))
+        plan = [(np.arange(start, min(start + chunk, p)), t)
+                for start in range(0, p, chunk) for t in range(p)]
         fit = fit_spectra(
             (_prefix_spectra(self.values, order, genes, t)
              for genes, t in plan),
             self.prior, capacity=STACK_DOUBLES,
         )
+        self._prefix = np.empty((p, p))
         self._prefix[np.concatenate([genes for genes, _ in plan]),
                      np.concatenate([np.full(len(genes), t)
                                      for genes, t in plan])] = fit.bound
         self._count(fit.iterations, fit.converged)
+        return self._prefix
 
     def _prefix_length(self, response: int, covariates: frozenset):
         """Length of the ranking prefix ``covariates`` is, or None."""
@@ -238,10 +242,15 @@ class EvidenceCache:
             )
         l0 = self.log_evidence(response, conditioning)
         l1 = self.log_evidence(response, conditioning | {candidate})
-        delta = l1 - l0
-        if delta > 700.0:
-            return math.inf
-        return math.exp(delta)
+        return float(_bayes_factor(l1 - l0))
+
+
+def _bayes_factor(log_ratio):
+    """Bayes factor of a log-evidence difference, or of an array of them;
+    infinite past 700, where exp nears overflow."""
+    return np.where(log_ratio > 700.0, np.inf,
+                    np.exp(np.minimum(log_ratio, 700.0)))
+
 
 def estimate_p0(
     m: ExpressionMatrix,
@@ -252,23 +261,16 @@ def estimate_p0(
 
     At rank r each direction conditions on all partners of the response
     among edges ranked <= r (the candidate itself excluded from the null).
-    The estimate is clamped away from 0 and 1 so the selection threshold
-    stays finite.
+    Both evidences of that Bayes factor are consecutive prefixes of the
+    response's partners, so the 2P factors are the steps along the rows
+    of the table ``EvidenceCache.fill_prefixes`` returns. The estimate is
+    clamped away from 0 and 1 so the selection threshold stays finite.
     """
     if cache is None:
         cache = EvidenceCache(m)
-    cache.fill_prefixes(ranking)
-    partners: dict[int, set] = {g: set() for g in range(cache.p)}
+    prefix = cache.fill_prefixes(ranking)
     big_p = len(ranking)
-    count = 0
-    for edge in ranking:
-        i, j = edge.i, edge.j
-        partners[i].add(j)
-        partners[j].add(i)
-        for resp, cand in ((i, j), (j, i)):
-            cond = frozenset(partners[resp] - {cand})
-            if cache.bayes_factor(resp, cand, cond) <= 1.0:
-                count += 1
+    count = np.count_nonzero(_bayes_factor(np.diff(prefix, axis=1)) <= 1.0)
     p0 = count / (2.0 * big_p)
     lo = 1.0 / (2.0 * big_p)
     return float(min(max(p0, lo), 1.0 - lo))

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import gammaln
 
 from .data import RegressionProblem
 from .errors import DegenerateDesignError, NumericalFailureError
@@ -79,24 +79,6 @@ class VariationalPosterior:
     lower_bound: float
     iterations: int
     converged: bool
-    sigma_trace: float
-    sigma_logdet: float
-
-    @property
-    def e_beta_sq(self) -> float:
-        """E[beta' beta] under the fitted posterior."""
-        return float(self.beta_mean @ self.beta_mean) + self.sigma_trace
-
-
-def expected_moments(vp: VariationalPosterior):
-    """Posterior expectations used by the rate updates and the EB step.
-
-    Returns (E[tau^-2], E[log tau^-2], E[sigma^-2], E[beta' beta]).
-    """
-    e_tau2inv = vp.a_star / vp.b_star
-    e_log_tau2inv = digamma(vp.a_star) - np.log(vp.b_star)
-    e_sig2inv = vp.c_star / vp.d_star
-    return e_tau2inv, e_log_tau2inv, e_sig2inv, vp.e_beta_sq
 
 
 @dataclass(frozen=True)
@@ -287,8 +269,6 @@ def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
             lower_bound=lb,
             iterations=iterations,
             converged=converged,
-            sigma_trace=trace,
-            sigma_logdet=logdet,
         ))
     return posteriors
 
@@ -309,20 +289,6 @@ def vb_sweep(
     return _posteriors(spectra, V, state.b_star, state.d_star, state.a_star,
                        state.c_star, hp, state.iterations + 1,
                        state.converged)[0]
-
-
-def lower_bound(
-    state: VariationalPosterior,
-    prob: RegressionProblem,
-    hp: HyperParameters,
-) -> float:
-    """Evidence lower bound of a swept state (model-evidence surrogate)."""
-    if state.sigma_logdet is None or not np.isfinite(state.sigma_logdet):
-        raise NumericalFailureError("state has no valid covariance logdet")
-    constant = _bound_constant(prob.n, prob.n_covariates, hp, state.a_star,
-                               state.c_star)
-    return float(_bound(constant, state.a_star, state.b_star, state.c_star,
-                        state.d_star, state.sigma_logdet, state.e_beta_sq))
 
 
 @dataclass

@@ -39,9 +39,8 @@ class TestSimConfig:
             SimConfig(methods=("oracle",))
 
     def test_em_config_for_methods(self):
-        cfg = tiny_sim_config()
-        assert em_config_for("shrinknet", cfg).global_shrinkage
-        assert not em_config_for("noshrink", cfg).global_shrinkage
+        assert em_config_for("shrinknet").global_shrinkage
+        assert not em_config_for("noshrink").global_shrinkage
 
 
 class TestModelSim:

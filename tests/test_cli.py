@@ -294,3 +294,12 @@ def test_outputs_confined_to_out_dir(runner, sim_dir, tmp_path,
     )
     assert res.exit_code == 0, res.output
     assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [["simulate", "--kind", "ring"],
+                                  ["benchmark", "--kinds", "band,ring"]])
+def test_unknown_kind_writes_nothing(runner, tmp_path, args):
+    out = tmp_path / "out"
+    res = runner.invoke(main, [*args, "--out-dir", str(out)])
+    assert res.exit_code == 4
+    assert not out.exists()

@@ -235,7 +235,7 @@ class TestStackedEStep:
                 beta_mean=np.zeros(k), beta_var=np.zeros(k), a_star=1.0,
                 b_star=RATE_INIT, c_star=c_star,
                 d_star=RATE_INIT, lower_bound=np.nan, iterations=0,
-                converged=False, sigma_trace=0.0, sigma_logdet=0.0,
+                converged=False,
             )
             for _ in range(p)
         ]

@@ -1,0 +1,41 @@
+"""Every name a package module imports is used in that module.
+
+The check reads each module with ``ast``: a name bound by an import must
+appear as a name somewhere else in the module's code. ``__init__.py`` is
+left out, since its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shrinknet"
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py")
+                 if path.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+def test_finds_an_unused_import():
+    assert _unused_imports("import math\nfrom os import path, sep\n"
+                           "print(path.join(sep))\n") == ["math (line 1)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert _unused_imports((PACKAGE / module).read_text()) == []

@@ -10,6 +10,7 @@ from shrinknet.em import EmConfig, fit_sem
 from shrinknet.errors import NumericalFailureError
 from shrinknet.pipeline import infer_network
 from shrinknet.selection import (
+    EdgeRanking,
     EvidenceCache,
     StopConfig,
     _prefix_spectra,
@@ -280,11 +281,35 @@ SCAN_CASES = {
 }
 
 
-class _PerFitCache(EvidenceCache):
-    """Every evidence through ``fit_local``, as before the batched pass."""
+def _replayed_p0(m, ranking):
+    """p0 by walking the ranking with a ``fit_local`` evidence for every
+    prefix: at each rank, each direction's Bayes factor conditions on the
+    response's partners ranked so far. Returns p0, the fits by (gene,
+    covariates) and their sweeps in all."""
+    cache = EvidenceCache(m)
+    fits = {}
 
-    def fill_prefixes(self, ranking):
-        pass
+    def evidence(g, covariates):
+        if (g, covariates) not in fits:
+            fits[g, covariates] = fit_local(RegressionProblem(
+                response=cache.values[:, g],
+                design=cache.values[:, sorted(covariates)],
+                target_gene=g,
+            ), cache.prior)
+        return fits[g, covariates].lower_bound
+
+    partners = {g: set() for g in range(m.n_genes)}
+    count = 0
+    for e in ranking:
+        partners[e.i].add(e.j)
+        partners[e.j].add(e.i)
+        for resp, cand in ((e.i, e.j), (e.j, e.i)):
+            cond = frozenset(partners[resp] - {cand})
+            delta = evidence(resp, cond | {cand}) - evidence(resp, cond)
+            count += (math.inf if delta > 700.0 else math.exp(delta)) <= 1.0
+    lo = 1.0 / (2.0 * len(ranking))
+    p0 = min(max(count / (2.0 * len(ranking)), lo), 1.0 - lo)
+    return p0, fits, sum(vp.iterations for vp in fits.values())
 
 
 class TestBatchedScan:
@@ -323,21 +348,26 @@ class TestBatchedScan:
             assert (fit.converged == [t == 0 for _, t in keys]).all()
 
     @pytest.mark.parametrize("case", sorted(SCAN_CASES))
-    def test_estimate_p0_matches_per_fit_cache(self, case):
+    def test_estimate_p0_matches_ranking_replay(self, case):
         m, ranking = _scan_input(*SCAN_CASES[case])
         p = m.n_genes
-        batched, per_fit = EvidenceCache(m), _PerFitCache(m)
-        assert estimate_p0(m, ranking, cache=batched) == estimate_p0(
-            m, ranking, cache=per_fit)
-        for g, got in enumerate(_ranked_partners(ranking, p)):
-            for t in range(p):
-                key = frozenset(got[:t])
-                assert abs(batched.log_evidence(g, key)
-                           - per_fit.log_evidence(g, key)) <= 1e-8
-        assert batched.stats["submodel_fits"] == p * p
-        assert per_fit.stats["submodel_fits"] == p * p
-        assert batched.stats["submodel_sweeps"] == \
-            per_fit.stats["submodel_sweeps"]
+        cache = EvidenceCache(m)
+        p0, fits, sweeps = _replayed_p0(m, ranking)
+        assert estimate_p0(m, ranking, cache=cache) == p0
+        assert len(fits) == cache.stats["submodel_fits"] == p * p
+        assert cache.stats["submodel_sweeps"] == sweeps
+        for (g, covariates), vp in fits.items():
+            assert abs(cache.log_evidence(g, covariates)
+                       - vp.lower_bound) <= 1e-8
+
+    @pytest.mark.parametrize("cut", ["incomplete", "duplicated"])
+    def test_rejects_a_ranking_without_every_pair_once(self, cut):
+        m, ranking = _scan_input(*SCAN_CASES["tall"])
+        edges = ranking.edges[:-1]
+        if cut == "duplicated":  # as many edges, one pair twice
+            edges += ranking.edges[:1]
+        with pytest.raises(ValueError, match="every gene pair once"):
+            estimate_p0(m, EdgeRanking(edges=edges))
 
     def test_stats_count_scan_and_selection_misses(self):
         m, _ = _scan_input(16, 30, 4, False)

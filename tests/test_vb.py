@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma, gammaln
+from scipy.special import gammaln
 
 from conftest import random_problem
 from oracles import (
@@ -17,10 +17,8 @@ from shrinknet.selection import EvidenceCache, rank_edges
 from shrinknet.vb import (
     HyperParameters,
     Spectra,
-    expected_moments,
     fit_local,
     fit_spectra,
-    lower_bound,
     make_workspace,
     vb_sweep,
 )
@@ -313,26 +311,6 @@ class TestFitSpectra:
             joined.iterations, [f.iterations[0] for f in alone])
         np.testing.assert_allclose(joined.bound,
                                    [f.bound[0] for f in alone], rtol=1e-12)
-
-
-def test_expected_moments_consistency():
-    prob = random_problem(15, 4, seed=6)
-    vp = fit_local(prob, VAGUE, tol=1e-8)
-    e_tau, e_log, e_sig, ebb = expected_moments(vp)
-    assert e_tau == pytest.approx(vp.a_star / vp.b_star)
-    assert e_log == pytest.approx(digamma(vp.a_star) - np.log(vp.b_star))
-    assert e_sig == pytest.approx(vp.c_star / vp.d_star)
-    assert ebb == pytest.approx(
-        float(vp.beta_mean @ vp.beta_mean) + vp.sigma_trace
-    )
-
-
-def test_lower_bound_matches_fit_value():
-    prob = random_problem(15, 4, seed=8)
-    vp = fit_local(prob, VAGUE, tol=1e-10, max_iter=5000)
-    assert lower_bound(vp, prob, VAGUE) == pytest.approx(
-        vp.lower_bound, rel=1e-12
-    )
 
 
 @settings(max_examples=30, deadline=None)
