@@ -64,7 +64,8 @@ def handle_errors(fn):
         except (InputError, FileNotFoundError) as err:
             click.echo(f"input error: {err}", err=True)
             sys.exit(EXIT_INPUT)
-        except (NumericalFailureError, GenerationFailureError) as err:
+        except (NumericalFailureError, GenerationFailureError,
+                np.linalg.LinAlgError) as err:
             click.echo(f"numerical failure: {err}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except (ConfigError, ValueError) as err:
@@ -207,13 +208,17 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
         "load": round((t_load - t0) * 1000, 3),
         "fit_and_select": round((t_fit - t_load) * 1000, 3),
     }
-    manifest.stats = {
+    manifest.stats = stats = {
         "em_iterations": fit.em_iterations,
         "em_converged": fit.converged,
         "em_a_at_cap": bool(fit.hyper.a >= A_MAX),
         **result.submodel_stats,
     }
     manifest.write(out)
+    if not fit.converged or stats["submodel_nonconverged"]:
+        click.echo("warning: EM converged={em_converged} after {em_iterations} "
+                   "iterations; {submodel_nonconverged} of {submodel_fits} "
+                   "sub-model fits hit the sweep cap".format(**stats), err=True)
     click.echo(
         f"selected {len(result.selection.selected)} of {len(result.ranking)} "
         f"edges (p0_hat={result.p0_hat:.4f}, gamma={result.selection.gamma:.4g})"

@@ -81,14 +81,6 @@ class RegressionProblem:
     design: np.ndarray
     target_gene: int
 
-    @property
-    def n(self) -> int:
-        return self.response.shape[0]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.design.shape[1]
-
 
 def _is_number(token: str) -> bool:
     try:

@@ -1,9 +1,9 @@
 """Whole-network fit: variational EM with shared shrinkage hyperparameters.
 
-The spectra of the p per-gene regressions are set up once, a bounded block
-of genes per SVD call. The E-step sweeps them all as one array update over
-their stack, after which the shape/rate (a, b) of the shared gamma
-prior on the local precisions are re-estimated from the pooled posterior
+The p per-gene spectra are set up once, in the eigenbasis of each design's
+cross-product, a bounded block of genes per call. The E-step sweeps them all
+as one array update over their stack, after which the shape/rate (a, b) of the
+shared gamma prior on the local precisions are re-estimated from the pooled
 moments (M-step), in a closed approximate form or an exact fixed-point
 variant. Coefficient means and variances are formed once, at the end.
 """

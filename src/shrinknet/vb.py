@@ -6,22 +6,22 @@ coordinate ascent on a factorized posterior. The evidence lower bound is
 the convergence criterion and doubles as the model-evidence surrogate used
 for Bayes factors downstream.
 
-Every regression is fitted in the SVD basis of its design, where the
-coefficient posterior is diagonal: a sweep only touches the squared
-singular values d^2, w = F^T y and y^T y, and the coefficient covariance is
-never formed beyond its diagonal. The route is exact for any shape:
-directions outside the design's row space keep their conditional prior,
-and there are none when the design has full column rank. A regression
-without covariates has an empty spectrum, and its sigma posterior is exact
-after one sweep.
+Every regression is fitted in the eigenbasis of its design's
+cross-product, where the coefficient posterior is diagonal: a sweep only
+touches the eigenvalues d^2, w = V^T D^T y and y^T y, and the coefficient
+covariance is never formed beyond its diagonal. The route is exact for
+any shape: directions outside the design's row space keep their
+conditional prior, and there are none when the design has full column
+rank. A regression without covariates has an empty spectrum, and its
+sigma posterior is exact after one sweep.
 
-The spectral setup is written once: ``make_workspace`` factors one design,
-or a stack of them, with one SVD. The sweep is written once too, as array
-code over a stack of spectra with one row per regression: ``fit_spectra``
-sweeps many regressions at once, each with its own stopping rule, and
-``fit_local`` is that recursion on a single regression. The coefficient
-means and variances of the fitted regressions come back from the SVD
-basis in one place, ``_posteriors``.
+The spectral setup is written once: ``make_workspace`` takes the
+eigenbasis of one design's cross-product, or of a stack of them, with
+one ``eigh`` call. The sweep is written once too, as array code over a
+stack of spectra with one row per regression: ``fit_spectra`` sweeps
+many regressions at once, each with its own stopping rule, and
+``fit_local`` is that recursion on a single regression. Coefficient
+means and variances come back from that basis in ``_posteriors``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ from .errors import DegenerateDesignError, NumericalFailureError
 #: Rate parameters are floored here to avoid division blowups.
 RATE_FLOOR = 1e-12
 
-#: Singular values below this fraction of the largest are treated as zero.
-RANK_RTOL = 1e-10
+#: Eigenvalues below this fraction of the largest count as zero; eigh
+#: rounds to about 1e-16 of it. A direction with d^2 near 0 acts like one
+#: outside the row space, so dropping it moves the fit by O(d^2/E[tau^-2]).
+RANK_RTOL = 1e-12
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1000
@@ -85,8 +87,8 @@ class VariationalPosterior:
 class Spectra:
     """Stacked regression spectra, one row per regression.
 
-    ``d2`` holds the squared singular values of each design and ``w`` the
-    matching F^T y, for F = U D; past a row's numerical rank both are zero
+    ``d2`` holds the eigenvalues of each design's cross-product and ``w``
+    the matching V^T D^T y; past a row's numerical rank both are zero
     and ``mask`` is zero. A fit depends on its data only through these,
     ``y^T y``, the number of covariates ``k`` and the sample count ``n``.
     The spectrum of a single regression may leave out the row axis; its
@@ -131,7 +133,7 @@ def _col(x):
 
 def _spectral_update(d2, w, mask, yty, comp, b_star, d_star, a_star, c_star,
                      hp) -> _Update:
-    """One coordinate-ascent pass in the SVD basis of each design.
+    """One coordinate-ascent pass in each design's eigenbasis.
 
     The last axis of ``d2``, ``w`` and ``mask`` runs over directions (see
     ``Spectra``); ``yty``, ``comp`` (directions outside the row space),
@@ -167,34 +169,35 @@ def make_workspace(designs, responses, genes):
     """Spectral setup of one regression design, or of a stack of them.
 
     ``designs`` is one (n, k) design with its (n,) response, or a stack of
-    (n, k) designs with one response per row; one SVD call factors them
-    all as F V^T with F = U D. Singular values below ``RANK_RTOL`` of a
-    design's largest are dropped, and the spectrum holds d^2 = sum(F^2)
-    and w = F^T y for each direction. A stack is as wide as its largest
-    rank, and the directions of a row past its own rank are masked; a
-    single design's spectrum leaves out the row axis (see ``Spectra``).
-    Returns the spectra and the right factors V, (k, rank) for one design
-    and (rows, k, width) for a stack. A design without columns has an
-    empty spectrum; an all-zero design raises ``DegenerateDesignError``
-    naming its entry of ``genes``.
+    (n, k) designs with one response per row. One ``eigh`` call takes the
+    eigenbasis of each design's cross-product, the smaller of D^T D and
+    D D^T: d^2 are its eigenvalues above ``RANK_RTOL`` of the largest, V
+    the eigenvectors of D^T D (D^T U / d from those U of D D^T), and
+    w = V^T D^T y. A stack is as wide as its largest rank, and the
+    directions of a row past its own rank are masked; a single design's
+    spectrum leaves out the row axis (see ``Spectra``). Returns the
+    spectra and V, (k, rank) for one design and (rows, k, width) for a
+    stack. A design without columns has an empty spectrum; an all-zero
+    design raises ``DegenerateDesignError`` naming its entry of ``genes``.
     """
     single = np.ndim(designs) == 2
     if single:
         designs, responses, genes = designs[None], responses[None], [genes]
     rows, n, k = designs.shape
-    u, s, vt = np.linalg.svd(designs, full_matrices=False)
-    if k and not np.all(s[:, 0] > 0.0):
-        gene = genes[int(np.argmin(s[:, 0] > 0.0))]
+    dt = designs.swapaxes(1, 2)
+    lam, v = np.linalg.eigh(designs @ dt if k > n else dt @ designs)
+    lam, v = lam[:, ::-1], v[..., ::-1]  # descending
+    if k and not np.all(lam[:, 0] > 0.0):
+        gene = genes[int(np.argmin(lam[:, 0] > 0.0))]
         raise DegenerateDesignError(f"design for gene {gene} is all zeros")
-    mask = s > RANK_RTOL * s[:, :1]
+    mask = lam > RANK_RTOL * lam[:, :1]
     width = int(mask.sum(axis=1).max(initial=0))
-    u, s, vt = u[..., :width], s[:, :width], vt[:, :width]
-    mask = mask[:, :width]
-    f = u * s[:, None, :]
-    d2 = np.where(mask, np.sum(f * f, axis=1), 0.0)
-    w = np.where(mask, (f.swapaxes(1, 2) @ responses[..., None])[..., 0], 0.0)
+    lam, v, mask = lam[:, :width], v[..., :width], mask[:, :width]
+    if k > n:  # from the eigenvectors U of D D^T
+        v = dt @ v / np.sqrt(np.where(mask, lam, 1.0))[:, None, :]
+    d2 = np.where(mask, lam, 0.0)
+    w = np.where(mask, (responses[:, None, :] @ designs @ v)[:, 0], 0.0)
     yty = _rowdot(responses, responses)
-    v = vt.swapaxes(1, 2)
     if single:
         return Spectra(d2[0], w[0], mask[0].astype(float), yty[0], k,
                        n), v[0].copy()
@@ -233,8 +236,8 @@ def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
     from the rates ``(b_star, d_star)``, one per row (one in all for a
     spectrum without the row axis).
 
-    The coefficient means and variances come back from the SVD basis
-    through the right factors ``V`` returned with the spectra; directions
+    The coefficient means and variances come back from the eigenbasis
+    through the ``V`` returned with the spectra; directions
     outside a design's row space add their conditional prior variance.
     """
     rank = spectra.mask.sum(axis=-1)

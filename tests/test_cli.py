@@ -109,6 +109,25 @@ class TestInfer:
         assert 0 < trajectory[-1]["max_abs_delta_bound"] < 1e-3
         assert (trajectory[-1]["a"], trajectory[-1]["b"]) == (fit["a"],
                                                               fit["b"])
+        assert res.stderr == ""  # no non-convergence warning
+
+    def test_warns_when_not_converged(self, runner, sim_dir, tmp_path):
+        res = runner.invoke(
+            main,
+            ["infer", str(sim_dir / "data.csv"), "--max-iter", "2",
+             "--out-dir", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
+        assert (stats["em_iterations"], stats["em_converged"]) == (2, False)
+        assert res.stderr == (
+            "warning: EM converged=False after 2 iterations; "
+            f"{stats['submodel_nonconverged']} of {stats['submodel_fits']} "
+            "sub-model fits hit the sweep cap\n")
+        assert res.stdout.startswith("selected ")
+        assert res.stdout.count("\n") == 1
+        for name in ("edges.tsv", "fit.json", "manifest.json"):
+            assert (tmp_path / name).exists()
 
     def test_missing_file_exit_2(self, runner, tmp_path):
         res = runner.invoke(
@@ -205,6 +224,17 @@ class TestInferEdgeCases:
                                    str(tmp_path)])
         assert res.exit_code == 2
         assert "g3 is constant" in res.output
+
+    def test_overflowing_unscaled_input_exit_3(self, runner, tmp_path):
+        """Unscaled values near 1e160 overflow the design cross-products:
+        a numerical failure, not a configuration error."""
+        path = tmp_path / "data.csv"
+        np.savetxt(path, _edge_case_matrix("scaled_1e160"), delimiter=",",
+                   header=",".join(f"g{i}" for i in range(8)), comments="")
+        res = runner.invoke(main, ["infer", str(path), "--no-scale",
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith("numerical failure: ")
 
 
 class TestBenchmark:

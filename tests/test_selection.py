@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_vb_fit
 from shrinknet.data import ExpressionMatrix, RegressionProblem, standardize
 from shrinknet.em import EmConfig, fit_sem
 from shrinknet.errors import NumericalFailureError
@@ -346,6 +347,23 @@ class TestBatchedScan:
             assert fit.converged[row] == vp.converged, (g, t)
         if max_iter == 2:  # only the closed-form empty prefixes settle
             assert (fit.converged == [t == 0 for _, t in keys]).all()
+
+    def test_table_matches_dense_oracle(self):
+        """Every prefix evidence against the dense Cholesky fit, with
+        prefixes shorter than, equal to and longer than the n - 1 centred
+        samples can span."""
+        m, ranking = _scan_input(12, 10, 3, False)
+        cache = EvidenceCache(m)
+        table = cache.fill_prefixes(ranking)
+        prior = cache.prior
+        for g, partners in enumerate(_ranked_partners(ranking, m.n_genes)):
+            for t in range(m.n_genes):
+                *_, bound = dense_vb_fit(
+                    cache.values[:, g], cache.values[:, sorted(partners[:t])],
+                    prior.a, prior.b, prior.c, prior.d, tol=1e-3,
+                    max_iter=1000,
+                )
+                assert abs(table[g, t] - bound) <= 1e-8, (g, t)
 
     @pytest.mark.parametrize("case", sorted(SCAN_CASES))
     def test_estimate_p0_matches_ranking_replay(self, case):

@@ -184,6 +184,33 @@ class TestPaths:
             assert np.all(vp.beta_var > 0)
             assert np.isfinite(vp.lower_bound)
 
+    @pytest.mark.parametrize("kind", ["graded", "near_duplicate",
+                                      "centred_wide"])
+    def test_ill_conditioned_designs_match_dense_oracle(self, kind):
+        """The cross-product squares the design's condition number; the
+        fit still matches the dense Cholesky formula on the design."""
+        rng = np.random.default_rng(7)
+        if kind == "graded":  # singular values from 1 down to 1e-5
+            q1, _ = np.linalg.qr(rng.standard_normal((30, 6)))
+            q2, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            X = 5.0 * (q1 * np.logspace(0, -5, 6)) @ q2.T
+        elif kind == "near_duplicate":
+            X = rng.standard_normal((20, 5))
+            X[:, 4] = X[:, 0] + 1e-9 * rng.standard_normal(20)
+        else:  # k >= n on centred data: rank n - 1
+            X = rng.standard_normal((8, 12))
+            X -= X.mean(axis=0)
+        y = X @ rng.standard_normal(X.shape[1]) + rng.standard_normal(len(X))
+        if kind == "centred_wide":
+            y -= y.mean()
+        vp = fit_local(RegressionProblem(y, X, 0), VAGUE, tol=1e-10,
+                       max_iter=3000)
+        mean, _, bound = dense_vb_fit(y, X, VAGUE.a, VAGUE.b, VAGUE.c,
+                                      VAGUE.d, tol=1e-10, max_iter=3000)
+        assert abs(vp.lower_bound - bound) <= 1e-8
+        assert np.linalg.norm(vp.beta_mean - mean) <= 1e-6 * np.linalg.norm(
+            mean)
+
     def test_zero_covariate_bound_closed_form(self):
         y = np.random.default_rng(2).standard_normal(12)
         prob = RegressionProblem(
