@@ -30,7 +30,6 @@ from .simulate import (  # noqa: F401
     GraphSpec,
     PrecisionMatrix,
     make_structure,
-    partial_correlations,
     sample_mvn,
     sample_precision,
 )

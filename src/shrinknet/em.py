@@ -22,7 +22,6 @@ from .vb import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RATE_INIT,
-    STACK_DOUBLES,
     HyperParameters,
     VariationalPosterior,
     _bound,
@@ -30,8 +29,9 @@ from .vb import (
     _posterior_shapes,
     _posteriors,
     _spectral_update,
-    _widen,
+    gene_blocks,
     make_workspace,
+    stack_spectra,
 )
 
 #: Cap on the estimated shape when the pooled moments are degenerate
@@ -158,9 +158,7 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     """
     n, p = m.values.shape
     k = p - 1
-    chunk = max(1, STACK_DOUBLES // (n * k))
-    blocks = [np.arange(start, min(start + chunk, p))
-              for start in range(0, p, chunk)]
+    blocks = gene_blocks(p, n * k)
 
     def setup(genes):
         # each gene against every other column, in index order
@@ -170,12 +168,8 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
                               [m.gene_ids[g] for g in genes])
 
     setups = [setup(genes) for genes in blocks]
-    width = max(spectra.d2.shape[1] for spectra, _ in setups)
-    d2, w, mask = (np.concatenate([_widen(name, getattr(spectra, name), width)
-                                   for spectra, _ in setups])
-                   for name in ("d2", "w", "mask"))
-    rank = mask.sum(axis=1)
-    yty = np.concatenate([spectra.yty for spectra, _ in setups])
+    stack = stack_spectra([spectra for spectra, _ in setups])
+    rank = stack.mask.sum(axis=1)
     a, b = A_INIT, B_INIT
     b_stars = np.full(p, RATE_INIT)
     d_stars = np.full(p, RATE_INIT)
@@ -191,8 +185,8 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     for t in range(1, config.max_iter + 1):
         hp = HyperParameters(a=a, b=b)
         a_star, c_star = _posterior_shapes(hp, n, k)
-        up = _spectral_update(d2, w, mask, yty, k - rank, b_stars, d_stars,
-                              a_star, c_star, hp)
+        up = _spectral_update(stack.d2, stack.w, stack.mask, stack.yty,
+                              k - rank, b_stars, d_stars, a_star, c_star, hp)
         bounds = _bound(_bound_constant(n, k, hp, a_star, c_star), a_star,
                         up.b_star, c_star, up.d_star, up.sigma_logdet, up.ebb)
         if not np.isfinite(bounds).all():

@@ -22,12 +22,14 @@ from .data import ExpressionMatrix, RegressionProblem
 from .em import SemFit
 from .errors import NumericalFailureError
 from .vb import (
-    STACK_DOUBLES,
     HyperParameters,
     Spectra,
     fit_local,
     fit_spectra,
+    gene_blocks,
     make_workspace,
+    stack_groups,
+    stack_spectra,
 )
 
 
@@ -169,9 +171,10 @@ class EvidenceCache:
 
         The ranking must hold every gene pair exactly once, as
         ``rank_edges`` makes it; otherwise ``ValueError`` is raised. The
-        designs are factored a block of responses and one prefix length
-        at a time, and swept a bounded number of directions at a time, so
-        the working memory stays bounded whatever the number of genes.
+        scan walks the prefix lengths in order, factors each one's designs
+        a block of responses at a time, and fits groups of blocks to
+        completion as one stack; ``vb.STACK_DOUBLES`` bounds both the
+        setup calls and the groups, whatever the number of genes.
         """
         p, n = self.p, self.n
         i, j, rank = np.array([(e.i, e.j, e.rank) for e in ranking],
@@ -186,19 +189,16 @@ class EvidenceCache:
         partner_rank = np.full((p, p), p)
         partner_rank[np.arange(p)[:, None], order] = np.arange(p - 1)
         self._partner_rank = partner_rank.tolist()  # read per lookup
-        chunk = max(1, STACK_DOUBLES // (n * p))
-        plan = [(np.arange(start, min(start + chunk, p)), t)
-                for start in range(0, p, chunk) for t in range(p)]
-        fit = fit_spectra(
-            (_prefix_spectra(self.values, order, genes, t)
-             for genes, t in plan),
-            self.prior, capacity=STACK_DOUBLES,
-        )
-        self._prefix = np.empty((p, p))
-        self._prefix[np.concatenate([genes for genes, _ in plan]),
-                     np.concatenate([np.full(len(genes), t)
-                                     for genes, t in plan])] = fit.bound
-        self._count(fit.iterations, fit.converged)
+        blocks = gene_blocks(p, n * p)
+        fits = [fit_spectra(stack_spectra(group), self.prior)
+                for group in stack_groups(
+                    _prefix_spectra(self.values, order, genes, t)
+                    for t in range(p) for genes in blocks)]
+        bound, iterations, converged = (
+            np.concatenate([getattr(fit, name) for fit in fits])
+            for name in ("bound", "iterations", "converged"))
+        self._prefix = bound.reshape(p, p).T  # rows in (t, gene) order
+        self._count(iterations, converged)
         return self._prefix
 
     def _prefix_length(self, response: int, covariates: frozenset):

@@ -254,15 +254,6 @@ def sample_precision(
         ) from exc
 
 
-def partial_correlations(omega: PrecisionMatrix) -> np.ndarray:
-    """Partial correlation matrix implied by a precision matrix."""
-    om = omega.omega
-    d = np.sqrt(np.diag(om))
-    rho = -om / np.outer(d, d)
-    np.fill_diagonal(rho, 1.0)
-    return rho
-
-
 def sample_mvn(
     omega: PrecisionMatrix, n: int, rng=None, gene_prefix: str = "g"
 ) -> ExpressionMatrix:

@@ -18,9 +18,11 @@ sigma posterior is exact after one sweep.
 The spectral setup is written once: ``make_workspace`` takes the
 eigenbasis of one design's cross-product, or of a stack of them, with
 one ``eigh`` call. The sweep is written once too, as array code over a
-stack of spectra with one row per regression: ``fit_spectra`` sweeps
-many regressions at once, each with its own stopping rule, and
-``fit_local`` is that recursion on a single regression. Coefficient
+stack of spectra with one row per regression: ``fit_spectra`` sweeps the
+rows of one stack, all started together and each stopped by its own
+rule, and ``fit_local`` is that recursion on a single regression. Many
+regressions are fitted in whole groups within ``STACK_DOUBLES`` (see
+there), each padded into one stack by ``stack_spectra``. Coefficient
 means and variances come back from that basis in ``_posteriors``.
 """
 
@@ -48,8 +50,9 @@ DEFAULT_MAX_ITER = 1000
 RATE_INIT = 0.001
 
 #: Working-memory budget of a stacked computation, in doubles: it bounds
-#: the designs factored in one setup call of a block of regressions, and
-#: the directions of the regressions ``fit_spectra`` sweeps at once.
+#: the designs factored in one setup call (``gene_blocks``) and the
+#: directions of a group fitted as one stack (``stack_groups``). Both read
+#: it here, so it is set in this one place.
 STACK_DOUBLES = 1 << 12
 
 
@@ -314,105 +317,103 @@ def _posterior_shapes(hp: HyperParameters, n, k):
     return hp.a + 0.5 * k, hp.c + 0.5 * (n + k)
 
 
-def _widen(name: str, x, width: int) -> np.ndarray:
-    """The per-row values ``name`` as a stack of rows, with the direction
-    arrays zero-padded out to ``width``."""
-    if name not in ("d2", "w", "mask"):
-        return np.atleast_1d(x)
-    x = np.atleast_2d(x)
-    if x.shape[1] == width:
-        return x
-    out = np.zeros((x.shape[0], width))
-    out[:, :x.shape[1]] = x
-    return out
+def gene_blocks(p: int, doubles_per_gene: int) -> list[np.ndarray]:
+    """Genes 0..p-1 in order, split into blocks whose designs, of
+    ``doubles_per_gene`` doubles each, fit one ``make_workspace`` call
+    within ``STACK_DOUBLES`` (a block holds one gene at least)."""
+    size = max(1, STACK_DOUBLES // doubles_per_gene)
+    return [np.arange(start, min(start + size, p))
+            for start in range(0, p, size)]
 
 
-def _joined_size(live: dict, block: Spectra) -> int:
-    """Directions the live rows would hold with ``block`` joined."""
-    rows = np.size(live["yty"]) + np.size(block.yty)
-    return rows * max(live["d2"].shape[-1], block.d2.shape[-1])
+def stack_spectra(blocks: list[Spectra]) -> Spectra:
+    """The rows of ``blocks``, which share a sample count, as one stack:
+    the direction arrays are zero-padded out to the widest block, and a
+    single regression's spectrum becomes one row."""
+    ends = np.cumsum([0] + [np.size(block.yty) for block in blocks])
+    width = max(block.d2.shape[-1] for block in blocks)
+    d2, w, mask = np.zeros((3, ends[-1], width))
+    for block, start, stop in zip(blocks, ends, ends[1:]):
+        for out, x in ((d2, block.d2), (w, block.w), (mask, block.mask)):
+            out[start:stop, :x.shape[-1]] = x
+    return Spectra(d2, w, mask, np.hstack([block.yty for block in blocks]),
+                   np.hstack([block.k for block in blocks]), blocks[0].n)
+
+
+def stack_groups(blocks):
+    """Consecutive runs of ``blocks`` whose stack holds at most
+    ``STACK_DOUBLES`` directions, padding included; a block larger than
+    that is a run of its own. Yields each run as a list."""
+    group, rows, width = [], 0, 0
+    for block in blocks:
+        size, cols = np.size(block.yty), max(1, block.d2.shape[-1])
+        if group and (rows + size) * max(width, cols) > STACK_DOUBLES:
+            yield group
+            group, rows, width = [], 0, 0
+        group.append(block)
+        rows, width = rows + size, max(width, cols)
+    if group:
+        yield group
 
 
 def fit_spectra(
-    blocks,
+    spectra: Spectra,
     hp: HyperParameters,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    capacity: int = 0,
 ) -> SpectraFit:
-    """Fit every row of a stream of ``Spectra`` blocks by the sweeps of one
-    fit, sweeping all live rows at once.
+    """Fit every row of ``spectra`` by the sweeps of one fit, sweeping all
+    live rows at once.
 
-    Each row stops on its own once its lower bound changes by less than
-    ``tol`` in a sweep, or after ``max_iter`` sweeps, and keeps the bound
-    of its last sweep. A block joins the live rows when they would then
-    hold at most ``capacity`` directions (padding included), or when no
-    row is live, so the working memory stays bounded however long the
-    stream is. Results follow the rows' order in the stream.
+    All rows start together. Each stops on its own once its lower bound
+    changes by less than ``tol`` in a sweep, or after ``max_iter`` sweeps,
+    keeps the bound of its last sweep and leaves the live arrays. Results
+    follow the row order, one entry per row (one in all for a spectrum
+    without the row axis).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2")
-    blocks = iter(blocks)
-    live: dict[str, np.ndarray] = {}
-    ended = []
-    total = sweep = 0
-    block = next(blocks, None)
-    while block is not None or live:
-        if block is not None and (not live or _joined_size(live, block)
-                                  <= capacity):
-            shape = np.shape(block.yty)
-            count = np.size(block.yty)
-            a_star, c_star = _posterior_shapes(hp, block.n, block.k)
-            joined = dict(
-                d2=block.d2, w=block.w, mask=block.mask, yty=block.yty,
-                comp=block.k - block.mask.sum(axis=-1),  # outside row space
-                a_star=a_star, c_star=c_star,
-                constant=_bound_constant(block.n, block.k, hp, a_star,
-                                         c_star),
-                b=np.full(shape, RATE_INIT), d=np.full(shape, RATE_INIT),
-                prev=np.full(shape, np.nan), start=np.full(shape, sweep),
-                row=np.arange(total, total + count).reshape(shape),
-            )
-            total += count
-            if live:
-                width = max(live["d2"].shape[-1], block.d2.shape[-1])
-                joined = {key: np.concatenate([_widen(key, live[key], width),
-                                               _widen(key, value, width)])
-                          for key, value in joined.items()}
-            live = joined
-            block = next(blocks, None)
-            continue
-        sweep += 1
+    shape = np.shape(spectra.yty)
+    rows = np.size(spectra.yty)
+    a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
+    live = dict(
+        d2=spectra.d2, w=spectra.w, mask=spectra.mask, yty=spectra.yty,
+        comp=spectra.k - spectra.mask.sum(axis=-1),  # outside row space
+        a_star=a_star, c_star=c_star,
+        constant=_bound_constant(spectra.n, spectra.k, hp, a_star, c_star),
+        b=np.full(shape, RATE_INIT), d=np.full(shape, RATE_INIT),
+        prev=np.full(shape, np.nan), row=np.arange(rows).reshape(shape),
+    )
+    fit = SpectraFit(np.empty(rows), np.empty(rows, dtype=int),
+                     np.empty(rows, dtype=bool), np.empty(rows),
+                     np.empty(rows))
+    for sweep in range(1, max_iter + 1):
         up = _spectral_update(live["d2"], live["w"], live["mask"],
                               live["yty"], live["comp"], live["b"],
                               live["d"], live["a_star"], live["c_star"], hp)
         lb = _bound(live["constant"], live["a_star"], up.b_star,
                     live["c_star"], up.d_star, up.sigma_logdet, up.ebb)
         if not np.isfinite(lb).all():
-            age = sweep - live["start"][~np.isfinite(lb)][0]
             raise NumericalFailureError(
-                f"non-finite lower bound at iteration {age}"
+                f"non-finite lower bound at iteration {sweep}"
             )
         settled = np.abs(lb - live["prev"]) < tol
-        done = settled | (live["start"] <= sweep - max_iter)
+        done = settled | (sweep == max_iter)
         if not done.any():
             live.update(b=up.b_star, d=up.d_star, prev=lb)
             continue
-        ended.append((live["row"][done], lb[done],
-                      sweep - live["start"][done], settled[done],
-                      live["b"][done], live["d"][done]))
-        if len(ended) > 32:  # a few long arrays, not one set per sweep
-            ended = [tuple(map(np.concatenate, zip(*ended)))]
+        row = live["row"][done]
+        fit.bound[row], fit.converged[row] = lb[done], settled[done]
+        fit.b_last[row], fit.d_last[row] = live["b"][done], live["d"][done]
+        fit.iterations[row] = sweep
+        if done.all():
+            break
         keep = ~done
         live.update(b=up.b_star, d=up.d_star, prev=lb)
-        live = {key: value[keep] for key, value in live.items()
-                } if keep.any() else {}
-    columns = ended[0] if len(ended) == 1 else [
-        np.concatenate(column) for column in zip(*ended)]
-    order = np.argsort(columns[0])
-    return SpectraFit(*(column[order] for column in columns[1:]))
+        live = {key: value[keep] for key, value in live.items()}
+    return fit
 
 
 def fit_local(
@@ -423,7 +424,7 @@ def fit_local(
 ) -> VariationalPosterior:
     """Iterate sweeps until the lower bound changes by less than ``tol``."""
     spectra, V = make_workspace(prob.design, prob.response, prob.target_gene)
-    fit = fit_spectra([spectra], hp, tol=tol, max_iter=max_iter)
+    fit = fit_spectra(spectra, hp, tol=tol, max_iter=max_iter)
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
     return _posteriors(spectra, V, fit.b_last[0], fit.d_last[0], a_star,
                        c_star, hp, int(fit.iterations[0]),

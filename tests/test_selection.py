@@ -23,7 +23,8 @@ from shrinknet.selection import (
     threshold_gamma,
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
-from shrinknet.vb import fit_local, fit_spectra
+from shrinknet import vb
+from shrinknet.vb import SpectraFit, fit_local, fit_spectra, stack_spectra
 
 
 @pytest.fixture(scope="module")
@@ -316,21 +317,27 @@ def _replayed_p0(m, ranking):
 class TestBatchedScan:
     @pytest.mark.parametrize("max_iter", [1000, 2])
     @pytest.mark.parametrize("case", sorted(SCAN_CASES))
-    def test_matches_fit_local_on_every_prefix(self, case, max_iter):
+    def test_matches_fit_local_on_every_prefix(self, case, max_iter,
+                                               monkeypatch):
         m, ranking = _scan_input(*SCAN_CASES[case])
         p = m.n_genes
         cache = EvidenceCache(m)
         partners = _ranked_partners(ranking, p)
         order = np.array(partners)
-        # two blocks of responses per prefix length; a small capacity makes
-        # blocks of different widths join and leave the live rows
+        # two blocks of responses per prefix length; a small budget makes
+        # groups that join blocks of different widths and prefix lengths
         plan = [(genes, t) for t in range(p)
                 for genes in np.array_split(np.arange(p), 2)]
-        fit = fit_spectra(
-            (_prefix_spectra(cache.values, order, genes, t)
-             for genes, t in plan),
-            cache.prior, max_iter=max_iter, capacity=150,
-        )
+        monkeypatch.setattr(vb, "STACK_DOUBLES", 150)
+        groups = list(vb.stack_groups(
+            _prefix_spectra(cache.values, order, genes, t)
+            for genes, t in plan))
+        assert 1 < len(groups) < len(plan)
+        fits = [fit_spectra(stack_spectra(group), cache.prior,
+                            max_iter=max_iter) for group in groups]
+        fit = SpectraFit(*(np.concatenate([getattr(f, name) for f in fits])
+                           for name in ("bound", "iterations", "converged",
+                                        "b_last", "d_last")))
         keys = [(g, t) for genes, t in plan for g in genes]
         assert len(fit.bound) == len(keys) == p * p
         for row, (g, t) in enumerate(keys):
@@ -347,6 +354,41 @@ class TestBatchedScan:
             assert fit.converged[row] == vp.converged, (g, t)
         if max_iter == 2:  # only the closed-form empty prefixes settle
             assert (fit.converged == [t == 0 for _, t in keys]).all()
+
+    @pytest.mark.parametrize("budget", [1, 1 << 30])
+    def test_budget_moves_no_result(self, budget, monkeypatch):
+        """The working-memory budget only sets how the EM setup and the
+        scan are split: one gene per block and one block per group, or
+        the whole scan in one group, gives the default's results."""
+        m, ranking = _scan_input(24, 20, 4, False)
+        p, n = m.n_genes, m.n_samples
+        order = np.array(_ranked_partners(ranking, p))
+
+        def splits():
+            blocks = vb.gene_blocks(p, n * p)
+            groups = vb.stack_groups(
+                _prefix_spectra(m.values, order, genes, t)
+                for t in range(p) for genes in blocks)
+            return (len(vb.gene_blocks(p, n * (p - 1))), len(blocks),
+                    sum(1 for _ in groups))
+
+        assert all(1 < count < p for count in splits())  # the default
+        sem, cache = fit_sem(m), EvidenceCache(m)
+        table = cache.fill_prefixes(ranking).copy()
+        monkeypatch.setattr(vb, "STACK_DOUBLES", budget)
+        assert splits() == ((p, p, p * p) if budget == 1 else (1, 1, 1))
+        other, patched = fit_sem(m), EvidenceCache(m)
+        np.testing.assert_allclose(patched.fill_prefixes(ranking), table,
+                                   rtol=0, atol=1e-12)
+        assert patched.stats == cache.stats
+        np.testing.assert_allclose(other.lower_bounds[-1],
+                                   sem.lower_bounds[-1], rtol=0, atol=1e-12)
+        assert other.em_iterations == sem.em_iterations
+        for got, want in zip(other.posteriors, sem.posteriors):
+            np.testing.assert_allclose(got.beta_mean, want.beta_mean,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got.beta_var, want.beta_var,
+                                       rtol=1e-12)
 
     def test_table_matches_dense_oracle(self):
         """Every prefix evidence against the dense Cholesky fit, with

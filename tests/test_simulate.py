@@ -9,7 +9,6 @@ from shrinknet.simulate import (
     PrecisionMatrix,
     default_structure_params,
     make_structure,
-    partial_correlations,
     sample_mvn,
     sample_precision,
 )
@@ -99,17 +98,6 @@ class TestPrecision:
     def test_not_pd_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
             PrecisionMatrix(omega=np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-class TestPartialCorrelations:
-    def test_unit_diagonal_and_symmetry(self):
-        rng = np.random.default_rng(4)
-        g = make_structure("band", 8, params={"bandwidth": 2}, rng=rng)
-        rho = partial_correlations(sample_precision(g, rng=rng))
-        np.testing.assert_allclose(np.diag(rho), 1.0)
-        np.testing.assert_allclose(rho, rho.T)
-        off = rho[~np.eye(8, dtype=bool)]
-        assert np.all(np.abs(off) < 1.0)
 
 
 class TestSampling:

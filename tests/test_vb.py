@@ -20,6 +20,7 @@ from shrinknet.vb import (
     fit_local,
     fit_spectra,
     make_workspace,
+    stack_spectra,
     vb_sweep,
 )
 
@@ -320,20 +321,21 @@ class TestSpectralSetup:
 class TestFitSpectra:
     def test_single_regression_form(self):
         """A spectrum without the row axis fits exactly as a stack of one,
-        and joins other rows in a stream as one more row."""
-        rows = [_spectra_of(random_problem(n, k, seed=seed))
-                for n, k, seed in ((15, 4, 1), (20, 3, 4), (20, 6, 2),
-                                   (8, 20, 9))]
-        alone = [fit_spectra([row], VAGUE, tol=1e-8) for row in rows]
+        and rows of different widths joined by ``stack_spectra`` fit as
+        they do alone."""
+        rows = [_spectra_of(random_problem(20, k, seed=seed))
+                for k, seed in ((4, 1), (3, 4), (6, 2), (30, 9))]
+        assert len({row.d2.shape[-1] for row in rows}) == len(rows)
+        alone = [fit_spectra(row, VAGUE, tol=1e-8) for row in rows]
         for row, got in zip(rows, alone):
             stack = Spectra(row.d2[None], row.w[None], row.mask[None],
                             np.array([row.yty]), np.array([row.k]), row.n)
-            want = fit_spectra([stack], VAGUE, tol=1e-8)
+            want = fit_spectra(stack, VAGUE, tol=1e-8)
             for name in ("bound", "iterations", "converged", "b_last",
                          "d_last"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))
-        joined = fit_spectra(rows, VAGUE, tol=1e-8, capacity=100)
+        joined = fit_spectra(stack_spectra(rows), VAGUE, tol=1e-8)
         np.testing.assert_array_equal(
             joined.iterations, [f.iterations[0] for f in alone])
         np.testing.assert_allclose(joined.bound,
