@@ -226,16 +226,23 @@ def sample_precision(
 
     The degrees-of-freedom parameter maps to dof + p - 1 in the
     unconstrained Wishart draw so diagonal scale is comparable across p.
+    That draw W(df, I) is Bartlett's (Bartlett 1933; Smith and Hocking
+    1972): W = A A^T with A lower triangular, standard normals below the
+    diagonal (row-major, drawn first) and sqrt(chi^2(df - i)) on diagonal
+    entry i = 0, ..., p - 1. ``tests/test_simulate.py`` pins it bit for
+    bit, and the state of ``rng`` after it, to a reference Wishart draw.
     """
-    # deferred: scipy.stats takes about a second to import, and commands
-    # that draw no precision matrix should not pay for it at start-up
-    from scipy import stats
-
     if dof <= 2:
         raise InvalidParamsError("dof must exceed 2")
     rng = np.random.default_rng(rng)
     p = g.p
-    draw = stats.wishart.rvs(df=dof + p - 1, scale=np.eye(p), random_state=rng)
+    df = dof + p - 1
+    A = np.zeros((p, p))
+    A[np.tril_indices(p, -1)] = rng.normal(size=p * (p - 1) // 2)
+    for i in range(p):
+        # an array's ** 0.5 is sqrt; a scalar's is pow, off in the last bit
+        A[i, i] = (rng.chisquare(df - i, size=1) ** 0.5)[0]
+    draw = np.dot(A, A.T)
     if g.edge_count == p * (p - 1) // 2:
         return PrecisionMatrix(omega=draw)
     S = np.linalg.inv(draw)
@@ -264,10 +271,9 @@ def sample_mvn(
     p = omega.p
     L = np.linalg.cholesky(omega.omega)
     z = rng.standard_normal((n, p))
-    # x = L^-T z has covariance (L L^T)^-1
-    from scipy.linalg import solve_triangular
-
-    x = solve_triangular(L.T, z.T, lower=False).T
+    # x = L^-T z has covariance (L L^T)^-1; LU of the triangular L^T
+    # pivots nothing, so this is its back-substitution
+    x = np.linalg.solve(L.T, z.T).T
     return ExpressionMatrix(
         values=x,
         gene_ids=tuple(f"{gene_prefix}{i + 1}" for i in range(p)),

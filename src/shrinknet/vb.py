@@ -28,10 +28,10 @@ means and variances come back from that basis in ``_posteriors``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import RegressionProblem
 from .errors import DegenerateDesignError, NumericalFailureError
@@ -205,6 +205,32 @@ def make_workspace(designs, responses, genes):
         return Spectra(d2[0], w[0], mask[0].astype(float), yty[0], k,
                        n), v[0].copy()
     return Spectra(d2, w, mask.astype(float), yty, np.full(rows, k), n), v
+
+
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def gammaln(x):
+    """log Gamma(x) for x > 0 by ``math.lgamma``: a float for a scalar,
+    elementwise for an array (such as the shapes of a stack's rows)."""
+    if getattr(x, "ndim", 0):
+        return _lgamma(x).astype(float)
+    return math.lgamma(x)
+
+
+def digamma(x: float) -> float:
+    """psi(x) for a scalar x > 0: the recurrence psi(x) = psi(x + 1) - 1/x
+    up to x >= 10, then the asymptotic series in the Bernoulli numbers
+    through its 691 / (32760 x^12) term."""
+    x = float(x)
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (
+        1 / 252 - inv2 * (1 / 240 - inv2 * (1 / 132 - inv2 * 691 / 32760)))))
+    return math.log(x) - 0.5 / x - series - shift
 
 
 def _bound_constant(n, k, hp, a_star, c_star):

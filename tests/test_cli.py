@@ -300,16 +300,34 @@ class TestStability:
         assert manifest["config"]["threads"] == 1
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs about a second to import and infer never uses it
+def test_cli_commands_import_no_scipy(sim_dir, tmp_path):
+    # SciPy is a test-only oracle: importing it would cost most of a
+    # command's start-up
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, shrinknet.cli; "
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    commands = [
+        ["infer", str(sim_dir / "data.csv"), "--out-dir",
+         str(tmp_path / "infer")],
+        ["benchmark", "--kinds", "band", "--p", "6", "--n", "10", "--reps",
+         "1", "--threads", "1", "--out-dir", str(tmp_path / "benchmark")],
+        ["stability", str(sim_dir / "data.csv"), "--n-small", "20",
+         "--resamples", "2", "--no-validate", "--threads", "1",
+         "--out-dir", str(tmp_path / "stability")],
+    ]
+    code = ("import json, sys\n"
+            "import shrinknet.cli as cli\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    cli.main(args, standalone_mode=False)\n"
+            "loaded = sorted(name for name in sys.modules\n"
+            "                if name.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
+    assert (tmp_path / "infer" / "edges.tsv").exists()
+    assert (tmp_path / "benchmark" / "metrics.csv").exists()
+    assert (tmp_path / "stability" / "stability.json").exists()
 
 
 def test_outputs_confined_to_out_dir(runner, sim_dir, tmp_path,

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma
+from scipy import optimize, special
 
 from oracles import grid_maximizer, pooled_prior_objective
 from shrinknet.data import ExpressionMatrix, RegressionProblem, standardize
 from shrinknet.em import (
+    A_MAX,
     EmConfig,
     eb_update_approx,
     eb_update_approx_moments,
@@ -28,7 +29,7 @@ from shrinknet.vb import (
 def gamma_moments(a, rates):
     """E[t] and E[log t] for gamma(a, rate) across a vector of rates."""
     rates = np.asarray(rates, dtype=float)
-    return a / rates, digamma(a) - np.log(rates)
+    return a / rates, special.digamma(a) - np.log(rates)
 
 
 def small_dataset(p=8, n=40, seed=0):
@@ -45,6 +46,40 @@ class TestEbUpdates:
         a_grid, b_grid = grid_maximizer(e_tau, e_log)
         assert a_hat == pytest.approx(a_grid, abs=1e-4)
         assert b_hat == pytest.approx(b_grid, abs=1e-4)
+
+    def test_fixedpoint_matches_brentq(self):
+        # The reference runs Brent's method to the last bit: an xtol of
+        # 1e-12 is absolute, 1e-9 relative at a = 1e-3. For large a the
+        # root itself is set only to within the rounding of digamma(a) -
+        # log(a), about eps (|digamma a| + |log a|), over that side's
+        # slope a trigamma(a) - 1 ~ 1/(2a) in log a: 2e-12 at a = 1e3.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(0)
+        gaps = np.r_[10.0 ** rng.uniform(-4.0, 3.0, 200), 1e-5]
+        capped = 0
+        for gap in gaps:
+            p = int(rng.integers(2, 50))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            e_tau = np.full(p, scale)
+            e_log = np.full(p, np.log(scale) - gap)
+            exact_gap = np.log(e_tau.sum() / p) - np.mean(e_log)
+
+            def f(x):
+                return special.digamma(x) - np.log(x) + exact_gap
+
+            if f(A_MAX) <= 0:
+                want = A_MAX
+                capped += 1
+            else:
+                want = optimize.brentq(f, 1e-10, A_MAX, xtol=1e-300,
+                                       rtol=4 * eps)
+            rounding = eps * (abs(special.digamma(want)) + abs(np.log(want)))
+            slope = want * special.polygamma(1, want) - 1.0
+            rel = 1e-12 + 64 * rounding / slope
+            a_hat, b_hat = eb_update_fixedpoint_moments(e_tau, e_log)
+            assert a_hat == pytest.approx(want, rel=rel, abs=0)
+            assert b_hat == pytest.approx(want / scale, rel=rel, abs=0)
+        assert capped == 1
 
     def test_fixedpoint_is_stationary(self):
         e_tau, e_log = gamma_moments(1.7, np.linspace(0.3, 3.0, 10))

@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+package module imports SciPy.
 
-The check reads each module with ``ast``: a name bound by an import must
-appear as a name somewhere else in the module's code. ``__init__.py`` is
-left out, since its imports are the package's re-exports.
+The checks read each module with ``ast``. A name bound by an import must
+appear as a name somewhere else in the module's code; ``__init__.py`` is
+left out, since its imports are the package's re-exports. No import
+statement, at module level or inside a function, names a ``scipy``
+module: SciPy is a test-only oracle.
 """
 
 import ast
@@ -39,3 +42,26 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _imported_roots(source: str) -> set[str]:
+    """The top-level package of every absolute import in ``source``."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_finds_imported_packages():
+    source = ("import numpy as np\nfrom . import vb\n"
+              "def f():\n    from scipy.special import gammaln\n"
+              "    import scipy.linalg\n")
+    assert _imported_roots(source) == {"numpy", "scipy"}
+
+
+def test_no_scipy_import():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "scipy" in _imported_roots(path.read_text())] == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from shrinknet.data import ExpressionMatrix
 from shrinknet.errors import (
@@ -105,6 +106,24 @@ class TestRankCorrelation:
         a = np.array([1.0, 2.0, 3.0, 4.0])
         assert rank_correlation(a, a * 10) == pytest.approx(1.0)
         assert rank_correlation(a, -a) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("decimals", [None, 0])
+    def test_matches_scipy_spearman(self, decimals):
+        # rounding to whole numbers leaves runs of ties in both inputs
+        rng = np.random.default_rng(0)
+        compared = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            a = rng.standard_normal(n)
+            b = a + rng.standard_normal(n)
+            if decimals is not None:
+                a, b = a.round(decimals), b.round(decimals)
+            if np.all(a == a[0]) or np.all(b == b[0]):
+                continue
+            want = stats.spearmanr(a, b).statistic
+            assert abs(rank_correlation(a, b) - want) <= 1e-12
+            compared += 1
+        assert compared > 250
 
     def test_constant_input_rejected(self):
         with pytest.raises(UndefinedCorrelationError):

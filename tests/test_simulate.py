@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg, stats
 
 from shrinknet.errors import InvalidParamsError
 from shrinknet.simulate import (
@@ -90,6 +91,19 @@ class TestPrecision:
         sigma = np.linalg.inv(omega)
         assert np.allclose(sigma, sigma.T)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 15, 40, 100])
+    def test_wishart_draw_matches_scipy(self, p):
+        # on a complete graph the precision is the unconstrained draw
+        g = GraphSpec(p=p, adjacency=~np.eye(p, dtype=bool), kind="cluster",
+                      params={})
+        for seed in range(300):
+            ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+            omega = sample_precision(g, rng=ours).omega
+            draw = stats.wishart.rvs(df=4.0 + p - 1, scale=np.eye(p),
+                                     random_state=theirs)
+            assert np.array_equal(omega, draw)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_dof_validation(self):
         g = make_structure("band", 5, params={"bandwidth": 1})
         with pytest.raises(InvalidParamsError, match="dof"):
@@ -101,6 +115,18 @@ class TestPrecision:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("p", [2, 3, 5, 15, 40])
+    def test_solve_matches_triangular_solver(self, p):
+        for seed in range(60):
+            w = np.random.default_rng(seed).standard_normal((p, p))
+            omega = PrecisionMatrix(omega=w @ w.T + p * np.eye(p))
+            n = 1 + seed % 50
+            x = sample_mvn(omega, n, rng=np.random.default_rng(seed)).values
+            z = np.random.default_rng(seed).standard_normal((n, p))
+            L = np.linalg.cholesky(omega.omega)
+            want = linalg.solve_triangular(L.T, z.T, lower=False).T
+            assert np.array_equal(x, want)
+
     def test_shapes_and_labels(self):
         g = make_structure("band", 5, params={"bandwidth": 1})
         omega = sample_precision(g, rng=np.random.default_rng(5))

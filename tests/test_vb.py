@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy import special
 
 from conftest import random_problem
 from oracles import (
@@ -17,8 +17,10 @@ from shrinknet.selection import EvidenceCache, rank_edges
 from shrinknet.vb import (
     HyperParameters,
     Spectra,
+    digamma,
     fit_local,
     fit_spectra,
+    gammaln,
     make_workspace,
     stack_spectra,
     vb_sweep,
@@ -37,6 +39,37 @@ class TestHyperParameters:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError, match="must be positive"):
             HyperParameters(**bad)
+
+
+class TestSpecialFunctions:
+    """``gammaln`` and ``digamma`` against SciPy's, scaled by max(1, |f|):
+    near the zeros of log Gamma at 1 and 2 the error is absolute."""
+
+    def test_gammaln_matches_scipy(self):
+        # a grid, and the lattice a + k/2 of the posterior shapes
+        x = np.concatenate([
+            np.geomspace(1e-3, 1e4, 20001),
+            [a + 0.5 * k for a in (1e-3, 0.5, 1.0, 2.0, 3.7)
+             for k in range(20000)],
+        ])
+        want = special.gammaln(x)
+        got = gammaln(x)
+        assert got.dtype == float and got.shape == x.shape
+        assert np.all(np.abs(got - want)
+                      <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        scalars = [gammaln(v) for v in x[::101]]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(scalars, got[::101])
+
+    def test_digamma_matches_scipy(self):
+        # through the recurrence, the switch to the series at 10, the
+        # root near 1.4616 and the -1/x pole
+        x = np.concatenate([np.geomspace(1e-10, 1e4, 20001),
+                            np.linspace(0.5, 12.0, 4601)])
+        want = special.digamma(x)
+        got = np.array([digamma(v) for v in x])
+        assert np.all(np.abs(got - want)
+                      <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
 class TestFitLocal:
@@ -222,9 +255,9 @@ class TestPaths:
         expect = (
             -0.5 * n * np.log(2 * np.pi)
             + c * np.log(d)
-            - gammaln(c)
+            - special.gammaln(c)
             - (c + 0.5 * n) * np.log(d + 0.5 * float(y @ y))
-            + gammaln(c + 0.5 * n)
+            + special.gammaln(c + 0.5 * n)
         )
         assert vp.lower_bound == pytest.approx(expect, rel=1e-12)
 
