@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .data import (  # noqa: F401
     ExpressionMatrix,
-    RegressionProblem,
     load_expression_matrix,
     standardize,
 )

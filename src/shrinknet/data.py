@@ -1,9 +1,9 @@
-"""Expression matrix ingestion, standardization and the regression type.
+"""Expression matrix ingestion and standardization.
 
 The matrix convention is samples in rows, genes in columns. Every gene in
 turn acts as a regression response with other genes as covariates; a
-``RegressionProblem`` holds one such regression, whose design ``vb``
-factors into the spectrum the variational fit works on.
+regression is named by gene indices into the matrix, and ``vb`` gathers
+its design and response from there.
 """
 
 from __future__ import annotations
@@ -71,15 +71,6 @@ class ExpressionMatrix:
     @property
     def n_genes(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class RegressionProblem:
-    """One gene as response against other genes as covariates."""
-
-    response: np.ndarray
-    design: np.ndarray
-    target_gene: int
 
 
 def _is_number(token: str) -> bool:

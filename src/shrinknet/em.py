@@ -161,15 +161,10 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     n, p = m.values.shape
     k = p - 1
     blocks = gene_blocks(p, n * k)
-
-    def setup(genes):
-        # each gene against every other column, in index order
-        others = np.arange(k) + (np.arange(k) >= genes[:, None])
-        return make_workspace(m.values.T[others].swapaxes(1, 2),
-                              m.values.T[genes],
-                              [m.gene_ids[g] for g in genes])
-
-    setups = [setup(genes) for genes in blocks]
+    # each gene against every other column, in index order
+    others = np.arange(k) + (np.arange(k) >= np.arange(p)[:, None])
+    setups = [make_workspace(m.values, genes, others[genes], m.gene_ids)
+              for genes in blocks]
     stack = stack_spectra([spectra for spectra, _ in setups])
     rank = stack.mask.sum(axis=1)
     a, b = A_INIT, B_INIT

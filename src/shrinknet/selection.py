@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ExpressionMatrix, RegressionProblem
+from .data import ExpressionMatrix
 from .em import SemFit
 from .errors import NumericalFailureError
 from .vb import (
     HyperParameters,
-    Spectra,
     fit_local,
     fit_spectra,
     gene_blocks,
@@ -123,14 +122,6 @@ def selection_prior(n: int) -> HyperParameters:
     return HyperParameters(a=0.5, b=n / 2.0, c=0.001, d=0.001)
 
 
-def _prefix_spectra(values: np.ndarray, order: np.ndarray, genes: np.ndarray,
-                    t: int) -> Spectra:
-    """Spectra of the sub-models regressing each of ``genes`` on its first
-    ``t`` partners in ``order``, with the design columns in index order."""
-    designs = values[:, np.sort(order[genes, :t], axis=1)].transpose(1, 0, 2)
-    return make_workspace(designs, values[:, genes].T, genes)[0]
-
-
 class EvidenceCache:
     """Memoized sub-model evidences on a fixed (centered) matrix.
 
@@ -192,7 +183,8 @@ class EvidenceCache:
         blocks = gene_blocks(p, n * p)
         fits = [fit_spectra(stack_spectra(group), self.prior)
                 for group in stack_groups(
-                    _prefix_spectra(self.values, order, genes, t)
+                    make_workspace(self.values, genes,
+                                   np.sort(order[genes, :t], axis=1))[0]
                     for t in range(p) for genes in blocks)]
         bound, iterations, converged = (
             np.concatenate([getattr(fit, name) for fit in fits])
@@ -219,13 +211,7 @@ class EvidenceCache:
         got = self._cache.get(key)
         if got is not None:
             return got
-        cols = sorted(covariates)
-        prob = RegressionProblem(
-            response=self.values[:, response],
-            design=self.values[:, cols],
-            target_gene=response,
-        )
-        vp = fit_local(prob, self.prior)
+        vp = fit_local(self.values, response, sorted(covariates), self.prior)
         self._count(vp.iterations, vp.converged)
         self._cache[key] = vp.lower_bound
         return vp.lower_bound

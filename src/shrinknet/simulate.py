@@ -175,47 +175,35 @@ def _constrained_completion(S: np.ndarray, adj: np.ndarray) -> np.ndarray:
     p = S.shape[0]
     W = S.copy()
     scale = np.max(np.abs(S))
-    others = [np.array([k for k in range(p) if k != j]) for j in range(p)]
+    others = [np.delete(np.arange(p), j) for j in range(p)]
     neighbors = [np.flatnonzero(adj[j]) for j in range(p)]
-    # positions of node j's neighbors within the "all but j" index list
-    nb_pos = [
-        np.searchsorted(others[j], neighbors[j]) for j in range(p)
-    ]
+
+    def regress(j):
+        nb = neighbors[j]
+        return np.linalg.solve(W[np.ix_(nb, nb)], S[nb, j])
+
     for _ in range(_MAX_CYCLES):
         delta = 0.0
         for j in range(p):
-            rest = others[j]
-            w12 = np.zeros(p - 1)
-            if neighbors[j].size:
-                W11 = W[np.ix_(rest, rest)]
-                pos = nb_pos[j]
-                sub = W11[np.ix_(pos, pos)]
-                beta = np.linalg.solve(sub, S[neighbors[j], j])
-                w12 = W11[:, pos] @ beta
-            change = np.max(np.abs(W[rest, j] - w12))
-            delta = max(delta, change)
-            W[rest, j] = w12
-            W[j, rest] = w12
+            rest, nb = others[j], neighbors[j]
+            # keep W[rest][:, nb]: it is F-ordered, like columns of the block
+            # W[rest, rest], and the C-ordered W[np.ix_(rest, nb)] rounds
+            # differently (tests/test_simulate.py pins the bits)
+            w12 = W[rest][:, nb] @ regress(j) if nb.size else np.zeros(p - 1)
+            delta = max(delta, np.max(np.abs(W[rest, j] - w12)))
+            W[rest, j] = W[j, rest] = w12
         if delta < 1e-12 * scale:
             break
     else:
         raise GenerationFailureError(
             "graph-constrained completion did not converge"
         )
-    theta = np.zeros((p, p))
-    for j in range(p):
-        rest = others[j]
-        if neighbors[j].size:
-            pos = nb_pos[j]
-            W11 = W[np.ix_(rest, rest)]
-            beta_n = np.linalg.solve(
-                W11[np.ix_(pos, pos)], S[neighbors[j], j]
-            )
-            t_jj = 1.0 / (S[j, j] - float(W[neighbors[j], j] @ beta_n))
-            theta[j, j] = t_jj
-            theta[neighbors[j], j] = -beta_n * t_jj
-        else:
-            theta[j, j] = 1.0 / S[j, j]
+    theta = np.diag(1.0 / np.diag(S))
+    for j, nb in enumerate(neighbors):
+        if nb.size:
+            beta = regress(j)
+            theta[j, j] = 1.0 / (S[j, j] - float(W[nb, j] @ beta))
+            theta[nb, j] = -beta * theta[j, j]
     return 0.5 * (theta + theta.T)
 
 

@@ -15,15 +15,19 @@ conditional prior, and there are none when the design has full column
 rank. A regression without covariates has an empty spectrum, and its
 sigma posterior is exact after one sweep.
 
-The spectral setup is written once: ``make_workspace`` takes the
-eigenbasis of one design's cross-product, or of a stack of them, with
-one ``eigh`` call. The sweep is written once too, as array code over a
-stack of spectra with one row per regression: ``fit_spectra`` sweeps the
-rows of one stack, all started together and each stopped by its own
-rule, and ``fit_local`` is that recursion on a single regression. Many
-regressions are fitted in whole groups within ``STACK_DOUBLES`` (see
-there), each padded into one stack by ``stack_spectra``. Coefficient
-means and variances come back from that basis in ``_posteriors``.
+Every regression is one gene of the expression matrix on other genes of
+it, and callers name it by gene indices alone: the response gene and its
+covariates, in sorted order. The spectral setup is written once:
+``make_workspace`` gathers the designs and responses from the matrix and
+takes the eigenbasis of one design's cross-product, or of a stack of
+them, with one ``eigh`` call; no other module lays out a design. The
+sweep is written once too, as array code over a stack of spectra with
+one row per regression: ``fit_spectra`` sweeps the rows of one stack,
+all started together and each stopped by its own rule, and ``fit_local``
+is that recursion on a single regression. Many regressions are fitted in
+whole groups within ``STACK_DOUBLES`` (see there), each padded into one
+stack by ``stack_spectra``. Coefficient means and variances come back
+from that basis in ``_posteriors``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RegressionProblem
 from .errors import DegenerateDesignError, NumericalFailureError
 
 #: Rate parameters are floored here to avoid division blowups.
@@ -168,31 +171,42 @@ def _spectral_update(d2, w, mask, yty, comp, b_star, d_star, a_star, c_star,
                    sigma_logdet, ebb)
 
 
-def make_workspace(designs, responses, genes):
-    """Spectral setup of one regression design, or of a stack of them.
+def make_workspace(values, gene, covariates, names=None):
+    """Spectral setup of one regression, or of a stack of them.
 
-    ``designs`` is one (n, k) design with its (n,) response, or a stack of
-    (n, k) designs with one response per row. One ``eigh`` call takes the
+    Every regression is gene ``gene`` of the (n, p) matrix ``values`` on
+    the genes ``covariates``: one index with a 1-D index array, or an
+    array of genes with one row of covariates each. The design's columns
+    follow ``covariates``, and callers list them in sorted order: so a
+    ranking prefix in the p0 scan's table and the same set fitted by
+    ``fit_local`` are the same regression, to the last bit. Designs and
+    responses are gathered here. One ``eigh`` call takes the
     eigenbasis of each design's cross-product, the smaller of D^T D and
     D D^T: d^2 are its eigenvalues above ``RANK_RTOL`` of the largest, V
     the eigenvectors of D^T D (D^T U / d from those U of D D^T), and
     w = V^T D^T y. A stack is as wide as its largest rank, and the
-    directions of a row past its own rank are masked; a single design's
-    spectrum leaves out the row axis (see ``Spectra``). Returns the
-    spectra and V, (k, rank) for one design and (rows, k, width) for a
-    stack. A design without columns has an empty spectrum; an all-zero
-    design raises ``DegenerateDesignError`` naming its entry of ``genes``.
+    directions of a row past its own rank are masked; a single
+    regression's spectrum leaves out the row axis (see ``Spectra``).
+    Returns the spectra and V, (k, rank) for one regression and
+    (rows, k, width) for a stack. A regression without covariates has an
+    empty spectrum; an all-zero design raises ``DegenerateDesignError``
+    naming its gene, by ``names[gene]`` if ``names`` is given and by
+    index if not.
     """
-    single = np.ndim(designs) == 2
-    if single:
-        designs, responses, genes = designs[None], responses[None], [genes]
+    single = np.ndim(gene) == 0
+    genes = np.atleast_1d(gene)
+    covariates = np.asarray(covariates, dtype=np.intp).reshape(
+        len(genes), -1)
+    designs = values.T[covariates].swapaxes(1, 2)
+    responses = values.T[genes]
     rows, n, k = designs.shape
     dt = designs.swapaxes(1, 2)
     lam, v = np.linalg.eigh(designs @ dt if k > n else dt @ designs)
     lam, v = lam[:, ::-1], v[..., ::-1]  # descending
     if k and not np.all(lam[:, 0] > 0.0):
-        gene = genes[int(np.argmin(lam[:, 0] > 0.0))]
-        raise DegenerateDesignError(f"design for gene {gene} is all zeros")
+        bad = int(genes[np.argmin(lam[:, 0] > 0.0)])
+        bad = bad if names is None else names[bad]
+        raise DegenerateDesignError(f"design for gene {bad} is all zeros")
     mask = lam > RANK_RTOL * lam[:, :1]
     width = int(mask.sum(axis=1).max(initial=0))
     lam, v, mask = lam[:, :width], v[..., :width], mask[:, :width]
@@ -307,17 +321,21 @@ def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
 
 def vb_sweep(
     state: VariationalPosterior,
-    prob: RegressionProblem,
+    values: np.ndarray,
+    gene: int,
+    covariates,
     hp: HyperParameters,
 ) -> VariationalPosterior:
-    """One coordinate-ascent pass: covariance/mean, then the two rates.
+    """One coordinate-ascent pass of gene ``gene`` of ``values`` on the
+    genes ``covariates`` (as ``make_workspace`` takes them): covariance/
+    mean, then the two rates.
 
     Each update uses the most recent expectations, so the pass is an exact
     cyclic ascent step and the lower bound cannot decrease.
     """
     if not (state.b_star > 0 and state.d_star > 0):
         raise ValueError("state rates must be positive")
-    spectra, V = make_workspace(prob.design, prob.response, prob.target_gene)
+    spectra, V = make_workspace(values, gene, covariates)
     return _posteriors(spectra, V, state.b_star, state.d_star, state.a_star,
                        state.c_star, hp, state.iterations + 1,
                        state.converged)[0]
@@ -443,13 +461,17 @@ def fit_spectra(
 
 
 def fit_local(
-    prob: RegressionProblem,
+    values: np.ndarray,
+    gene: int,
+    covariates,
     hp: HyperParameters,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> VariationalPosterior:
-    """Iterate sweeps until the lower bound changes by less than ``tol``."""
-    spectra, V = make_workspace(prob.design, prob.response, prob.target_gene)
+    """Fit gene ``gene`` of ``values`` on the genes ``covariates`` (as
+    ``make_workspace`` takes them): sweeps until the lower bound changes
+    by less than ``tol``."""
+    spectra, V = make_workspace(values, gene, covariates)
     fit = fit_spectra(spectra, hp, tol=tol, max_iter=max_iter)
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
     return _posteriors(spectra, V, fit.b_last[0], fit.d_last[0], a_star,

@@ -6,7 +6,23 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
-from shrinknet.data import RegressionProblem  # noqa: E402
+
+def regressions(pairs):
+    """The (values, genes, covariates) that ``vb.make_workspace`` takes for
+    a stack of the (y, X) in ``pairs``, which share their shapes: each
+    pair's ``[y, X]`` sits side by side in ``values``, y as the gene and
+    the columns of X as its covariates."""
+    values = np.column_stack([np.column_stack([y, X]) for y, X in pairs])
+    k = pairs[0][1].shape[1]
+    genes = np.arange(len(pairs)) * (1 + k)
+    return values, genes, genes[:, None] + np.arange(1, k + 1)
+
+
+def regression(y, X):
+    """One regression of y on the columns of X as (values, gene,
+    covariates): gene 0 of ``[y, X]`` on columns 1..k."""
+    values, _, covariates = regressions([(y, X)])
+    return values, 0, covariates[0]
 
 
 def random_problem(n, k, seed=0, snr=1.0):
@@ -17,7 +33,7 @@ def random_problem(n, k, seed=0, snr=1.0):
     nz = rng.choice(k, size=max(1, k // 4), replace=False)
     beta[nz] = rng.standard_normal(nz.size) * snr
     y = X @ beta + rng.standard_normal(n)
-    return RegressionProblem(response=y, design=X, target_gene=0)
+    return regression(y, X)
 
 
 @pytest.fixture

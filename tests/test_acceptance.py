@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import random_problem, regression
 from oracles import (
     dense_vb_fit,
     gibbs_posterior_moments,
@@ -19,7 +19,7 @@ from oracles import (
     quadrature_log_evidence,
 )
 from shrinknet.benchmark import SplitConfig, run_split_harness
-from shrinknet.data import RegressionProblem, standardize
+from shrinknet.data import standardize
 from shrinknet.em import (
     EmConfig,
     eb_update_approx_moments,
@@ -64,8 +64,7 @@ def test_criterion_1_vb_vs_oracles():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 2)) * 2.0
     y = X @ np.array([2.0, -1.5]) + 0.3 * rng.standard_normal(20)
-    prob = RegressionProblem(response=y, design=X, target_gene=0)
-    vp = fit_local(prob, VAGUE, tol=1e-10, max_iter=10_000)
+    vp = fit_local(*regression(y, X), VAGUE, tol=1e-10, max_iter=10_000)
     mean, var = gibbs_posterior_moments(
         y, X, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
         n_draws=50_000, burn=5_000, seed=11,
@@ -76,8 +75,8 @@ def test_criterion_1_vb_vs_oracles():
     rng2 = np.random.default_rng(5)
     x1 = rng2.standard_normal(10)
     y1 = 0.8 * x1 + 0.3 * rng2.standard_normal(10)
-    prob1 = RegressionProblem(response=y1, design=x1[:, None], target_gene=0)
-    vp1 = fit_local(prob1, VAGUE, tol=1e-12, max_iter=10_000)
+    vp1 = fit_local(*regression(y1, x1[:, None]), VAGUE, tol=1e-12,
+                    max_iter=10_000)
     exact = quadrature_log_evidence(y1, x1, VAGUE.a, VAGUE.b, VAGUE.c,
                                     VAGUE.d)
 
@@ -107,9 +106,9 @@ def test_criterion_2_bound_monotonicity():
         n = int(rng.choice([10, 25]))
         k = int(rng.choice([4, 29]))
         prob = random_problem(n, k, seed=int(rng.integers(1 << 30)))
-        vp = fit_local(prob, VAGUE, tol=1e-3, max_iter=3)
+        vp = fit_local(*prob, VAGUE, tol=1e-3, max_iter=3)
         for _ in range(12):
-            nxt = vb_sweep(vp, prob, VAGUE)
+            nxt = vb_sweep(vp, *prob, VAGUE)
             worst = min(worst, nxt.lower_bound - vp.lower_bound)
             vp = nxt
     g = make_structure("band", 12, params={"bandwidth": 2},
@@ -178,11 +177,12 @@ def test_criterion_4_route_equivalence():
     worst = 0.0
     for n, k, seed in shapes:
         prob = random_problem(n, k, seed=seed)
+        values = prob[0]
         mean, var, bound = dense_vb_fit(
-            prob.response, prob.design, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
+            values[:, 0], values[:, 1:], VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
             tol=1e-10, max_iter=5000,
         )
-        s = fit_local(prob, VAGUE, tol=1e-10, max_iter=5000)
+        s = fit_local(*prob, VAGUE, tol=1e-10, max_iter=5000)
         scale = np.maximum(np.abs(mean), 1e-12)
         worst = max(
             worst,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 
 from oracles import grid_maximizer, pooled_prior_objective
-from shrinknet.data import ExpressionMatrix, RegressionProblem, standardize
+from shrinknet.data import ExpressionMatrix, standardize
 from shrinknet.em import (
     A_MAX,
     EmConfig,
@@ -260,9 +260,7 @@ class TestStackedEStep:
         assert len(trajectory) == len(fit.lower_bounds) == fit.em_iterations
         p, n = m.n_genes, m.n_samples
         k = p - 1
-        problems = [RegressionProblem(response=m.values[:, j],
-                                      design=np.delete(m.values, j, axis=1),
-                                      target_gene=j)
+        problems = [(m.values, j, np.delete(np.arange(p), j))
                     for j in range(p)]
         c_star = HyperParameters(a=1.0, b=1.0).c + 0.5 * (n + k)
         states = [
@@ -280,7 +278,7 @@ class TestStackedEStep:
         for t, row in enumerate(trajectory, start=1):
             hp = HyperParameters(a=row["a"], b=row["b"])
             a_star = row["a"] + 0.5 * k
-            states = [vb_sweep(replace(state, a_star=a_star), prob, hp)
+            states = [vb_sweep(replace(state, a_star=a_star), *prob, hp)
                       for state, prob in zip(states, problems)]
             bounds = np.array([state.lower_bound for state in states])
             np.testing.assert_allclose(bounds, fit.lower_bounds[t - 1],

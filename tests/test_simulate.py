@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,29 @@ class TestPrecision:
                                      random_state=theirs)
             assert np.array_equal(omega, draw)
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+    # sha256 of omega's bytes for make_structure(kind, p, rng=0) drawn by
+    # sample_precision(g, rng=1), recorded before the completion gathered
+    # only neighbour columns; pins its rounding bit for bit
+    COMPLETION_DIGESTS = {
+        ("band", 15): "947880fb3b7b529fe9178c915aa221ac"
+                      "03b6740f051eeed1e85409c45edf57eb",
+        ("cluster", 15): "aea904446822c329d6227c1a785086b4"
+                         "118d98a0cd37b05c0af7a8e558edb3ee",
+        ("hub", 15): "e903c61d037ff1bde60d285e6b661dc4"
+                     "77379cd4d31753d7c5983a99b6514b62",
+        ("random", 15): "acaf000b230015ba6024567071151fc5"
+                        "cae1e2aa1537540a8c306cfa0d3bcdfd",
+        ("band", 40): "e67021d25afb71087ae6aa63472ca9cf"
+                      "ce43d91ad68e4fe2c1c1cc29da91cda4",
+    }
+
+    @pytest.mark.parametrize("kind, p", sorted(COMPLETION_DIGESTS))
+    def test_completion_bits_pinned(self, kind, p):
+        g = make_structure(kind, p, rng=0)
+        omega = sample_precision(g, rng=1).omega
+        digest = hashlib.sha256(omega.tobytes()).hexdigest()
+        assert digest == self.COMPLETION_DIGESTS[kind, p]
 
     def test_dof_validation(self):
         g = make_structure("band", 5, params={"bandwidth": 1})

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from conftest import random_problem
+from conftest import random_problem, regression, regressions
 from oracles import (
     dense_vb_fit,
     gibbs_posterior_moments,
     quadrature_log_evidence,
 )
-from shrinknet.data import ExpressionMatrix, RegressionProblem
+from shrinknet.data import ExpressionMatrix
 from shrinknet.em import fit_sem
 from shrinknet.errors import DegenerateDesignError
 from shrinknet.selection import EvidenceCache, rank_edges
@@ -75,7 +75,7 @@ class TestSpecialFunctions:
 class TestFitLocal:
     def test_shapes_and_flags(self):
         prob = random_problem(15, 4, seed=1)
-        vp = fit_local(prob, VAGUE, tol=1e-8)
+        vp = fit_local(*prob, VAGUE, tol=1e-8)
         assert vp.beta_mean.shape == (4,)
         assert vp.beta_var.shape == (4,)
         assert vp.converged
@@ -85,9 +85,9 @@ class TestFitLocal:
     def test_posterior_mean_is_ridge(self):
         # at convergence the mean solves (X'X + E[tau^-2] I) beta = X'y
         prob = random_problem(30, 5, seed=2)
-        vp = fit_local(prob, VAGUE, tol=1e-12, max_iter=5000)
+        vp = fit_local(*prob, VAGUE, tol=1e-12, max_iter=5000)
         e_tau = vp.a_star / vp.b_star
-        X, y = prob.design, prob.response
+        X, y = prob[0][:, 1:], prob[0][:, 0]
         expect = np.linalg.solve(X.T @ X + e_tau * np.eye(5), X.T @ y)
         np.testing.assert_allclose(vp.beta_mean, expect, rtol=1e-6)
 
@@ -95,8 +95,7 @@ class TestFitLocal:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((20, 2)) * 2.0
         y = X @ np.array([2.0, -1.5]) + 0.3 * rng.standard_normal(20)
-        prob = RegressionProblem(response=y, design=X, target_gene=0)
-        vp = fit_local(prob, VAGUE, tol=1e-10, max_iter=5000)
+        vp = fit_local(*regression(y, X), VAGUE, tol=1e-10, max_iter=5000)
         mean, var = gibbs_posterior_moments(
             y, X, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
             n_draws=20_000, burn=2_000, seed=11,
@@ -112,8 +111,8 @@ class TestFitLocal:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(10)
         y = 0.8 * x + 0.3 * rng.standard_normal(10)
-        prob = RegressionProblem(response=y, design=x[:, None], target_gene=0)
-        vp = fit_local(prob, VAGUE, tol=1e-12, max_iter=5000)
+        vp = fit_local(*regression(y, x[:, None]), VAGUE, tol=1e-12,
+                       max_iter=5000)
         exact = quadrature_log_evidence(
             y, x, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d
         )
@@ -122,9 +121,9 @@ class TestFitLocal:
 
     def test_strong_prior_shrinks_harder(self):
         prob = random_problem(25, 6, seed=3)
-        loose = fit_local(prob, VAGUE, tol=1e-10, max_iter=5000)
+        loose = fit_local(*prob, VAGUE, tol=1e-10, max_iter=5000)
         tight = fit_local(
-            prob, HyperParameters(a=100.0, b=0.1), tol=1e-10, max_iter=5000
+            *prob, HyperParameters(a=100.0, b=0.1), tol=1e-10, max_iter=5000
         )
         assert np.linalg.norm(tight.beta_mean) < np.linalg.norm(
             loose.beta_mean
@@ -133,9 +132,9 @@ class TestFitLocal:
     def test_invalid_args(self):
         prob = random_problem(10, 3)
         with pytest.raises(ValueError, match="tol"):
-            fit_local(prob, VAGUE, tol=0.0)
+            fit_local(*prob, VAGUE, tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
-            fit_local(prob, VAGUE, max_iter=1)
+            fit_local(*prob, VAGUE, max_iter=1)
 
 
     # (n, k, seed, tol, max_iter) -> (iterations, converged), recorded from
@@ -161,7 +160,7 @@ class TestFitLocal:
     @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
     def test_iteration_counts_pinned(self, run):
         n, k, seed, tol, max_iter = run
-        vp = fit_local(random_problem(n, k, seed=seed), VAGUE, tol=tol,
+        vp = fit_local(*random_problem(n, k, seed=seed), VAGUE, tol=tol,
                        max_iter=max_iter)
         assert (vp.iterations, vp.converged) == self.PINNED_RUNS[run]
 
@@ -169,30 +168,31 @@ class TestFitLocal:
 class TestSweep:
     def test_increments_iteration_count(self):
         prob = random_problem(12, 3, seed=4)
-        v0 = fit_local(prob, VAGUE, tol=1e-4)
-        v1 = vb_sweep(v0, prob, VAGUE)
+        v0 = fit_local(*prob, VAGUE, tol=1e-4)
+        v1 = vb_sweep(v0, *prob, VAGUE)
         assert v1.iterations == v0.iterations + 1
 
     def test_sweep_monotone_in_bound(self):
         prob = random_problem(12, 3, seed=4)
-        vp = fit_local(prob, VAGUE, tol=1e-1, max_iter=2)
+        vp = fit_local(*prob, VAGUE, tol=1e-1, max_iter=2)
         for _ in range(20):
-            nxt = vb_sweep(vp, prob, VAGUE)
+            nxt = vb_sweep(vp, *prob, VAGUE)
             assert nxt.lower_bound >= vp.lower_bound - 1e-8
             vp = nxt
 
     def test_rejects_bad_state_rates(self):
         prob = random_problem(12, 3)
-        vp = fit_local(prob, VAGUE)
+        vp = fit_local(*prob, VAGUE)
         bad = type(vp)(**{**vp.__dict__, "b_star": -1.0})
         with pytest.raises(ValueError, match="positive"):
-            vb_sweep(bad, prob, VAGUE)
+            vb_sweep(bad, *prob, VAGUE)
 
 
 def _assert_matches_dense_oracle(prob, tol, max_iter):
-    s = fit_local(prob, VAGUE, tol=tol, max_iter=max_iter)
+    s = fit_local(*prob, VAGUE, tol=tol, max_iter=max_iter)
+    values = prob[0]
     mean, var, bound = dense_vb_fit(
-        prob.response, prob.design, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
+        values[:, 0], values[:, 1:], VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
         tol=tol, max_iter=max_iter,
     )
     np.testing.assert_allclose(s.beta_mean, mean, rtol=1e-8, atol=1e-12)
@@ -237,8 +237,7 @@ class TestPaths:
         y = X @ rng.standard_normal(X.shape[1]) + rng.standard_normal(len(X))
         if kind == "centred_wide":
             y -= y.mean()
-        vp = fit_local(RegressionProblem(y, X, 0), VAGUE, tol=1e-10,
-                       max_iter=3000)
+        vp = fit_local(*regression(y, X), VAGUE, tol=1e-10, max_iter=3000)
         mean, _, bound = dense_vb_fit(y, X, VAGUE.a, VAGUE.b, VAGUE.c,
                                       VAGUE.d, tol=1e-10, max_iter=3000)
         assert abs(vp.lower_bound - bound) <= 1e-8
@@ -247,10 +246,7 @@ class TestPaths:
 
     def test_zero_covariate_bound_closed_form(self):
         y = np.random.default_rng(2).standard_normal(12)
-        prob = RegressionProblem(
-            response=y, design=np.empty((12, 0)), target_gene=0
-        )
-        vp = fit_local(prob, VAGUE, tol=1e-12)
+        vp = fit_local(*regression(y, np.empty((12, 0))), VAGUE, tol=1e-12)
         n, c, d = 12, VAGUE.c, VAGUE.d
         expect = (
             -0.5 * n * np.log(2 * np.pi)
@@ -260,10 +256,6 @@ class TestPaths:
             + special.gammaln(c + 0.5 * n)
         )
         assert vp.lower_bound == pytest.approx(expect, rel=1e-12)
-
-
-def _spectra_of(prob):
-    return make_workspace(prob.design, prob.response, prob.target_gene)[0]
 
 
 def _design(kind, seed=0):
@@ -286,15 +278,14 @@ class TestSpectralSetup:
     def test_factors_reproduce_gram(self, kind):
         """X'X = V diag(d^2) V' and X'y = V w, alone and as a stack row."""
         X, y = _design(kind)
-        spectra, V = make_workspace(X, y, 0)
+        spectra, V = make_workspace(*regression(y, X))
         np.testing.assert_allclose(V @ np.diag(spectra.d2) @ V.T, X.T @ X,
                                    atol=1e-10)
         np.testing.assert_allclose(V @ spectra.w, X.T @ y, atol=1e-10)
         assert spectra.yty == pytest.approx(y @ y, rel=1e-14)
         rng = np.random.default_rng(1)
         other, y2 = rng.standard_normal(X.shape), rng.standard_normal(len(y))
-        stack, Vs = make_workspace(np.stack([other, X]), np.stack([y2, y]),
-                                   [1, 0])
+        stack, Vs = make_workspace(*regressions([(y2, other), (y, X)]))
         for j, (design, response) in enumerate(((other, y2), (X, y))):
             v = Vs[j] * stack.mask[j]
             np.testing.assert_allclose(v @ np.diag(stack.d2[j]) @ v.T,
@@ -306,13 +297,12 @@ class TestSpectralSetup:
     def test_mask_counts_rank(self, kind):
         X, y = _design(kind)
         rank = np.linalg.matrix_rank(X)
-        spectra, V = make_workspace(X, y, 0)
+        spectra, V = make_workspace(*regression(y, X))
         assert spectra.mask.sum() == rank == len(spectra.d2)
         assert V.shape == (X.shape[1], rank)
         # a stack is as wide as its largest rank, masked past each row's
         full = np.random.default_rng(3).standard_normal(X.shape)
-        stack, Vs = make_workspace(np.stack([X, full]), np.stack([y, y]),
-                                   [0, 1])
+        stack, Vs = make_workspace(*regressions([(y, X), (y, full)]))
         np.testing.assert_array_equal(stack.mask.sum(axis=1),
                                       [rank, min(X.shape)])
         assert stack.d2.shape == (2, min(X.shape))
@@ -322,15 +312,14 @@ class TestSpectralSetup:
 
     def test_empty_design_gives_empty_spectrum(self):
         y = np.random.default_rng(2).standard_normal(7)
-        spectra, V = make_workspace(np.empty((7, 0)), y, 0)
+        spectra, V = make_workspace(*regression(y, np.empty((7, 0))))
         assert spectra.d2.shape == spectra.w.shape == (0,)
         assert V.shape == (0, 0)
         assert (spectra.k, spectra.n) == (0, 7)
         assert spectra.yty == pytest.approx(y @ y, rel=1e-14)
-        stack, Vs = make_workspace(np.empty((3, 7, 0)), np.stack([y] * 3),
-                                   [0, 1, 2])
+        stack, Vs = make_workspace(*regressions([(y, np.empty((7, 0)))] * 3))
         assert stack.d2.shape == (3, 0) and Vs.shape == (3, 0, 0)
-        vp = fit_local(RegressionProblem(y, np.empty((7, 0)), 0), VAGUE)
+        vp = fit_local(*regression(y, np.empty((7, 0))), VAGUE)
         assert vp.beta_mean.shape == vp.beta_var.shape == (0,)
 
     def test_all_zero_design_names_the_gene(self):
@@ -338,7 +327,8 @@ class TestSpectralSetup:
         rng = np.random.default_rng(4)
         y = rng.standard_normal(6)
         with pytest.raises(DegenerateDesignError, match="gene 7 "):
-            fit_local(RegressionProblem(y, np.zeros((6, 2)), 7), VAGUE)
+            fit_local(np.column_stack([np.zeros((6, 7)), y]), 7, [0, 1],
+                      VAGUE)
         values = rng.standard_normal((6, 3))
         values[:, 1] = 0.0
         m = ExpressionMatrix(values, ("a", "b", "c"), tuple("stuvwx"))
@@ -356,7 +346,7 @@ class TestFitSpectra:
         """A spectrum without the row axis fits exactly as a stack of one,
         and rows of different widths joined by ``stack_spectra`` fit as
         they do alone."""
-        rows = [_spectra_of(random_problem(20, k, seed=seed))
+        rows = [make_workspace(*random_problem(20, k, seed=seed))[0]
                 for k, seed in ((4, 1), (3, 4), (6, 2), (30, 9))]
         assert len({row.d2.shape[-1] for row in rows}) == len(rows)
         alone = [fit_spectra(row, VAGUE, tol=1e-8) for row in rows]
@@ -385,9 +375,9 @@ def test_trajectory_never_decreases(n, k, seed):
     # the reported bound uses the simplified fixed-point expression, whose
     # monotonicity is guaranteed in the vague-prior regime the fit runs in
     prob = random_problem(n, k, seed=seed)
-    vp = fit_local(prob, VAGUE, tol=1e-3, max_iter=3)
+    vp = fit_local(*prob, VAGUE, tol=1e-3, max_iter=3)
     for _ in range(10):
-        nxt = vb_sweep(vp, prob, VAGUE)
+        nxt = vb_sweep(vp, *prob, VAGUE)
         assert nxt.lower_bound >= vp.lower_bound - 1e-8
         vp = nxt
 
@@ -401,7 +391,7 @@ def test_trajectory_never_decreases(n, k, seed):
 def test_extra_sweeps_at_fixed_point_change_nothing(seed, a, b):
     prob = random_problem(12, 4, seed=seed)
     hp = HyperParameters(a=a, b=b)
-    vp = fit_local(prob, hp, tol=1e-12, max_iter=10_000)
-    nxt = vb_sweep(vp, prob, hp)
+    vp = fit_local(*prob, hp, tol=1e-12, max_iter=10_000)
+    nxt = vb_sweep(vp, *prob, hp)
     assert nxt.lower_bound >= vp.lower_bound - 1e-8
     np.testing.assert_allclose(nxt.beta_mean, vp.beta_mean, atol=1e-6)
