@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .metrics import (
     confusion,
     partial_roc,
     random_split,
+    rank_correlation,
     scores,
     stability_report,
 )
@@ -222,10 +224,12 @@ def _run_split_task(args):
         em = em_config_for(method)
         res_small = infer_network(standardize(small), em_config=em,
                                   alpha=cfg.alpha, pre_standardized=True)
+        ranking = res_small.ranking
         entry = {
             "selected_small": sorted(res_small.selection.selected),
-            "kappa_bar_small": [e.kappa_bar for e in res_small.ranking],
-            "edge_order_small": [(e.i, e.j) for e in res_small.ranking],
+            # scores in (i, j)-ascending order, alike across splits
+            "kappa_bar_small": ranking.kappa_bar[
+                np.lexsort((ranking.j, ranking.i))],
         }
         if cfg.validate_on_large:
             res_large = infer_network(standardize(large), em_config=em,
@@ -282,20 +286,8 @@ def run_split_harness(m: ExpressionMatrix, cfg: SplitConfig) -> SplitHarnessResu
 
 
 def mean_pairwise_rank_correlation(per_split, method: str) -> float:
-    """Average Spearman correlation of the edge scores across split pairs.
-
-    Scores are aligned on the common edge universe before correlating.
-    """
-    from .metrics import rank_correlation
-
-    vectors = []
-    for out in per_split:
-        order = [tuple(e) for e in out[method]["edge_order_small"]]
-        kb = out[method]["kappa_bar_small"]
-        lookup = dict(zip(order, kb))
-        universe = sorted(lookup)
-        vectors.append(np.array([lookup[e] for e in universe]))
-    n = len(vectors)
-    rhos = [rank_correlation(vectors[i], vectors[j])
-            for i in range(n) for j in range(i + 1, n)]
+    """Average Spearman correlation of the edge scores across split pairs;
+    every split holds its scores in the same (i, j) order."""
+    vectors = [out[method]["kappa_bar_small"] for out in per_split]
+    rhos = [rank_correlation(a, b) for a, b in combinations(vectors, 2)]
     return float(np.mean(rhos))

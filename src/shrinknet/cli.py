@@ -37,6 +37,7 @@ from .errors import (
     GenerationFailureError,
     InputError,
     NumericalFailureError,
+    ShrinkNetError,
 )
 from .manifest import RunManifest
 from .pipeline import infer_network
@@ -71,6 +72,9 @@ def handle_errors(fn):
         except (ConfigError, ValueError) as err:
             click.echo(f"configuration error: {err}", err=True)
             sys.exit(EXIT_CONFIG)
+        except ShrinkNetError as err:  # an undefined metric or bound
+            click.echo(f"undefined result: {err}", err=True)
+            sys.exit(EXIT_NUMERICAL)
 
     return wrapper
 
@@ -155,21 +159,23 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
     )
     t_fit = time.monotonic()
 
-    decisions = {(d.i, d.j): d for d in result.selection.decisions}
+    ranking, sel = result.ranking, result.selection
     with open(out / "edges.tsv", "w", newline="") as fh:
         w = csv.writer(fh, delimiter="\t")
         w.writerow(["gene_a", "gene_b", "rank", "kappa_bar", "bf_max",
                     "p0_bound", "selected"])
-        for e in result.ranking:
-            d = decisions.get((e.i, e.j))
+        for r, (i, j, kappa_bar) in enumerate(zip(
+                ranking.i.tolist(), ranking.j.tolist(),
+                ranking.kappa_bar.tolist())):
+            d = r < sel.ranks_evaluated  # decided: rank r + 1 was walked
             w.writerow([
-                m.gene_ids[e.i],
-                m.gene_ids[e.j],
-                e.rank,
-                f"{e.kappa_bar:.10g}",
-                f"{d.bayes_factor_max:.10g}" if d else "",
-                f"{d.p0_posterior_bound:.10g}" if d else "",
-                int(d.selected) if d else 0,
+                m.gene_ids[i],
+                m.gene_ids[j],
+                r + 1,
+                f"{kappa_bar:.10g}",
+                f"{sel.bayes_factor_max[r]:.10g}" if d else "",
+                f"{sel.p0_posterior_bound[r]:.10g}" if d else "",
+                int(d and sel.accepted[r]),
             ])
     fit = result.fit
     fit_payload = {
@@ -416,9 +422,9 @@ def stability(input_path, n_small, resamples, ev, seed, alpha, no_validate,
     manifest = RunManifest(
         command="stability",
         config={
-            "input": str(input_path), "n_small": n_small,
-            "resamples": resamples, "e_v": ev, "alpha": alpha,
-            "validate": not no_validate, "threads": cfg.threads,
+            "input": str(input_path), "format": fmt, "transpose": transpose,
+            "n_small": n_small, "resamples": resamples, "e_v": ev,
+            "alpha": alpha, "validate": not no_validate, "threads": cfg.threads,
         },
         seed=seed,
     )

@@ -60,35 +60,25 @@ def scores(c: ConfusionCounts):
 
 
 def partial_roc(ranking: EdgeRanking, truth: GraphSpec, fpr_max: float = 0.2):
-    """Step ROC of the ranking against the true edge set, truncated.
+    """Step ROC of the ranking against the true adjacency, truncated.
 
-    Tied scores advance together (a diagonal segment). The partial area is
-    normalized by fpr_max so a perfect ranking scores 1.
+    Each run of equal ``kappa_bar`` advances together (a diagonal segment).
+    The partial area is normalized by fpr_max so a perfect ranking scores 1.
     """
     if not 0.0 < fpr_max <= 1.0:
         raise ValueError("fpr_max must lie in (0, 1]")
-    true_edges = truth.edges
-    n_pos = len(true_edges)
+    n_pos = truth.edge_count
     n_neg = truth.p * (truth.p - 1) // 2 - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             "partial ROC needs at least one edge and one non-edge"
         )
-    curve = [(0.0, 0.0)]
-    tp = fp = 0
-    edges = list(ranking)
-    i = 0
-    while i < len(edges):
-        j = i
-        while j < len(edges) and edges[j].kappa_bar == edges[i].kappa_bar:
-            pair = (edges[j].i, edges[j].j)
-            if pair in true_edges:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        curve.append((fp / n_neg, tp / n_pos))
-        i = j
+    kappa_bar = ranking.kappa_bar
+    ends = np.r_[np.flatnonzero(kappa_bar[1:] != kappa_bar[:-1]) + 1,
+                 len(ranking)]
+    tp = np.cumsum(truth.adjacency[ranking.i, ranking.j])[ends - 1]
+    curve = [(0.0, 0.0), *zip(((ends - tp) / n_neg).tolist(),
+                              (tp / n_pos).tolist())]
     pauc = 0.0
     for (x0, y0), (x1, y1) in zip(curve, curve[1:]):
         if x0 >= fpr_max:

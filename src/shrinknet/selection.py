@@ -1,14 +1,16 @@
 """Edge scoring, ranking, Bayes factors and forward selection.
 
 Edges are ranked by the symmetrized posterior mean-to-sd ratio of the two
-directed coefficients. Selection then walks the ranking and accepts an edge
-when the larger of its two directed Bayes factors clears a threshold tied
-to a bound on the posterior probability that both coefficients are zero.
-Sub-model evidences are variational lower bounds computed under a fixed
-unit-information prior on the local precision. The evidences of every
-prefix of every gene's partners in ranking order are computed together in
-one batched pass, into a table whose steps along a row are exactly the
-rank-conditioned Bayes factors that estimate the null fraction.
+directed coefficients. The ranking is held as three arrays in rank order,
+so rank r is entry r - 1 of each. Selection then walks the ranking and
+accepts an edge when the larger of its two directed Bayes factors clears a
+threshold tied to a bound on the posterior probability that both
+coefficients are zero; its decisions are arrays over the ranks it
+evaluated. Sub-model evidences are variational lower bounds computed under
+a fixed unit-information prior on the local precision. The evidences of
+every prefix of every gene's partners in ranking order are computed
+together in one batched pass, into a table whose steps along a row are
+exactly the rank-conditioned Bayes factors that estimate the null fraction.
 """
 
 from __future__ import annotations
@@ -33,22 +35,15 @@ from .vb import (
 
 
 @dataclass(frozen=True)
-class RankedEdge:
-    i: int
-    j: int
-    kappa_bar: float
-    rank: int  # 1-based
-
-
-@dataclass(frozen=True)
 class EdgeRanking:
-    edges: tuple[RankedEdge, ...]
+    """Gene pairs (i < j) strongest first: rank r is entry r - 1."""
+
+    i: np.ndarray
+    j: np.ndarray
+    kappa_bar: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
+        return len(self.kappa_bar)
 
 
 @dataclass(frozen=True)
@@ -59,25 +54,23 @@ class StopConfig:
     use_rmax: bool = True
 
 
-@dataclass(frozen=True)
-class EdgeDecision:
-    i: int
-    j: int
-    rank: int
-    kappa_bar: float
-    bayes_factor_max: float
-    p0_posterior_bound: float
-    selected: bool
-
-
 @dataclass
 class SelectionResult:
+    """The selected pairs, and per evaluated rank r (entry r - 1) the larger
+    directed Bayes factor, the bound on the null probability and whether
+    the edge was accepted."""
+
     selected: frozenset
-    decisions: list[EdgeDecision]
+    bayes_factor_max: np.ndarray
+    p0_posterior_bound: np.ndarray
+    accepted: np.ndarray
     p0_hat: float
     gamma: float
     alpha: float
-    ranks_evaluated: int = 0
+
+    @property
+    def ranks_evaluated(self) -> int:
+        return len(self.accepted)
 
 
 def kappa_scores(fit: SemFit) -> np.ndarray:
@@ -97,7 +90,7 @@ def kappa_scores(fit: SemFit) -> np.ndarray:
 
 
 def rank_edges(kappa: np.ndarray) -> EdgeRanking:
-    """Average the two directions and sort descending.
+    """Average the two directions and sort every pair descending.
 
     Ties break on (min index, max index) so runs are reproducible.
     """
@@ -108,13 +101,7 @@ def rank_edges(kappa: np.ndarray) -> EdgeRanking:
     i, j = np.triu_indices(p, 1)
     kappa_bar = 0.5 * (kappa[i, j] + kappa[j, i])
     order = np.lexsort((j, i, -kappa_bar))
-    edges = tuple(
-        RankedEdge(i=a, j=b, kappa_bar=kb, rank=r + 1)
-        for r, (a, b, kb) in enumerate(zip(i[order].tolist(),
-                                           j[order].tolist(),
-                                           kappa_bar[order].tolist()))
-    )
-    return EdgeRanking(edges=edges)
+    return EdgeRanking(i=i[order], j=j[order], kappa_bar=kappa_bar[order])
 
 
 def selection_prior(n: int) -> HyperParameters:
@@ -168,15 +155,14 @@ class EvidenceCache:
         setup calls and the groups, whatever the number of genes.
         """
         p, n = self.p, self.n
-        i, j, rank = np.array([(e.i, e.j, e.rank) for e in ranking],
-                              dtype=int).reshape(-1, 3).T
-        response, partner = np.concatenate([i, j]), np.concatenate([j, i])
+        response = np.concatenate([ranking.i, ranking.j])
+        partner = np.concatenate([ranking.j, ranking.i])
         pairs = np.zeros((p, p), dtype=int)
         np.add.at(pairs, (response, partner), 1)
         if not np.array_equal(pairs, 1 - np.eye(p, dtype=int)):
             raise ValueError("the ranking must hold every gene pair once")
-        order = partner[np.lexsort((np.concatenate([rank, rank]), response))
-                        ].reshape(p, p - 1)
+        rank = np.tile(np.arange(len(ranking)), 2)
+        order = partner[np.lexsort((rank, response))].reshape(p, p - 1)
         partner_rank = np.full((p, p), p)
         partner_rank[np.arange(p)[:, None], order] = np.arange(p - 1)
         self._partner_rank = partner_rank.tolist()  # read per lookup
@@ -289,29 +275,30 @@ def forward_select(
 
     An edge enters when the larger directed Bayes factor exceeds the
     threshold derived from (alpha, p0). The walk stops at the rank budget
-    implied by p0 or after ``stop.patience`` consecutive rejections.
+    implied by p0 or after ``stop.patience`` consecutive rejections; the
+    result's decision arrays cover the ranks walked.
     """
     gamma = threshold_gamma(alpha, p0)
     if cache is None:
         cache = EvidenceCache(m)
     big_p = len(ranking)
     r_max = math.ceil((1.0 - p0) * big_p) if stop.use_rmax else big_p
-    partners: dict[int, set] = {g: set() for g in range(cache.p)}
+    partners = [set() for _ in range(cache.p)]
     selected = set()
-    decisions: list[EdgeDecision] = []
+    bf_max, bound, accepted = [], [], []
     since_last = 0
-    evaluated = 0
-    for edge in ranking:
-        if edge.rank > r_max or since_last >= stop.patience:
+    for i, j in zip(ranking.i[:r_max].tolist(), ranking.j[:r_max].tolist()):
+        if since_last >= stop.patience:
             break
-        i, j = edge.i, edge.j
         bf_dir = [
             cache.bayes_factor(i, j, frozenset(partners[i])),
             cache.bayes_factor(j, i, frozenset(partners[j])),
         ]
         bf = max(bf_dir)
-        bound = min(_null_probability(v, p0) for v in bf_dir)
         take = bf > gamma
+        bf_max.append(bf)
+        bound.append(min(_null_probability(v, p0) for v in bf_dir))
+        accepted.append(take)
         if take:
             selected.add((i, j))
             partners[i].add(j)
@@ -319,18 +306,12 @@ def forward_select(
             since_last = 0
         else:
             since_last += 1
-        evaluated += 1
-        decisions.append(
-            EdgeDecision(
-                i=i, j=j, rank=edge.rank, kappa_bar=edge.kappa_bar,
-                bayes_factor_max=bf, p0_posterior_bound=bound, selected=take,
-            )
-        )
     return SelectionResult(
         selected=frozenset(selected),
-        decisions=decisions,
+        bayes_factor_max=np.array(bf_max, dtype=float),
+        p0_posterior_bound=np.array(bound, dtype=float),
+        accepted=np.array(accepted, dtype=bool),
         p0_hat=p0,
         gamma=gamma,
         alpha=alpha,
-        ranks_evaluated=evaluated,
     )

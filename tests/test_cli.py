@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from shrinknet.cli import main
+from shrinknet.data import load_expression_matrix, standardize
+from shrinknet.pipeline import infer_network
+from shrinknet.selection import EvidenceCache, estimate_p0, rank_edges
 
 
 @pytest.fixture
@@ -110,6 +114,48 @@ class TestInfer:
         assert (trajectory[-1]["a"], trajectory[-1]["b"]) == (fit["a"],
                                                               fit["b"])
         assert res.stderr == ""  # no non-convergence warning
+
+    def test_edges_tsv_joins_the_decisions_by_rank(self, runner, sim_dir,
+                                                   tmp_path):
+        """Rows 1..ranks_evaluated carry that rank's decision, replayed
+        here from the evidence cache; later rows are blank and unselected."""
+        m = load_expression_matrix(sim_dir / "data.csv")
+        res = infer_network(m)
+        std = standardize(m)
+        cache = EvidenceCache(std)
+        assert estimate_p0(std, rank_edges(res.kappa), cache=cache) \
+            == res.p0_hat
+        out = runner.invoke(main, ["infer", str(sim_dir / "data.csv"),
+                                   "--out-dir", str(tmp_path)])
+        assert out.exit_code == 0, out.output
+        rows = [line.split("\t") for line in
+                (tmp_path / "edges.tsv").read_text().splitlines()[1:]]
+        index = {g: k for k, g in enumerate(m.gene_ids)}
+        evaluated = res.selection.ranks_evaluated
+        assert 0 < evaluated < len(rows)
+        partners = {g: set() for g in range(m.n_genes)}
+        for r, (a, b, rank, _, bf_max, bound, selected) in enumerate(rows):
+            i, j = index[a], index[b]
+            assert int(rank) == r + 1
+            if r >= evaluated:
+                assert (bf_max, bound, selected) == ("", "", "0")
+                continue
+            bf_dir = [cache.bayes_factor(i, j, frozenset(partners[i])),
+                      cache.bayes_factor(j, i, frozenset(partners[j]))]
+            take = max(bf_dir) > res.selection.gamma
+            null = min(0.0 if math.isinf(bf) else
+                       res.p0_hat / (res.p0_hat + (1.0 - res.p0_hat) * bf)
+                       for bf in bf_dir)
+            assert (bf_max, bound, selected) == (
+                f"{max(bf_dir):.10g}", f"{null:.10g}", str(int(take)))
+            assert take == ((i, j) in res.selection.selected)
+            if take:
+                partners[i].add(j)
+                partners[j].add(i)
+        chosen = {(index[a], index[b]) for a, b, *_, sel in rows if sel == "1"}
+        assert chosen == res.selection.selected
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert len(chosen) == fit["n_selected"]
 
     def test_warns_when_not_converged(self, runner, sim_dir, tmp_path):
         res = runner.invoke(
@@ -285,6 +331,42 @@ class TestStability:
         assert freq_lines[0].split("\t") == [
             "method", "gene_a", "gene_b", "frequency", "stable",
         ]
+
+    def test_no_selected_edge_exit_3(self, runner, tmp_path):
+        """Independent genes: no split selects an edge, so the stability
+        bound fixes no threshold; one line on stderr, no traceback."""
+        x = np.random.default_rng(0).standard_normal((40, 6))
+        path = tmp_path / "data.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g",
+                   header=",".join(f"g{i}" for i in range(6)), comments="")
+        res = runner.invoke(main, ["stability", str(path), "--n-small", "10",
+                                   "--resamples", "3", "--threads", "1",
+                                   "--out-dir", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+        assert res.stderr.startswith("undefined result: q = 0")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    def test_manifest_records_format_and_transpose(self, runner, sim_dir,
+                                                   tmp_path):
+        m = load_expression_matrix(sim_dir / "data.csv")
+        path = tmp_path / "genes_in_rows.txt"
+        with open(path, "w") as fh:
+            fh.write("\t".join(["gene", *m.sample_ids]) + "\n")
+            for gene, column in zip(m.gene_ids, m.values.T):
+                fh.write("\t".join([gene, *map(repr, column.tolist())])
+                         + "\n")
+        res = runner.invoke(
+            main,
+            ["stability", str(path), "--format", "tsv", "--transpose",
+             "--n-small", "20", "--resamples", "2", "--threads", "1",
+             "--no-validate", "--out-dir", str(tmp_path / "out")],
+        )
+        assert res.exit_code == 0, res.output
+        config = json.loads(
+            (tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert (config["format"], config["transpose"]) == ("tsv", True)
 
     def test_threads_env_fallback(self, runner, sim_dir, tmp_path,
                                   monkeypatch):

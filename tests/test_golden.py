@@ -54,7 +54,8 @@ def test_seeded_band_run_is_pinned(case):
     g = make_structure("band", want["p"], params={"bandwidth": 2}, rng=rng)
     omega = sample_precision(g, rng=rng)
     res = infer_network(sample_mvn(omega, want["n"], rng=rng))
-    assert [(e.i, e.j) for e in list(res.ranking)[:50]] == want["top"]
+    top = zip(res.ranking.i[:50].tolist(), res.ranking.j[:50].tolist())
+    assert list(top) == want["top"]
     assert sorted(res.selection.selected) == want["selected"]
     # p0_hat is the share of the 2P rank-conditioned Bayes factors <= 1
     assert res.p0_hat == want["null_count"] / (2.0 * len(res.ranking))

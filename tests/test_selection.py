@@ -78,6 +78,12 @@ class TestKappa:
             kappa_scores(bad)
 
 
+def _rows(ranking):
+    """The ranking as (i, j, kappa_bar) tuples in rank order."""
+    return list(zip(ranking.i.tolist(), ranking.j.tolist(),
+                    ranking.kappa_bar.tolist()))
+
+
 def _rank_by_sort(kappa):
     """The ranking as a sort of (-kappa_bar, i, j) tuples."""
     p = kappa.shape[0]
@@ -94,18 +100,19 @@ class TestRanking:
         # rounded entries make many ties, broken on (i, j)
         kappa = np.round(np.random.default_rng(seed).random((9, 9)), 1)
         ranking = rank_edges(kappa)
-        assert [(e.i, e.j, e.kappa_bar) for e in ranking] == \
-            _rank_by_sort(kappa)
-        assert [e.rank for e in ranking] == list(range(1, 37))
+        assert _rows(ranking) == _rank_by_sort(kappa)
+        # rank r is entry r - 1 of each array
+        assert len(ranking) == ranking.i.size == ranking.j.size == 36
 
     def test_orders_descending_with_deterministic_ties(self):
         kappa = np.array(
             [[0.0, 2.0, 1.0], [4.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
         )
         ranking = rank_edges(kappa)
-        assert [(e.i, e.j) for e in ranking] == [(0, 1), (0, 2), (1, 2)]
-        assert [e.kappa_bar for e in ranking] == [3.0, 1.0, 1.0]
-        assert [e.rank for e in ranking] == [1, 2, 3]
+        assert [row[:2] for row in _rows(ranking)] == [(0, 1), (0, 2),
+                                                       (1, 2)]
+        assert ranking.kappa_bar.tolist() == [3.0, 1.0, 1.0]
+        assert len(ranking) == ranking.i.size == ranking.j.size == 3
 
     def test_covers_all_pairs(self, fitted):
         ranking = rank_edges(kappa_scores(fitted))
@@ -195,11 +202,10 @@ class TestP0AndSelection:
         p0 = estimate_p0(m, ranking, cache=cache)
         res = forward_select(m, ranking, alpha=0.1, p0=p0, cache=cache)
         assert res.p0_hat == p0
-        for d in res.decisions:
-            assert d.selected == (d.bayes_factor_max > res.gamma)
-            assert (d.bayes_factor_max >= res.gamma) == (
-                d.p0_posterior_bound <= 0.1
-            )
+        for bf, bound, accepted in zip(res.bayes_factor_max,
+                                       res.p0_posterior_bound, res.accepted):
+            assert accepted == (bf > res.gamma)
+            assert (bf >= res.gamma) == (bound <= 0.1)
 
     def test_bayes_factor_at_threshold_is_rejected(self, dataset):
         # at alpha = 0.05, p0 = 0.5 a Bayes factor of exactly gamma maps to
@@ -221,8 +227,8 @@ class TestP0AndSelection:
                              cache=AtThreshold())
         assert res.ranks_evaluated == 3
         assert res.selected == frozenset()
-        assert not any(d.selected for d in res.decisions)
-        assert all(d.bayes_factor_max == gamma for d in res.decisions)
+        assert not any(res.accepted)
+        assert all(res.bayes_factor_max == gamma)
 
     def test_selected_edges_recover_band_neighbors(self, dataset, fitted):
         g, m = dataset
@@ -251,7 +257,7 @@ class TestP0AndSelection:
             m, ranking, alpha=0.1, p0=0.5,
             stop=StopConfig(patience=2, use_rmax=False),
         )
-        trailing = [d.selected for d in res.decisions[-2:]]
+        trailing = res.accepted[-2:].tolist()
         assert trailing == [False, False] or res.ranks_evaluated == len(
             ranking
         )
@@ -259,9 +265,9 @@ class TestP0AndSelection:
 
 def _ranked_partners(ranking, p):
     partners = [[] for _ in range(p)]
-    for e in ranking:
-        partners[e.i].append(e.j)
-        partners[e.j].append(e.i)
+    for i, j, _ in _rows(ranking):
+        partners[i].append(j)
+        partners[j].append(i)
     return partners
 
 
@@ -301,10 +307,10 @@ def _replayed_p0(m, ranking):
 
     partners = {g: set() for g in range(m.n_genes)}
     count = 0
-    for e in ranking:
-        partners[e.i].add(e.j)
-        partners[e.j].add(e.i)
-        for resp, cand in ((e.i, e.j), (e.j, e.i)):
+    for i, j, _ in _rows(ranking):
+        partners[i].add(j)
+        partners[j].add(i)
+        for resp, cand in ((i, j), (j, i)):
             cond = frozenset(partners[resp] - {cand})
             delta = evidence(resp, cond | {cand}) - evidence(resp, cond)
             count += (math.inf if delta > 700.0 else math.exp(delta)) <= 1.0
@@ -418,11 +424,12 @@ class TestBatchedScan:
     @pytest.mark.parametrize("cut", ["incomplete", "duplicated"])
     def test_rejects_a_ranking_without_every_pair_once(self, cut):
         m, ranking = _scan_input(*SCAN_CASES["tall"])
-        edges = ranking.edges[:-1]
+        keep = np.arange(len(ranking) - 1)
         if cut == "duplicated":  # as many edges, one pair twice
-            edges += ranking.edges[:1]
+            keep = np.r_[keep, 0]
         with pytest.raises(ValueError, match="every gene pair once"):
-            estimate_p0(m, EdgeRanking(edges=edges))
+            estimate_p0(m, EdgeRanking(ranking.i[keep], ranking.j[keep],
+                                       ranking.kappa_bar[keep]))
 
     def test_stats_count_scan_and_selection_misses(self):
         m, _ = _scan_input(16, 30, 4, False)
@@ -438,13 +445,14 @@ class TestBatchedScan:
         # at earlier ranks
         chosen = {g: set() for g in range(p)}
         looked_up = set()
-        for d in res.selection.decisions:
-            for resp, cand in ((d.i, d.j), (d.j, d.i)):
+        for (i, j, _), accepted in zip(_rows(res.ranking),
+                                       res.selection.accepted.tolist()):
+            for resp, cand in ((i, j), (j, i)):
                 cond = frozenset(chosen[resp])
                 looked_up |= {(resp, cond), (resp, cond | {cand})}
-            if d.selected:
-                chosen[d.i].add(d.j)
-                chosen[d.j].add(d.i)
+            if accepted:
+                chosen[i].add(j)
+                chosen[j].add(i)
         misses = len(looked_up - prefixes)
         assert misses > 0
         stats = res.submodel_stats
