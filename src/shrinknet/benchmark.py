@@ -58,6 +58,10 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not (self.kinds and self.n_list and self.reps >= 1
+                and self.dof > 2):
+            raise InvalidParamsError("kinds and n_list must be nonempty, "
+                                     "reps at least 1 and dof above 2")
         for kind in self.kinds:
             if kind not in GRAPH_KINDS:
                 raise InvalidParamsError(

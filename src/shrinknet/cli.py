@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -141,22 +142,13 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
         raise ConfigError("--p0 must lie in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise ConfigError("--alpha must lie in (0, 1)")
+    em_config = EmConfig(tol=tol, max_iter=max_iter, eb_update=eb,
+                         global_shrinkage=not no_global_shrinkage)
+    stop = StopConfig(patience=patience, use_rmax=not no_rmax)
     m = load_expression_matrix(input_path, format=fmt, transpose=transpose)
     t_load = time.monotonic()
-    em_config = EmConfig(
-        tol=tol,
-        max_iter=max_iter,
-        global_shrinkage=not no_global_shrinkage,
-        eb_update=eb,
-    )
-    result = infer_network(
-        m,
-        em_config=em_config,
-        alpha=alpha,
-        p0=p0,
-        stop=StopConfig(patience=patience, use_rmax=not no_rmax),
-        scale=not no_scale,
-    )
+    result = infer_network(m, em_config=em_config, alpha=alpha, p0=p0,
+                           stop=stop, scale=not no_scale)
     t_fit = time.monotonic()
 
     ranking, sel = result.ranking, result.selection
@@ -179,10 +171,7 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
             ])
     fit = result.fit
     fit_payload = {
-        "a": fit.hyper.a,
-        "b": fit.hyper.b,
-        "c": fit.hyper.c,
-        "d": fit.hyper.d,
+        **asdict(fit.hyper),
         "global_shrinkage": not no_global_shrinkage,
         "em_iterations": fit.em_iterations,
         "converged": fit.converged,
@@ -190,10 +179,8 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
         "gamma": result.selection.gamma,
         "alpha": alpha,
         "n_selected": len(result.selection.selected),
-        "per_gene_lower_bound": {
-            g: float(vp.lower_bound)
-            for g, vp in zip(m.gene_ids, fit.posteriors)
-        },
+        "per_gene_lower_bound": dict(zip(m.gene_ids,
+                                         fit.lower_bound.tolist())),
         "em_trajectory": fit.trajectory,
     }
     with open(out / "fit.json", "w") as fh:

@@ -5,7 +5,8 @@ cross-product, a bounded block of genes per call. The E-step sweeps them all
 as one array update over their stack, after which the shape/rate (a, b) of the
 shared gamma prior on the local precisions are re-estimated from the pooled
 moments (M-step), in a closed approximate form or an exact fixed-point
-variant. Coefficient means and variances are formed once, at the end.
+variant. The fit is held as arrays with one row per gene (see ``SemFit``),
+read off once at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .vb import (
     DEFAULT_TOL,
     RATE_INIT,
     HyperParameters,
-    VariationalPosterior,
     _bound,
     _bound_constant,
     _posterior_shapes,
@@ -53,7 +53,7 @@ class EmConfig:
     eb_update: str = "approx"  # "approx" or "exact"
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 2:
             raise ValueError("max_iter must be at least 2")
@@ -63,11 +63,19 @@ class EmConfig:
 
 @dataclass
 class SemFit:
-    """Joint fit: one posterior per gene plus the final shared prior."""
+    """Joint fit: the final shared prior and each gene's posterior, one row
+    per gene: ``beta_mean`` and ``beta_var`` (p, p - 1) on the other genes
+    in index order, ``b_star``, ``d_star`` and ``lower_bound`` (p,) after
+    the final sweep, scored under the (a, b) that sweep ran with, and
+    ``lower_bounds`` (iterations, p), the bounds of every iteration."""
 
-    posteriors: list[VariationalPosterior]
+    beta_mean: np.ndarray = field(repr=False)
+    beta_var: np.ndarray = field(repr=False)
+    b_star: np.ndarray = field(repr=False)
+    d_star: np.ndarray = field(repr=False)
+    lower_bound: np.ndarray = field(repr=False)
     hyper: HyperParameters
-    lower_bounds: list[np.ndarray] = field(repr=False)
+    lower_bounds: np.ndarray = field(repr=False)
     em_iterations: int = 0
     converged: bool = False
     gene_ids: tuple[str, ...] = ()
@@ -77,7 +85,7 @@ class SemFit:
 
     @property
     def n_genes(self) -> int:
-        return len(self.posteriors)
+        return len(self.lower_bound)
 
 
 def eb_update_approx_moments(e_tau2inv, e_log_tau2inv):
@@ -155,8 +163,8 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     one array update over the gene spectra stacked and zero-padded past
     each gene's rank, then updates (a, b) from the pooled moments unless
     global shrinkage is disabled. Convergence is the max over genes of the
-    per-gene lower-bound change. Coefficient means and variances come from
-    one more sweep of each gene, from the rates its final sweep started from.
+    per-gene lower-bound change. The posteriors are read off by one more
+    sweep of each gene, from the rates its final sweep started from.
     """
     n, p = m.values.shape
     k = p - 1
@@ -205,18 +213,14 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
             break
         if config.global_shrinkage:
             a, b = updater(a_star, b_stars)
-    posteriors = [
-        vp
-        for genes, (spectra, V) in zip(blocks, setups)
-        for vp in _posteriors(spectra, V, b_last[genes], d_last[genes],
-                              a_star, c_star, hp, t, converged)
-    ]
-    return SemFit(
-        posteriors=posteriors,
-        hyper=HyperParameters(a=a, b=b),
-        lower_bounds=history,
-        em_iterations=t,
-        converged=converged,
-        gene_ids=m.gene_ids,
-        trajectory=trajectory,
-    )
+    beta_mean, beta_var = np.empty((2, p, k))
+    b_star, d_star, lower_bound = np.empty((3, p))
+    for genes, (spectra, V) in zip(blocks, setups):
+        (beta_mean[genes], beta_var[genes], b_star[genes], d_star[genes],
+         lower_bound[genes]) = _posteriors(spectra, V, b_last[genes],
+                                           d_last[genes], a_star, c_star, hp)
+    return SemFit(beta_mean, beta_var, b_star, d_star, lower_bound,
+                  hyper=HyperParameters(a=a, b=b),
+                  lower_bounds=np.array(history), em_iterations=t,
+                  converged=converged, gene_ids=m.gene_ids,
+                  trajectory=trajectory)

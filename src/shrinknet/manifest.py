@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 
@@ -37,6 +40,8 @@ class RunManifest:
         payload = {
             "format_version": FORMAT_VERSION,
             "tool_version": __version__,
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version(),
             "command": self.command,
             "config": self.config,
             "seed": self.seed,

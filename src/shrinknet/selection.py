@@ -53,6 +53,10 @@ class StopConfig:
     patience: int = 100
     use_rmax: bool = True
 
+    def __post_init__(self):
+        if self.patience < 1:
+            raise ValueError("patience must be at least 1")
+
 
 @dataclass
 class SelectionResult:
@@ -76,8 +80,7 @@ class SelectionResult:
 def kappa_scores(fit: SemFit) -> np.ndarray:
     """p x p matrix of |posterior mean| / posterior sd, zero diagonal."""
     p = fit.n_genes
-    mean = np.array([vp.beta_mean for vp in fit.posteriors])
-    var = np.array([vp.beta_var for vp in fit.posteriors])
+    mean, var = fit.beta_mean, fit.beta_var
     if np.any(var <= 0.0):
         j, col = np.argwhere(var <= 0.0)[0]
         k = col + (col >= j)  # the design of gene j skips column j

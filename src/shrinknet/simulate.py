@@ -220,7 +220,7 @@ def sample_precision(
     entry i = 0, ..., p - 1. ``tests/test_simulate.py`` pins it bit for
     bit, and the state of ``rng`` after it, to a reference Wishart draw.
     """
-    if dof <= 2:
+    if not dof > 2:
         raise InvalidParamsError("dof must exceed 2")
     rng = np.random.default_rng(rng)
     p = g.p

@@ -26,8 +26,9 @@ one row per regression: ``fit_spectra`` sweeps the rows of one stack,
 all started together and each stopped by its own rule, and ``fit_local``
 is that recursion on a single regression. Many regressions are fitted in
 whole groups within ``STACK_DOUBLES`` (see there), each padded into one
-stack by ``stack_spectra``. Coefficient means and variances come back
-from that basis in ``_posteriors``.
+stack by ``stack_spectra``. ``_posteriors`` reads the posteriors off
+that basis as arrays, one row per regression of a stack; ``fit_local``
+and ``vb_sweep`` return a single regression's as a ``VariationalPosterior``.
 """
 
 from __future__ import annotations
@@ -273,50 +274,42 @@ def _bound(constant, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
 
 
 def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
-                hp: HyperParameters, iterations,
-                converged) -> list[VariationalPosterior]:
-    """The posterior of each regression of ``spectra`` after one sweep
-    from the rates ``(b_star, d_star)``, one per row (one in all for a
-    spectrum without the row axis).
-
-    The coefficient means and variances come back from the eigenbasis
-    through the ``V`` returned with the spectra; directions
-    outside a design's row space add their conditional prior variance.
+                hp: HyperParameters):
+    """Every regression of ``spectra`` read off after one sweep from the
+    rates ``(b_star, d_star)``: coefficient means and variances, one row
+    per regression, then its two rates and lower bound (a spectrum without
+    the row axis reads off without it). The coefficient moments come back
+    from the eigenbasis through the ``V`` returned with the spectra, its
+    columns past a row's rank dropped; directions outside a design's row
+    space add their conditional prior variance.
     """
     rank = spectra.mask.sum(axis=-1)
     up = _spectral_update(spectra.d2, spectra.w, spectra.mask, spectra.yty,
                           spectra.k - rank, b_star, d_star, a_star, c_star,
                           hp)
-    rows = np.size(spectra.yty)
-    theta, theta_var = (x.reshape(rows, -1) for x in (up.theta,
-                                                       up.theta_var))
-    V = V.reshape(rows, *V.shape[-2:])
-    constant = _bound_constant(spectra.n, spectra.k, hp, a_star, c_star)
-    per_row = np.array([rank, up.comp_var, up.b_star, up.d_star,
-                        up.sigma_trace, up.sigma_logdet, constant])
-    posteriors = []
-    for j, (r, comp_var, b, d, trace, logdet, const) in enumerate(
-            per_row.reshape(-1, rows).T.tolist()):
-        r = int(r)
-        v = np.ascontiguousarray(V[j, :, :r])
-        v2 = v**2
-        beta = v @ theta[j, :r]
-        lb = float(_bound(const, a_star, b, c_star, d, logdet,
-                          float(beta @ beta) + trace))
-        if not np.isfinite(lb):
-            raise NumericalFailureError("non-finite lower bound")
-        posteriors.append(VariationalPosterior(
-            beta_mean=beta,
-            beta_var=v2 @ theta_var[j, :r] + (1.0 - v2.sum(axis=1)) * comp_var,
-            a_star=a_star,
-            b_star=b,
-            c_star=c_star,
-            d_star=d,
-            lower_bound=lb,
-            iterations=iterations,
-            converged=converged,
-        ))
-    return posteriors
+    # zero past each row's rank, in a C-contiguous copy that goes to BLAS
+    v = V * spectra.mask[..., None, :]
+    v2 = v**2
+    beta_mean = (v @ up.theta[..., None])[..., 0]
+    beta_var = ((v2 @ up.theta_var[..., None])[..., 0]
+                + (1.0 - v2.sum(axis=-1)) * _col(up.comp_var))
+    lower_bound = _bound(
+        _bound_constant(spectra.n, spectra.k, hp, a_star, c_star), a_star,
+        up.b_star, c_star, up.d_star, up.sigma_logdet,
+        _rowdot(beta_mean, beta_mean) + up.sigma_trace)
+    if not np.isfinite(lower_bound).all():
+        raise NumericalFailureError("non-finite lower bound")
+    return beta_mean, beta_var, up.b_star, up.d_star, lower_bound
+
+
+def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
+               hp: HyperParameters, iterations, converged):
+    """``_posteriors`` of a single regression's spectrum, as one record."""
+    beta_mean, beta_var, b_star, d_star, lower_bound = _posteriors(
+        spectra, V, b_star, d_star, a_star, c_star, hp)
+    return VariationalPosterior(beta_mean, beta_var, a_star, float(b_star),
+                                c_star, float(d_star), float(lower_bound),
+                                iterations, converged)
 
 
 def vb_sweep(
@@ -336,9 +329,8 @@ def vb_sweep(
     if not (state.b_star > 0 and state.d_star > 0):
         raise ValueError("state rates must be positive")
     spectra, V = make_workspace(values, gene, covariates)
-    return _posteriors(spectra, V, state.b_star, state.d_star, state.a_star,
-                       state.c_star, hp, state.iterations + 1,
-                       state.converged)[0]
+    return _posterior(spectra, V, state.b_star, state.d_star, state.a_star,
+                      state.c_star, hp, state.iterations + 1, state.converged)
 
 
 @dataclass
@@ -415,7 +407,7 @@ def fit_spectra(
     follow the row order, one entry per row (one in all for a spectrum
     without the row axis).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2")
@@ -474,6 +466,6 @@ def fit_local(
     spectra, V = make_workspace(values, gene, covariates)
     fit = fit_spectra(spectra, hp, tol=tol, max_iter=max_iter)
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
-    return _posteriors(spectra, V, fit.b_last[0], fit.d_last[0], a_star,
-                       c_star, hp, int(fit.iterations[0]),
-                       bool(fit.converged[0]))[0]
+    return _posterior(spectra, V, fit.b_last[0], fit.d_last[0], a_star,
+                      c_star, hp, int(fit.iterations[0]),
+                      bool(fit.converged[0]))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,8 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 1
         assert manifest["config"]["edge_count"] == 8
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
 
     def test_precision_matches_adjacency(self, sim_dir):
         omega = np.loadtxt(sim_dir / "precision.csv", delimiter=",")
@@ -190,13 +193,17 @@ class TestInfer:
         assert res.exit_code == 2
         assert "row 3" in res.output
 
-    def test_bad_alpha_exit_4(self, runner, sim_dir, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ["--alpha", "2.0"], ["--tol", "nan"], ["--patience", "0"],
+        ["--patience", "-3"],
+    ], ids=["alpha", "tol_nan", "patience_0", "patience_-3"])
+    def test_bad_alpha_exit_4(self, runner, sim_dir, tmp_path, args):
         res = runner.invoke(
             main,
-            ["infer", str(sim_dir / "data.csv"), "--alpha", "2.0",
+            ["infer", str(sim_dir / "data.csv"), *args,
              "--out-dir", str(tmp_path)],
         )
-        assert res.exit_code == 4
+        assert res.exit_code == 4, res.output
 
     def test_p0_override_skips_estimation(self, runner, sim_dir, tmp_path):
         res = runner.invoke(
@@ -271,6 +278,8 @@ class TestInferEdgeCases:
         assert res.exit_code == 2
         assert "g3 is constant" in res.output
 
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in matmul:RuntimeWarning")
     def test_overflowing_unscaled_input_exit_3(self, runner, tmp_path):
         """Unscaled values near 1e160 overflow the design cross-products:
         a numerical failure, not a configuration error."""
@@ -427,7 +436,13 @@ def test_outputs_confined_to_out_dir(runner, sim_dir, tmp_path,
 
 
 @pytest.mark.parametrize("args", [["simulate", "--kind", "ring"],
-                                  ["benchmark", "--kinds", "band,ring"]])
+                                  ["benchmark", "--kinds", "band,ring"],
+                                  ["benchmark", "--kinds", ","],
+                                  ["benchmark", "--n", ","],
+                                  ["benchmark", "--reps", "0"],
+                                  ["benchmark", "--dof", "nan"],
+                                  ["simulate", "--kind", "band", "--dof",
+                                   "nan"]])
 def test_unknown_kind_writes_nothing(runner, tmp_path, args):
     out = tmp_path / "out"
     res = runner.invoke(main, [*args, "--out-dir", str(out)])

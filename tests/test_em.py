@@ -143,8 +143,9 @@ class TestEbUpdates:
 
 class TestEmConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EmConfig(tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                EmConfig(tol=tol)
         with pytest.raises(ValueError):
             EmConfig(max_iter=1)
         with pytest.raises(ValueError):
@@ -155,20 +156,26 @@ class TestFitSem:
     def test_basic_fit(self):
         m = small_dataset()
         fit = fit_sem(m, EmConfig(tol=1e-4))
-        assert fit.n_genes == m.n_genes
+        p = m.n_genes
+        assert fit.n_genes == p
         assert fit.converged
         assert fit.gene_ids == m.gene_ids
-        for vp in fit.posteriors:
-            assert vp.beta_mean.shape == (m.n_genes - 1,)
-            assert np.all(vp.beta_var > 0)
+        assert fit.beta_mean.shape == fit.beta_var.shape == (p, p - 1)
+        assert np.all(fit.beta_var > 0)
+        assert fit.b_star.shape == fit.d_star.shape == (p,)
+        assert fit.lower_bound.shape == (p,)
+        assert fit.lower_bounds.shape == (fit.em_iterations, p)
 
     def test_final_hyper_matches_final_sweep(self):
-        # the posteriors' shape parameter reflects the reported prior
+        # on convergence the reported prior is the one the final sweep ran
+        # under, and each gene's bound is scored under it
         m = small_dataset(seed=1)
         fit = fit_sem(m, EmConfig(tol=1e-4))
-        k = m.n_genes - 1
-        for vp in fit.posteriors:
-            assert vp.a_star == pytest.approx(fit.hyper.a + 0.5 * k)
+        last = fit.trajectory[-1]
+        assert fit.converged
+        assert (fit.hyper.a, fit.hyper.b) == (last["a"], last["b"])
+        np.testing.assert_allclose(fit.lower_bound, fit.lower_bounds[-1],
+                                   rtol=1e-10)
 
     def test_mean_bound_nondecreasing(self):
         m = small_dataset(seed=2)
@@ -206,15 +213,14 @@ class TestFitSem:
         )
         fit = fit_sem(m, EmConfig(tol=1e-3))
         assert fit.n_genes == 15
-        assert all(np.isfinite(vp.lower_bound) for vp in fit.posteriors)
+        assert np.isfinite(fit.lower_bound).all()
 
     def test_deterministic(self):
         m = small_dataset(seed=5)
         f1 = fit_sem(m, EmConfig(tol=1e-4))
         f2 = fit_sem(m, EmConfig(tol=1e-4))
         assert f1.hyper == f2.hyper
-        for a, b in zip(f1.posteriors, f2.posteriors):
-            np.testing.assert_array_equal(a.beta_mean, b.beta_mean)
+        np.testing.assert_array_equal(f1.beta_mean, f2.beta_mean)
 
 
 def _with_genes(m: ExpressionMatrix, column) -> ExpressionMatrix:
@@ -301,13 +307,18 @@ class TestStackedEStep:
                                                              rel=1e-10)
         assert fit.converged
         assert (fit.hyper.a, fit.hyper.b) == (row["a"], row["b"])
-        for got, want in zip(fit.posteriors, states):
-            np.testing.assert_allclose(got.beta_mean, want.beta_mean,
-                                       rtol=1e-10, atol=1e-14)
-            np.testing.assert_allclose(got.beta_var, want.beta_var,
-                                       rtol=1e-10, atol=0)
-            assert got.lower_bound == pytest.approx(want.lower_bound,
-                                                    rel=0, abs=1e-8)
+        np.testing.assert_allclose(
+            fit.beta_mean, [s.beta_mean for s in states], rtol=1e-10,
+            atol=1e-14)
+        np.testing.assert_allclose(
+            fit.beta_var, [s.beta_var for s in states], rtol=1e-10, atol=0)
+        for name in ("b_star", "d_star"):
+            np.testing.assert_allclose(
+                getattr(fit, name), [getattr(s, name) for s in states],
+                rtol=1e-10, atol=0)
+        np.testing.assert_allclose(
+            fit.lower_bound, [s.lower_bound for s in states], rtol=0,
+            atol=1e-8)
 
     def test_trajectory_at_iteration_cap(self):
         # stopped by max_iter: one row per iteration, and the reported
@@ -320,7 +331,7 @@ class TestStackedEStep:
                            "max_abs_delta_bound": None}
         assert all(r["max_abs_delta_bound"] > 0 for r in rows[1:])
         assert (fit.hyper.a, fit.hyper.b) != (rows[-1]["a"], rows[-1]["b"])
-        # each posterior's bound is scored under the prior of its final
-        # sweep, as the last row of lower_bounds is, not under fit.hyper
-        np.testing.assert_allclose([vp.lower_bound for vp in fit.posteriors],
-                                   fit.lower_bounds[-1], rtol=1e-10)
+        # each gene's bound is scored under the prior of its final sweep,
+        # as the last row of lower_bounds is, not under fit.hyper
+        np.testing.assert_allclose(fit.lower_bound, fit.lower_bounds[-1],
+                                   rtol=1e-10)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,29 +52,23 @@ class TestKappa:
 
     def test_values_match_posteriors(self, fitted):
         kappa = kappa_scores(fitted)
-        vp = fitted.posteriors[0]
-        expect = np.abs(vp.beta_mean) / np.sqrt(vp.beta_var)
+        expect = np.abs(fitted.beta_mean[0]) / np.sqrt(fitted.beta_var[0])
         np.testing.assert_allclose(kappa[0, 1:], expect)
 
 
     def test_matches_per_gene_loop(self, fitted):
         p = fitted.n_genes
         expect = np.zeros((p, p))
-        for j, vp in enumerate(fitted.posteriors):
+        for j, (mean, var) in enumerate(zip(fitted.beta_mean,
+                                            fitted.beta_var)):
             partners = [k for k in range(p) if k != j]
-            expect[j, partners] = np.abs(vp.beta_mean) / np.sqrt(vp.beta_var)
+            expect[j, partners] = np.abs(mean) / np.sqrt(var)
         np.testing.assert_array_equal(kappa_scores(fitted), expect)
 
     def test_zero_variance_names_the_pair(self, fitted):
-        vp = fitted.posteriors[3]
-        var = vp.beta_var.copy()
-        var[4] = 0.0  # gene 3's design skips column 3: entry 4 is gene 5
-        bad = type(fitted)(**{
-            **fitted.__dict__,
-            "posteriors": [*fitted.posteriors[:3],
-                           type(vp)(**{**vp.__dict__, "beta_var": var}),
-                           *fitted.posteriors[4:]],
-        })
+        var = fitted.beta_var.copy()
+        var[3, 4] = 0.0  # gene 3's design skips column 3: entry 4 is gene 5
+        bad = dataclasses.replace(fitted, beta_var=var)
         with pytest.raises(NumericalFailureError, match=r"pair \(3, 5\)"):
             kappa_scores(bad)
 
@@ -385,11 +380,9 @@ class TestBatchedScan:
         np.testing.assert_allclose(other.lower_bounds[-1],
                                    sem.lower_bounds[-1], rtol=0, atol=1e-12)
         assert other.em_iterations == sem.em_iterations
-        for got, want in zip(other.posteriors, sem.posteriors):
-            np.testing.assert_allclose(got.beta_mean, want.beta_mean,
-                                       rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(got.beta_var, want.beta_var,
-                                       rtol=1e-12)
+        np.testing.assert_allclose(other.beta_mean, sem.beta_mean,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(other.beta_var, sem.beta_var, rtol=1e-12)
 
     def test_table_matches_dense_oracle(self):
         """Every prefix evidence against the dense Cholesky fit, with

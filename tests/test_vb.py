@@ -131,8 +131,9 @@ class TestFitLocal:
 
     def test_invalid_args(self):
         prob = random_problem(10, 3)
-        with pytest.raises(ValueError, match="tol"):
-            fit_local(*prob, VAGUE, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                fit_local(*prob, VAGUE, tol=tol)
         with pytest.raises(ValueError, match="max_iter"):
             fit_local(*prob, VAGUE, max_iter=1)
 
