@@ -27,6 +27,7 @@ from .metrics import (
 from .pipeline import infer_network
 from .simulate import (
     GRAPH_KINDS,
+    check_dof,
     make_structure,
     sample_mvn,
     sample_precision,
@@ -58,10 +59,14 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
+        check_dof(self.dof)
         if not (self.kinds and self.n_list and self.reps >= 1
-                and self.dof > 2):
-            raise InvalidParamsError("kinds and n_list must be nonempty, "
-                                     "reps at least 1 and dof above 2")
+                and self.threads >= 1 and self.p >= 2
+                and all(n >= 2 for n in self.n_list)
+                and 0.0 < self.alpha < 1.0):
+            raise InvalidParamsError(
+                "kinds and n_list must be nonempty, reps and threads at "
+                "least 1, p and every n at least 2 and alpha in (0, 1)")
         for kind in self.kinds:
             if kind not in GRAPH_KINDS:
                 raise InvalidParamsError(
@@ -217,6 +222,14 @@ class SplitConfig:
     threads: int = 1
     validate_on_large: bool = True
 
+    def __post_init__(self):
+        # written so that NaN fails each comparison
+        if not (self.e_v > 0 and 0.0 < self.alpha < 1.0
+                and self.resamples >= 2 and self.threads >= 1):
+            raise InvalidParamsError(
+                "e_v must be positive, alpha in (0, 1), resamples at "
+                "least 2 and threads at least 1")
+
 
 def _run_split_task(args):
     values, gene_ids, sample_ids, cfg, split_idx, seed_seq = args
@@ -248,7 +261,6 @@ class SplitHarnessResult:
     stability: dict  # method -> StabilityReport
     per_split: list  # list of per-split dicts, split order
     validation: dict  # method -> list of (tpr, fpr) vs own large-split set
-    config: SplitConfig = None
 
 
 def run_split_harness(m: ExpressionMatrix, cfg: SplitConfig) -> SplitHarnessResult:
@@ -285,7 +297,6 @@ def run_split_harness(m: ExpressionMatrix, cfg: SplitConfig) -> SplitHarnessResu
         stability=stability,
         per_split=per_split,
         validation=validation,
-        config=cfg,
     )
 
 

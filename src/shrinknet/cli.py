@@ -1,16 +1,19 @@
 """Command-line front end: infer, simulate, benchmark, stability.
 
-Every command writes a manifest alongside its outputs and derives all
-randomness from a single master seed, so runs are reproducible from the
-manifest alone. Exit codes: 0 ok, 2 input error, 3 numerical failure,
-4 configuration error.
+Every command runs one skeleton (``command``): validate every setting,
+check and load the input, create ``--out-dir``, run, write the outputs,
+write ``manifest.json``. The manifest's ``config`` holds every parameter
+of the command under its own name, and all randomness derives from one
+master seed, so ``manifest_argv`` rebuilds a command line that reruns the
+run with byte-identical outputs; ``tests/test_cli.py`` checks both.
+Exit codes: 0 ok, 2 input error, 3 numerical failure, 4 configuration
+error.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import json
 import os
 import sys
 import time
@@ -40,30 +43,71 @@ from .errors import (
     NumericalFailureError,
     ShrinkNetError,
 )
-from .manifest import RunManifest
+from .manifest import write_json, write_manifest
+from .metrics import check_split_size
 from .pipeline import infer_network
 from .selection import StopConfig
 from .simulate import make_structure, sample_mvn, sample_precision
 
 
 def default_threads() -> int:
+    """``SHRINKNET_THREADS`` when set, else the CPU count."""
     env = os.environ.get("SHRINKNET_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"SHRINKNET_THREADS must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.strip().isdigit() and int(env) >= 1):
+        raise ConfigError(
+            f"SHRINKNET_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
-def handle_errors(fn):
+class Run:
+    """One command's run: its output directory, its stage clock and the
+    values it resolved and counted, which go into its manifest."""
+
+    def __init__(self, out_dir):
+        self.out_dir = Path(out_dir)
+        self.start = self._mark = time.monotonic()
+        self.timings_ms = {}
+        self.resolved = {}
+        self.stats = {}
+
+    def stage(self, name):
+        """Record the time since the last stage ended as stage ``name``."""
+        now = time.monotonic()
+        self.timings_ms[name] = round((now - self._mark) * 1000, 3)
+        self._mark = now
+
+    def load(self, path, fmt, transpose):
+        m = load_expression_matrix(path, format=fmt, transpose=transpose)
+        self.stage("load")
+        return m
+
+    def create_out_dir(self) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir
+
+
+def command(fn):
+    """The skeleton of every command. ``fn(run, **params)`` validates every
+    setting, loads its input with ``run.load``, creates ``--out-dir`` with
+    ``run.create_out_dir``, runs, writes its outputs and returns the line
+    to print. Then the manifest is written from the command's parameters
+    and what ``run`` collected; any error exits with its code."""
+
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(out_dir, **params):
         try:
-            return fn(*args, **kwargs)
-        except (InputError, FileNotFoundError) as err:
+            run = Run(out_dir)
+            message = fn(run, **params)
+            run.timings_ms["total"] = round(
+                (time.monotonic() - run.start) * 1000, 3)
+            ctx = click.get_current_context()
+            write_manifest(run.out_dir, ctx.command.name, ctx.params,
+                           resolved=run.resolved, timings_ms=run.timings_ms,
+                           stats=run.stats)
+            click.echo(message)
+        except (InputError, OSError) as err:
             click.echo(f"input error: {err}", err=True)
             sys.exit(EXIT_INPUT)
         except (NumericalFailureError, GenerationFailureError,
@@ -80,21 +124,39 @@ def handle_errors(fn):
     return wrapper
 
 
-def _out_dir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def manifest_argv(manifest: dict, out_dir=None) -> list:
+    """The command line that reruns the run ``manifest`` records, writing
+    into ``out_dir`` if given. Relative input paths resolve against the
+    directory the run started in."""
+    config = dict(manifest["config"])
+    if out_dir is not None:
+        config["out_dir"] = str(out_dir)
+    argv = [manifest["command"]]
+    for param in main.commands[manifest["command"]].params:
+        value = config[param.name]
+        if isinstance(param, click.Argument):
+            argv.append(str(value))
+        elif param.is_flag:
+            argv += [param.opts[0]] if value else []
+        elif value is not None:
+            argv += [param.opts[0], str(value)]
+    return argv
 
 
-def _parse_kinds(text: str) -> tuple:
-    return tuple(k.strip() for k in text.split(",") if k.strip())
+def _write_table(path: Path, header, rows):
+    """A header and rows, tab-separated in a .tsv file, else comma."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, delimiter="\t" if path.suffix == ".tsv" else ",")
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _parse_int_list(text: str) -> tuple:
+def _parse_list(text: str, item=str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        return tuple(item(x.strip()) for x in text.split(",") if x.strip())
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+        raise ConfigError(f"expected comma-separated {item.__name__} values, "
+                          f"got {text!r}") from None
 
 
 @click.group()
@@ -130,14 +192,10 @@ def main():
               help="Disable the rank budget implied by the null fraction.")
 @click.option("--threads", default=None, type=int,
               help="Has no effect: infer runs in one process.")
-@handle_errors
-def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
+@command
+def infer(run, input_path, fmt, transpose, no_scale, tol, max_iter,
           no_global_shrinkage, eb, alpha, p0, patience, no_rmax, threads):
     """Infer a network from an expression matrix CSV/TSV."""
-    t0 = time.monotonic()
-    out = _out_dir(out_dir)
-    if not Path(input_path).exists():
-        raise InputError(f"no such file: {input_path}")
     if p0 is not None and not 0.0 < p0 < 1.0:
         raise ConfigError("--p0 must lie in (0, 1)")
     if not 0.0 < alpha < 1.0:
@@ -145,22 +203,20 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
     em_config = EmConfig(tol=tol, max_iter=max_iter, eb_update=eb,
                          global_shrinkage=not no_global_shrinkage)
     stop = StopConfig(patience=patience, use_rmax=not no_rmax)
-    m = load_expression_matrix(input_path, format=fmt, transpose=transpose)
-    t_load = time.monotonic()
+    m = run.load(input_path, fmt, transpose)
+    out = run.create_out_dir()
     result = infer_network(m, em_config=em_config, alpha=alpha, p0=p0,
                            stop=stop, scale=not no_scale)
-    t_fit = time.monotonic()
+    run.stage("fit_and_select")
 
-    ranking, sel = result.ranking, result.selection
-    with open(out / "edges.tsv", "w", newline="") as fh:
-        w = csv.writer(fh, delimiter="\t")
-        w.writerow(["gene_a", "gene_b", "rank", "kappa_bar", "bf_max",
-                    "p0_bound", "selected"])
+    ranking, sel, fit = result.ranking, result.selection, result.fit
+
+    def edge_rows():  # streamed: there are p(p - 1)/2 of them
         for r, (i, j, kappa_bar) in enumerate(zip(
                 ranking.i.tolist(), ranking.j.tolist(),
                 ranking.kappa_bar.tolist())):
             d = r < sel.ranks_evaluated  # decided: rank r + 1 was walked
-            w.writerow([
+            yield [
                 m.gene_ids[i],
                 m.gene_ids[j],
                 r + 1,
@@ -168,54 +224,36 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
                 f"{sel.bayes_factor_max[r]:.10g}" if d else "",
                 f"{sel.p0_posterior_bound[r]:.10g}" if d else "",
                 int(d and sel.accepted[r]),
-            ])
-    fit = result.fit
-    fit_payload = {
+            ]
+
+    _write_table(out / "edges.tsv", ["gene_a", "gene_b", "rank", "kappa_bar",
+                                     "bf_max", "p0_bound", "selected"],
+                 edge_rows())
+    write_json(out / "fit.json", {
         **asdict(fit.hyper),
         "global_shrinkage": not no_global_shrinkage,
         "em_iterations": fit.em_iterations,
         "converged": fit.converged,
         "p0_hat": result.p0_hat,
-        "gamma": result.selection.gamma,
+        "gamma": sel.gamma,
         "alpha": alpha,
-        "n_selected": len(result.selection.selected),
+        "n_selected": len(sel.selected),
         "per_gene_lower_bound": dict(zip(m.gene_ids,
                                          fit.lower_bound.tolist())),
         "em_trajectory": fit.trajectory,
-    }
-    with open(out / "fit.json", "w") as fh:
-        json.dump(fit_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest = RunManifest(
-        command="infer",
-        config={
-            "input": str(input_path), "format": fmt, "transpose": transpose,
-            "scale": not no_scale, "tol": tol, "max_iter": max_iter,
-            "global_shrinkage": not no_global_shrinkage, "eb": eb,
-            "alpha": alpha, "p0": p0, "patience": patience,
-            "rmax": not no_rmax,
-        },
-    )
-    manifest.add_input(input_path)
-    manifest.timings_ms = {
-        "load": round((t_load - t0) * 1000, 3),
-        "fit_and_select": round((t_fit - t_load) * 1000, 3),
-    }
-    manifest.stats = stats = {
+    })
+    run.stats = stats = {
         "em_iterations": fit.em_iterations,
         "em_converged": fit.converged,
         "em_a_at_cap": bool(fit.hyper.a >= A_MAX),
         **result.submodel_stats,
     }
-    manifest.write(out)
     if not fit.converged or stats["submodel_nonconverged"]:
         click.echo("warning: EM converged={em_converged} after {em_iterations} "
                    "iterations; {submodel_nonconverged} of {submodel_fits} "
                    "sub-model fits hit the sweep cap".format(**stats), err=True)
-    click.echo(
-        f"selected {len(result.selection.selected)} of {len(result.ranking)} "
-        f"edges (p0_hat={result.p0_hat:.4f}, gamma={result.selection.gamma:.4g})"
-    )
+    return (f"selected {len(sel.selected)} of {len(ranking)} edges "
+            f"(p0_hat={result.p0_hat:.4f}, gamma={sel.gamma:.4g})")
 
 
 @main.command()
@@ -231,51 +269,35 @@ def infer(input_path, out_dir, fmt, transpose, no_scale, tol, max_iter,
 @click.option("--density", default=None, type=float,
               help="Edge probability for the random kind.")
 @click.option("--out-dir", default=".", show_default=True)
-@handle_errors
-def simulate(kind, n_genes, n_samples, seed, dof, bandwidth, blocks, density,
-             out_dir):
+@command
+def simulate(run, kind, n_genes, n_samples, seed, dof, bandwidth, blocks,
+             density):
     """Generate a synthetic network, precision matrix and data matrix."""
-    t0 = time.monotonic()
     params = {}
     if bandwidth is not None:
         params["bandwidth"] = bandwidth
     if blocks is not None:
-        params["block_sizes"] = _parse_int_list(blocks)
+        params["block_sizes"] = _parse_list(blocks, int)
     if density is not None:
         params["density"] = density
+    # the draw is this command's input: any setting it rejects, and any
+    # failed draw, leaves --out-dir uncreated
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     g = make_structure(kind, n_genes, params=params, rng=rng)
     omega = sample_precision(g, dof=dof, rng=rng)
     data = sample_mvn(omega, n_samples, rng=rng)
-    out = _out_dir(out_dir)
+    run.resolved = {"structure_params": g.params,
+                    "edge_count": g.edge_count, "graph_density": g.density}
+    out = run.create_out_dir()
     np.savetxt(out / "precision.csv", omega.omega, delimiter=",",
                fmt="%.12g")
-    with open(out / "adjacency.tsv", "w", newline="") as fh:
-        w = csv.writer(fh, delimiter="\t")
-        w.writerow(["gene_a", "gene_b"])
-        for i, j in sorted(g.edges):
-            w.writerow([data.gene_ids[i], data.gene_ids[j]])
-    with open(out / "data.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(data.gene_ids)
-        for row in data.values:
-            w.writerow([f"{x:.12g}" for x in row])
-    manifest = RunManifest(
-        command="simulate",
-        config={
-            "kind": kind, "p": n_genes, "n": n_samples, "dof": dof,
-            "params": {k: list(v) if isinstance(v, tuple) else v
-                       for k, v in g.params.items()},
-            "edge_count": g.edge_count, "density": g.density,
-        },
-        seed=seed,
-    )
-    manifest.timings_ms = {"total": round((time.monotonic() - t0) * 1000, 3)}
-    manifest.write(out)
-    click.echo(
-        f"{kind} graph: p={n_genes}, |E|={g.edge_count} "
-        f"(density {g.density:.4f}), n={n_samples}"
-    )
+    _write_table(out / "adjacency.tsv", ["gene_a", "gene_b"],
+                 ([data.gene_ids[i], data.gene_ids[j]]
+                  for i, j in sorted(g.edges)))
+    _write_table(out / "data.csv", data.gene_ids,
+                 ([f"{x:.12g}" for x in row] for row in data.values))
+    return (f"{kind} graph: p={n_genes}, |E|={g.edge_count} "
+            f"(density {g.density:.4f}), n={n_samples}")
 
 
 @main.command()
@@ -290,48 +312,30 @@ def simulate(kind, n_genes, n_samples, seed, dof, bandwidth, blocks, density,
 @click.option("--dof", default=4.0, show_default=True)
 @click.option("--threads", default=None, type=int)
 @click.option("--out-dir", default=".", show_default=True)
-@handle_errors
-def benchmark(kinds, n_genes, n_list, reps, seed, alpha, dof, threads,
-              out_dir):
+@command
+def benchmark(run, kinds, n_genes, n_list, reps, seed, alpha, dof, threads):
     """Run the model-based benchmark over synthetic networks."""
-    t0 = time.monotonic()
     config = SimConfig(
-        kinds=_parse_kinds(kinds),
+        kinds=_parse_list(kinds),
         p=n_genes,
-        n_list=_parse_int_list(n_list),
+        n_list=_parse_list(n_list, int),
         reps=reps,
         seed=seed,
         alpha=alpha,
         dof=dof,
         threads=threads if threads is not None else default_threads(),
     )
-    out = _out_dir(out_dir)
+    run.resolved = {"kinds": config.kinds, "n_list": config.n_list,
+                    "threads": config.threads}
+    out = run.create_out_dir()
     result = run_model_sim(config)
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=METRICS_FIELDS, restval="")
-        w.writeheader()
-        w.writerows(result.rows)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(
-            {"cells": result.summary, "n_failed": result.n_failed},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
-    manifest = RunManifest(
-        command="benchmark",
-        config={
-            "kinds": list(config.kinds), "p": config.p,
-            "n_list": list(config.n_list), "reps": reps, "alpha": alpha,
-            "dof": dof, "threads": config.threads,
-        },
-        seed=seed,
-    )
-    manifest.timings_ms = {"total": round((time.monotonic() - t0) * 1000, 3)}
-    manifest.write(out)
-    click.echo(
-        f"{len(result.rows)} metric rows ({result.n_failed} failed reps) "
-        f"-> {out / 'metrics.csv'}"
-    )
+    _write_table(out / "metrics.csv", METRICS_FIELDS,
+                 ([row.get(f, "") for f in METRICS_FIELDS]
+                  for row in result.rows))
+    write_json(out / "summary.json",
+               {"cells": result.summary, "n_failed": result.n_failed})
+    return (f"{len(result.rows)} metric rows ({result.n_failed} failed reps) "
+            f"-> {out / 'metrics.csv'}")
 
 
 @main.command()
@@ -350,15 +354,10 @@ def benchmark(kinds, n_genes, n_list, reps, seed, alpha, dof, threads,
               default=None)
 @click.option("--transpose", is_flag=True)
 @click.option("--out-dir", default=".", show_default=True)
-@handle_errors
-def stability(input_path, n_small, resamples, ev, seed, alpha, no_validate,
-              threads, fmt, transpose, out_dir):
+@command
+def stability(run, input_path, n_small, resamples, ev, seed, alpha,
+              no_validate, threads, fmt, transpose):
     """Random-split stability and reproducibility of edge selection."""
-    t0 = time.monotonic()
-    out = _out_dir(out_dir)
-    if not Path(input_path).exists():
-        raise InputError(f"no such file: {input_path}")
-    m = load_expression_matrix(input_path, format=fmt, transpose=transpose)
     cfg = SplitConfig(
         n_small=n_small,
         resamples=resamples,
@@ -368,10 +367,13 @@ def stability(input_path, n_small, resamples, ev, seed, alpha, no_validate,
         threads=threads if threads is not None else default_threads(),
         validate_on_large=not no_validate,
     )
+    run.resolved = {"threads": cfg.threads}
+    m = run.load(input_path, fmt, transpose)
+    check_split_size(m.n_samples, n_small)
+    out = run.create_out_dir()
     result = run_split_harness(m, cfg)
     payload = {}
-    for method in cfg.methods:
-        rep = result.stability[method]
+    for method, rep in result.stability.items():
         entry = {
             "pi_thr": rep.pi_thr,
             "q_hat": rep.q_hat,
@@ -393,38 +395,17 @@ def stability(input_path, n_small, resamples, ev, seed, alpha, no_validate,
                 np.mean([f for _, f in pairs])
             )
         payload[method] = entry
-    with open(out / "stability.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "frequencies.tsv", "w", newline="") as fh:
-        w = csv.writer(fh, delimiter="\t")
-        w.writerow(["method", "gene_a", "gene_b", "frequency", "stable"])
-        for method in cfg.methods:
-            rep = result.stability[method]
-            for (i, j), f in sorted(rep.selection_frequency.items()):
-                w.writerow([
-                    method, m.gene_ids[i], m.gene_ids[j], f"{f:.6g}",
-                    int((i, j) in rep.stable_edges),
-                ])
-    manifest = RunManifest(
-        command="stability",
-        config={
-            "input": str(input_path), "format": fmt, "transpose": transpose,
-            "n_small": n_small, "resamples": resamples, "e_v": ev,
-            "alpha": alpha, "validate": not no_validate, "threads": cfg.threads,
-        },
-        seed=seed,
-    )
-    manifest.add_input(input_path)
-    manifest.timings_ms = {"total": round((time.monotonic() - t0) * 1000, 3)}
-    manifest.write(out)
-    for method in cfg.methods:
-        rep = result.stability[method]
-        click.echo(
-            f"{method}: pi_thr={rep.pi_thr:.4f}, q_hat={rep.q_hat:.2f}, "
-            f"{len(rep.stable_edges)} stable edges"
-        )
-
+    write_json(out / "stability.json", payload)
+    _write_table(out / "frequencies.tsv",
+                 ["method", "gene_a", "gene_b", "frequency", "stable"],
+                 ([method, m.gene_ids[i], m.gene_ids[j], f"{f:.6g}",
+                   int((i, j) in rep.stable_edges)]
+                  for method, rep in result.stability.items()
+                  for (i, j), f in sorted(rep.selection_frequency.items())))
+    return "\n".join(
+        f"{method}: pi_thr={rep.pi_thr:.4f}, q_hat={rep.q_hat:.2f}, "
+        f"{len(rep.stable_edges)} stable edges"
+        for method, rep in result.stability.items())
 
 if __name__ == "__main__":
     main()

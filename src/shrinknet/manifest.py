@@ -1,56 +1,51 @@
-"""Run manifests: enough metadata to reproduce any run byte-for-byte."""
+"""Run manifests: enough metadata to rerun any command byte-for-byte.
+
+``config`` holds every parameter of the command under its own name, as
+parsed, and under ``resolved`` the values the command worked out from
+them (thread counts, parsed lists, a simulated graph's parameters).
+``cli.manifest_argv`` turns a manifest back into its command line, and
+``tests/test_cli.py`` reruns commands that way and compares every output
+byte for byte.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import platform
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 
-FORMAT_VERSION = 1
+#: 2: ``config`` keys are the command's parameter names, plus ``resolved``
+FORMAT_VERSION = 2
 
 
-def file_digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def write_json(path, payload):
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: int | None = None
-    input_digests: dict = field(default_factory=dict)
-    timings_ms: dict = field(default_factory=dict)
-    #: run counters, such as EM iterations and sub-model fits
-    stats: dict = field(default_factory=dict)
-
-    def add_input(self, path):
-        self.input_digests[str(path)] = file_digest(path)
-
-    def write(self, out_dir, name: str = "manifest.json"):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "tool_version": __version__,
-            "numpy_version": np.__version__,
-            "python_version": platform.python_version(),
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "input_digests": self.input_digests,
-            "timings_ms": self.timings_ms,
-            "stats": self.stats,
-        }
-        path = Path(out_dir) / name
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+def write_manifest(out_dir, command: str, params: dict, resolved: dict,
+                   timings_ms: dict, stats: dict):
+    """Write ``manifest.json`` for a run of ``command`` with the parsed
+    parameters ``params``, which also give its seed and input file.
+    ``stats`` are run counters, such as EM iterations and sub-model fits."""
+    inputs = [params["input_path"]] if "input_path" in params else []
+    write_json(Path(out_dir) / "manifest.json", {
+        "format_version": FORMAT_VERSION,
+        "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "command": command,
+        "config": {**params, "resolved": resolved},
+        "seed": params.get("seed"),
+        "input_digests": {str(path): hashlib.sha256(
+            Path(path).read_bytes()).hexdigest() for path in inputs},
+        "timings_ms": timings_ms,
+        "stats": stats,
+    })

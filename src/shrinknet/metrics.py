@@ -117,13 +117,16 @@ def rank_correlation(kappa_bars_a, kappa_bars_b) -> float:
     return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1])
 
 
+def check_split_size(n: int, n_small: int) -> None:
+    """Both halves of a split of n rows need at least 2 rows."""
+    if not 2 <= n_small <= n - 2:
+        raise ValueError(f"n_small must lie in [2, {n - 2}], got {n_small}")
+
+
 def random_split(m: ExpressionMatrix, n_small: int, rng=None):
     """Disjoint row partition into (n_small, n - n_small) sub-matrices."""
     n = m.n_samples
-    if not 2 <= n_small <= n - 2:
-        raise ValueError(
-            f"n_small must lie in [2, {n - 2}], got {n_small}"
-        )
+    check_split_size(n, n_small)
     rng = np.random.default_rng(rng)
     perm = rng.permutation(n)
     small_idx = np.sort(perm[:n_small])
@@ -145,7 +148,7 @@ def stability_threshold(q: float, e_v: float, big_p: int) -> float:
     Inverts E(V) <= q^2 / ((2 pi - 1) P) for pi at the target E(V),
     capping at 1.
     """
-    if q < 0 or e_v <= 0 or big_p < 1:
+    if q < 0 or not e_v > 0 or big_p < 1:  # NaN fails e_v > 0
         raise ValueError("need q >= 0, e_v > 0, P >= 1")
     if q == 0:
         raise VacuousBoundError(

@@ -207,6 +207,12 @@ def _constrained_completion(S: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return 0.5 * (theta + theta.T)
 
 
+def check_dof(dof: float) -> None:
+    """The precision draw's degrees of freedom must be finite and above 2."""
+    if not 2.0 < dof < np.inf:
+        raise InvalidParamsError(f"dof must be finite and exceed 2, got {dof}")
+
+
 def sample_precision(
     g: GraphSpec, dof: float = 4.0, rng=None
 ) -> PrecisionMatrix:
@@ -220,8 +226,7 @@ def sample_precision(
     entry i = 0, ..., p - 1. ``tests/test_simulate.py`` pins it bit for
     bit, and the state of ``rng`` after it, to a reference Wishart draw.
     """
-    if not dof > 2:
-        raise InvalidParamsError("dof must exceed 2")
+    check_dof(dof)
     rng = np.random.default_rng(rng)
     p = g.p
     df = dof + p - 1

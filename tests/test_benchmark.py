@@ -38,6 +38,15 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError, match="valid methods"):
             SimConfig(methods=("oracle",))
 
+    @pytest.mark.parametrize("bad", [
+        {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": float("nan")},
+        {"n_list": (20, 1)}, {"n_list": (0,)}, {"p": 1}, {"threads": 0},
+        {"dof": float("inf")}, {"dof": float("nan")}, {"dof": 2.0},
+    ], ids=str)
+    def test_rejects_settings_a_replicate_would_fail_on(self, bad):
+        with pytest.raises(InvalidParamsError):
+            tiny_sim_config(**bad)
+
     def test_em_config_for_methods(self):
         assert em_config_for("shrinknet").global_shrinkage
         assert not em_config_for("noshrink").global_shrinkage
@@ -92,6 +101,15 @@ class TestModelSim:
 
 
 class TestSplitHarness:
+    @pytest.mark.parametrize("bad", [
+        {"e_v": 0.0}, {"e_v": -1.0}, {"e_v": float("nan")},
+        {"alpha": 0.0}, {"alpha": 1.5}, {"alpha": float("nan")},
+        {"resamples": 1}, {"threads": 0},
+    ], ids=str)
+    def test_config_rejects_bad_settings(self, bad):
+        with pytest.raises(InvalidParamsError):
+            SplitConfig(n_small=20, **bad)
+
     def test_report_structure(self, split_input):
         cfg = SplitConfig(n_small=20, resamples=3, seed=2,
                           methods=("shrinknet",), validate_on_large=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shrinknet.cli import main
+from shrinknet.cli import main, manifest_argv
 from shrinknet.data import load_expression_matrix, standardize
 from shrinknet.pipeline import infer_network
 from shrinknet.selection import EvidenceCache, estimate_p0, rank_edges
@@ -48,7 +48,7 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 1
-        assert manifest["config"]["edge_count"] == 8
+        assert manifest["config"]["resolved"]["edge_count"] == 8
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
 
@@ -183,6 +183,15 @@ class TestInfer:
             main, ["infer", "nope.csv", "--out-dir", str(tmp_path)]
         )
         assert res.exit_code == 2
+
+    def test_out_dir_is_a_file_exit_2(self, runner, sim_dir, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        res = runner.invoke(
+            main, ["infer", str(sim_dir / "data.csv"), "--out-dir", str(taken)]
+        )
+        assert res.exit_code == 2
+        assert res.stderr.startswith("input error: ")
 
     def test_malformed_file_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -375,7 +384,7 @@ class TestStability:
         assert res.exit_code == 0, res.output
         config = json.loads(
             (tmp_path / "out" / "manifest.json").read_text())["config"]
-        assert (config["format"], config["transpose"]) == ("tsv", True)
+        assert (config["fmt"], config["transpose"]) == ("tsv", True)
 
     def test_threads_env_fallback(self, runner, sim_dir, tmp_path,
                                   monkeypatch):
@@ -388,7 +397,8 @@ class TestStability:
         )
         assert res.exit_code == 0, res.output
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["config"]["threads"] == 1
+        assert manifest["config"]["threads"] is None
+        assert manifest["config"]["resolved"]["threads"] == 1
 
 
 def test_cli_commands_import_no_scipy(sim_dir, tmp_path):
@@ -435,16 +445,98 @@ def test_outputs_confined_to_out_dir(runner, sim_dir, tmp_path,
     assert list(workdir.iterdir()) == []
 
 
-@pytest.mark.parametrize("args", [["simulate", "--kind", "ring"],
-                                  ["benchmark", "--kinds", "band,ring"],
-                                  ["benchmark", "--kinds", ","],
-                                  ["benchmark", "--n", ","],
-                                  ["benchmark", "--reps", "0"],
-                                  ["benchmark", "--dof", "nan"],
-                                  ["simulate", "--kind", "band", "--dof",
-                                   "nan"]])
-def test_unknown_kind_writes_nothing(runner, tmp_path, args):
+#: a small benchmark run, to which a case appends one bad setting
+BENCHMARK_RUN = ["benchmark", "--kinds", "band", "--p", "8", "--n", "20",
+                 "--reps", "1"]
+SIM_DATA = "<sim_dir>/data.csv"
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--kind", "ring"],
+    ["benchmark", "--kinds", "band,ring"],
+    ["benchmark", "--kinds", ","],
+    ["benchmark", "--n", ","],
+    ["benchmark", "--reps", "0"],
+    ["benchmark", "--dof", "nan"],
+    ["simulate", "--kind", "band", "--dof", "nan"],
+    *([*BENCHMARK_RUN, "--threads", "1", *bad] for bad in [
+        ["--alpha", "0"], ["--alpha", "2.0"], ["--alpha", "nan"],
+        ["--n", "1"], ["--n", "0"], ["--n", "-5"], ["--p", "1"],
+        ["--p", "0"], ["--dof", "inf"], ["--threads", "0"]]),
+    ["simulate", "--kind", "band", "--dof", "inf"],
+    ["infer", "nothere.csv"],
+    ["stability", "nothere.csv", "--n-small", "5"],
+    ["infer", SIM_DATA, "--p0", "nan"],
+    ["infer", SIM_DATA, "--alpha", "nan"],
+    ["infer", SIM_DATA, "--max-iter", "1"],
+    *(["stability", SIM_DATA, "--n-small", "5", "--resamples", "2", *bad]
+      for bad in [["--ev", "nan"], ["--ev", "-1"], ["--alpha", "nan"],
+                  ["--resamples", "1"], ["--threads", "0"],
+                  ["--n-small", "49"]]),
+])
+def test_unknown_kind_writes_nothing(runner, sim_dir, tmp_path, args):
+    """A bad setting exits 4, and a missing input 2, before --out-dir is
+    created and before any replicate or split runs."""
+    args = [str(sim_dir / "data.csv") if a == SIM_DATA else a for a in args]
     out = tmp_path / "out"
     res = runner.invoke(main, [*args, "--out-dir", str(out)])
-    assert res.exit_code == 4
+    assert res.exit_code == (2 if "nothere.csv" in args else 4), res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_threads_env_below_one_exit_4(runner, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("SHRINKNET_THREADS", value)
+    out = tmp_path / "out"
+    res = runner.invoke(main, [*BENCHMARK_RUN, "--out-dir", str(out)])
+    assert res.exit_code == 4, res.output
+    assert "SHRINKNET_THREADS" in res.stderr
+    assert not out.exists()
+
+
+def _tiny_run(name, sim_dir):
+    """A small argv of each command; a new command needs one here."""
+    data = str(sim_dir / "data.csv")
+    return {
+        "infer": ["infer", data, "--no-rmax"],
+        "simulate": ["simulate", "--kind", "hub", "--p", "10", "--n", "20",
+                     "--seed", "1", "--blocks", "5,5"],
+        "benchmark": [*BENCHMARK_RUN, "--seed", "2", "--threads", "1"],
+        "stability": ["stability", data, "--n-small", "20", "--resamples",
+                      "2", "--seed", "4", "--no-validate", "--threads", "1"],
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_manifest_config_holds_every_parameter(runner, sim_dir, tmp_path,
+                                               name):
+    res = runner.invoke(main, [*_tiny_run(name, sim_dir), "--out-dir",
+                               str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    missing = [param.name for param in main.commands[name].params
+               if param.name not in manifest["config"]]
+    assert missing == []
+    assert (manifest["command"], manifest["format_version"]) == (name, 2)
+    assert manifest["timings_ms"]["total"] > 0
+
+
+@pytest.mark.parametrize("name", ["simulate", "infer", "benchmark"])
+def test_rerun_from_manifest_is_byte_identical(runner, sim_dir, tmp_path,
+                                               name):
+    first, second = tmp_path / "first", tmp_path / "second"
+    res = runner.invoke(main, [*_tiny_run(name, sim_dir), "--out-dir",
+                               str(first)])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((first / "manifest.json").read_text())
+    res = runner.invoke(main, manifest_argv(manifest, out_dir=second))
+    assert res.exit_code == 0, res.output
+    rerun = json.loads((second / "manifest.json").read_text())
+    assert rerun["config"] == {**manifest["config"], "out_dir": str(second)}
+    assert rerun["input_digests"] == manifest["input_digests"]
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for file_name in names:
+        if file_name != "manifest.json":
+            assert (first / file_name).read_bytes() == \
+                (second / file_name).read_bytes(), file_name

@@ -187,8 +187,9 @@ class TestStability:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             stability_threshold(-1.0, 30.0, 100)
-        with pytest.raises(ValueError):
-            stability_threshold(5.0, 0.0, 100)
+        for e_v in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                stability_threshold(5.0, e_v, 100)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -131,8 +131,9 @@ class TestPrecision:
 
     def test_dof_validation(self):
         g = make_structure("band", 5, params={"bandwidth": 1})
-        with pytest.raises(InvalidParamsError, match="dof"):
-            sample_precision(g, dof=2.0)
+        for dof in (2.0, np.nan, np.inf):
+            with pytest.raises(InvalidParamsError, match="dof"):
+                sample_precision(g, dof=dof)
 
     def test_not_pd_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
