@@ -1,7 +1,8 @@
 """Command-line front end: infer, simulate, benchmark, stability.
 
 Every command runs one skeleton (``command``): validate every setting,
-check and load the input, create ``--out-dir``, run, write the outputs,
+check and load the input, create ``--out-dir`` (``infer`` does so after
+its fit, which can still reject the input), run, write the outputs,
 write ``manifest.json``. The manifest's ``config`` holds every parameter
 of the command under its own name, and all randomness derives from one
 master seed, so ``manifest_argv`` rebuilds a command line that reruns the
@@ -204,10 +205,11 @@ def infer(run, input_path, fmt, transpose, no_scale, tol, max_iter,
                          global_shrinkage=not no_global_shrinkage)
     stop = StopConfig(patience=patience, use_rmax=not no_rmax)
     m = run.load(input_path, fmt, transpose)
-    out = run.create_out_dir()
     result = infer_network(m, em_config=em_config, alpha=alpha, p0=p0,
                            stop=stop, scale=not no_scale)
     run.stage("fit_and_select")
+    # created once the fit succeeds, so a failed fit leaves no --out-dir
+    out = run.create_out_dir()
 
     ranking, sel, fit = result.ranking, result.selection, result.fit
 
@@ -242,6 +244,9 @@ def infer(run, input_path, fmt, transpose, no_scale, tol, max_iter,
                                          fit.lower_bound.tolist())),
         "em_trajectory": fit.trajectory,
     })
+    run.stage("write")
+    run.timings_ms.update((name, round(ms, 3))
+                          for name, ms in result.timings_ms.items())
     run.stats = stats = {
         "em_iterations": fit.em_iterations,
         "em_converged": fit.converged,

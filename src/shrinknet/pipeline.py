@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,11 @@ class InferenceResult:
     ranking: EdgeRanking
     p0_hat: float
     selection: SelectionResult
-    #: sub-model fits, sweeps and non-converged fits of the evidence cache
+    #: sub-model fits, sweeps and non-converged fits of the evidence cache,
+    #: and its look-ahead fits that no lookup used
     submodel_stats: dict
+    #: milliseconds per stage: standardize, em, rank, p0 and select
+    timings_ms: dict
 
 
 def infer_network(
@@ -42,18 +46,33 @@ def infer_network(
 ) -> InferenceResult:
     """Run the full pipeline on an expression matrix.
 
-    When ``p0`` is given the rank-wise estimation pass is skipped.
+    When ``p0`` is given the rank-wise estimation pass is skipped. Each
+    stage is timed; ``standardize`` reads 0 when ``pre_standardized``.
     """
+    timings_ms = {}
+    mark = time.perf_counter()
+
+    def stage(name):
+        nonlocal mark
+        now = time.perf_counter()
+        timings_ms[name] = (now - mark) * 1000.0
+        mark = now
+
     if not pre_standardized:
         m = standardize(m, scale=scale)
+    stage("standardize")
     fit = fit_sem(m, em_config)
+    stage("em")
     kappa = kappa_scores(fit)
     ranking = rank_edges(kappa)
+    stage("rank")
     cache = EvidenceCache(m)
     p0_hat = estimate_p0(m, ranking, cache=cache) if p0 is None else p0
+    stage("p0")
     selection = forward_select(
         m, ranking, alpha=alpha, p0=p0_hat, stop=stop, cache=cache
     )
+    stage("select")
     return InferenceResult(
         fit=fit,
         kappa=kappa,
@@ -61,4 +80,5 @@ def infer_network(
         p0_hat=p0_hat,
         selection=selection,
         submodel_stats=dict(cache.stats),
+        timings_ms=timings_ms,
     )

@@ -11,6 +11,8 @@ a fixed unit-information prior on the local precision. The evidences of
 every prefix of every gene's partners in ranking order are computed
 together in one batched pass, into a table whose steps along a row are
 exactly the rank-conditioned Bayes factors that estimate the null fraction.
+Forward selection fits the other sub-models it can reach before its next
+acceptance ahead of use, in stacks by the same route.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .vb import (
     fit_spectra,
     gene_blocks,
     make_workspace,
+    posterior_bounds,
     stack_groups,
     stack_spectra,
 )
@@ -119,10 +122,13 @@ class EvidenceCache:
     matches an unpenalized intercept in the conjugate updates. Evidences of
     the ranking prefixes, filled in one batched pass by ``fill_prefixes``,
     are kept by (response gene, prefix length); any other sub-model is
-    fitted on first use and kept by (response gene, frozenset of covariate
-    genes). Every fit stops at the defaults of ``fit_local``. ``stats``
-    counts the fits, their sweeps and the fits that hit the sweep cap, from
-    both routes.
+    kept by (response gene, frozenset of covariate genes). Those are
+    fitted ahead of use in stacks by ``fit_ahead``, or, when a lookup finds
+    one missing, alone by ``fit_local``; both give the same bits. Every
+    fit stops on the rule of ``fit_local``'s defaults. ``stats`` counts the
+    fits, their sweeps and the fits that hit the sweep cap, from every
+    route, and ``submodel_unused`` the fits of ``fit_ahead`` that no
+    lookup has read.
     """
 
     def __init__(self, m: ExpressionMatrix):
@@ -135,8 +141,9 @@ class EvidenceCache:
         # for h = g); _prefix[g, t]: evidence of g on its first t partners
         self._partner_rank = None
         self._prefix = None
+        self._unread = set()  # keys fitted ahead and not yet looked up
         self.stats = {"submodel_fits": 0, "submodel_sweeps": 0,
-                      "submodel_nonconverged": 0}
+                      "submodel_nonconverged": 0, "submodel_unused": 0}
 
     def _count(self, iterations, converged) -> None:
         self.stats["submodel_fits"] += np.size(iterations)
@@ -192,6 +199,40 @@ class EvidenceCache:
             return None
         return t
 
+    def fit_ahead(self, submodels) -> None:
+        """Fit, as stacks, every sub-model of ``submodels`` (pairs of a
+        response gene and a frozenset of covariate genes) that neither the
+        prefix table nor the cache holds, and cache its evidence.
+
+        Sub-models with the same number k of covariates are set up a
+        block at a time, as many per ``make_workspace`` call as
+        ``vb.STACK_DOUBLES`` holds of their designs, and each block is
+        fitted as one stack of at most k directions a row, inside the
+        same budget. A block's rows share k, so, unless a design is rank
+        deficient, each row is as wide as its own spectrum and its
+        evidence has the bits of a lone ``fit_local`` fit.
+        """
+        wanted = {}
+        for key in submodels:
+            if key not in self._cache and self._prefix_length(*key) is None:
+                wanted.setdefault(len(key[1]), {})[key] = None
+        for k, keys in wanted.items():
+            keys = list(keys)
+            genes = np.array([g for g, _ in keys])
+            covariates = np.array([sorted(c) for _, c in keys],
+                                  dtype=np.intp).reshape(len(keys), k)
+            for rows in gene_blocks(len(keys), self.n * max(k, 1)):
+                spectra, V = make_workspace(self.values, genes[rows],
+                                            covariates[rows])
+                fit = fit_spectra(spectra, self.prior)
+                self._count(fit.iterations, fit.converged)
+                bounds = posterior_bounds(spectra, V, fit.b_last, fit.d_last,
+                                          self.prior)
+                self._cache.update(zip((keys[r] for r in rows),
+                                       bounds.tolist()))
+            self._unread.update(keys)
+            self.stats["submodel_unused"] += len(keys)
+
     def log_evidence(self, response: int, covariates: frozenset) -> float:
         t = self._prefix_length(response, covariates)
         if t is not None:
@@ -199,6 +240,9 @@ class EvidenceCache:
         key = (response, covariates)
         got = self._cache.get(key)
         if got is not None:
+            if key in self._unread:
+                self._unread.remove(key)
+                self.stats["submodel_unused"] -= 1
             return got
         vp = fit_local(self.values, response, sorted(covariates), self.prior)
         self._count(vp.iterations, vp.converged)
@@ -280,17 +324,38 @@ def forward_select(
     threshold derived from (alpha, p0). The walk stops at the rank budget
     implied by p0 or after ``stop.patience`` consecutive rejections; the
     result's decision arrays cover the ranks walked.
+
+    Partner sets change only on an acceptance, and the walk never goes
+    more than ``stop.patience`` ranks past the last one, so until the next
+    acceptance the ranks it can reach (its horizon), and the sub-models
+    they look up, are known. At the start, and after each acceptance, it
+    hands them to ``cache.fit_ahead`` in one call: both genes' sub-models
+    for each rank that enters the horizon, and for each accepted gene its
+    new partner set, alone and with each of its candidates inside the old
+    horizon.
     """
     gamma = threshold_gamma(alpha, p0)
     if cache is None:
         cache = EvidenceCache(m)
     big_p = len(ranking)
     r_max = math.ceil((1.0 - p0) * big_p) if stop.use_rmax else big_p
+    edges = list(zip(ranking.i[:r_max].tolist(), ranking.j[:r_max].tolist()))
     partners = [set() for _ in range(cache.p)]
+
+    def submodels(gene, candidates):
+        base = frozenset(partners[gene])
+        return [(gene, base)] + [(gene, base | {c}) for c in candidates]
+
+    def entering(lo, hi):  # ranks lo + 1..hi join the horizon
+        return [key for i, j in edges[lo:hi]
+                for key in submodels(i, [j]) + submodels(j, [i])]
+
+    horizon = min(r_max, stop.patience)
+    cache.fit_ahead(entering(0, horizon))
     selected = set()
     bf_max, bound, accepted = [], [], []
     since_last = 0
-    for i, j in zip(ranking.i[:r_max].tolist(), ranking.j[:r_max].tolist()):
+    for r, (i, j) in enumerate(edges):
         if since_last >= stop.patience:
             break
         bf_dir = [
@@ -307,6 +372,14 @@ def forward_select(
             partners[i].add(j)
             partners[j].add(i)
             since_last = 0
+            wanted = []
+            for gene in (i, j):
+                wanted += submodels(gene, [b if a == gene else a
+                                           for a, b in edges[r + 1:horizon]
+                                           if gene in (a, b)])
+            new_horizon = min(r_max, r + 1 + stop.patience)
+            cache.fit_ahead(wanted + entering(horizon, new_horizon))
+            horizon = new_horizon
         else:
             since_last += 1
     return SelectionResult(

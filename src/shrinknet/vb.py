@@ -28,7 +28,8 @@ is that recursion on a single regression. Many regressions are fitted in
 whole groups within ``STACK_DOUBLES`` (see there), each padded into one
 stack by ``stack_spectra``. ``_posteriors`` reads the posteriors off
 that basis as arrays, one row per regression of a stack; ``fit_local``
-and ``vb_sweep`` return a single regression's as a ``VariationalPosterior``.
+and ``vb_sweep`` return a single regression's as a ``VariationalPosterior``,
+and ``posterior_bounds`` a stack's lower bounds.
 """
 
 from __future__ import annotations
@@ -55,9 +56,12 @@ RATE_INIT = 0.001
 
 #: Working-memory budget of a stacked computation, in doubles: it bounds
 #: the designs factored in one setup call (``gene_blocks``) and the
-#: directions of a group fitted as one stack (``stack_groups``). Both read
-#: it here, so it is set in this one place.
-STACK_DOUBLES = 1 << 12
+#: directions of a group fitted as one stack (``stack_groups``), in the
+#: EM's setup, the p0 scan and forward selection's look-ahead alike. Both
+#: read it here, so it is set in this one place. At 2^14 (128 KiB) the
+#: p0 scan at (p, n) = (40, 30) factors 13 responses per setup call; at
+#: 2^12 it factored 3, and per-call overhead took about a fifth of the run.
+STACK_DOUBLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -450,6 +454,17 @@ def fit_spectra(
         live.update(b=up.b_star, d=up.d_star, prev=lb)
         live = {key: value[keep] for key, value in live.items()}
     return fit
+
+
+def posterior_bounds(spectra: Spectra, V, b_last, d_last,
+                     hp: HyperParameters) -> np.ndarray:
+    """The lower bound of each row of the stack ``spectra``, read off as
+    ``fit_local`` reads it: after one sweep from the rates ``b_last`` and
+    ``d_last`` that ``fit_spectra``'s last sweep started from. Each row
+    gives the bits of ``fit_local``'s ``lower_bound`` when every row of
+    the stack ``fit_spectra`` swept had this one's width."""
+    a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
+    return _posteriors(spectra, V, b_last, d_last, a_star, c_star, hp)[-1]
 
 
 def fit_local(

@@ -118,6 +118,19 @@ class TestInfer:
                                                               fit["b"])
         assert res.stderr == ""  # no non-convergence warning
 
+    def test_manifest_times_each_stage(self, runner, sim_dir, tmp_path):
+        res = runner.invoke(
+            main,
+            ["infer", str(sim_dir / "data.csv"), "--out-dir", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        timings = json.loads(
+            (tmp_path / "manifest.json").read_text())["timings_ms"]
+        stages = ["standardize", "em", "rank", "p0", "select", "write"]
+        assert set(timings) == {"load", "fit_and_select", "total", *stages}
+        assert all(timings[name] >= 0 for name in timings)
+        assert sum(timings[name] for name in stages) <= timings["total"]
+
     def test_edges_tsv_joins_the_decisions_by_rank(self, runner, sim_dir,
                                                    tmp_path):
         """Rows 1..ranks_evaluated carry that rank's decision, replayed
@@ -286,6 +299,18 @@ class TestInferEdgeCases:
                                    str(tmp_path)])
         assert res.exit_code == 2
         assert "g3 is constant" in res.output
+
+    def test_failed_fit_leaves_no_out_dir(self, runner, tmp_path):
+        """A gene found constant by standardization, inside the fit,
+        exits 2 before --out-dir is created."""
+        path = tmp_path / "c.csv"
+        path.write_text("g1,g2,g3\n1,2,5\n1,3,4\n1,5,7\n1,2,2\n")
+        out = tmp_path / "cdir"
+        res = runner.invoke(main, ["infer", str(path), "--out-dir",
+                                   str(out)])
+        assert res.exit_code == 2
+        assert "g1 is constant" in res.output
+        assert not out.exists()
 
     @pytest.mark.filterwarnings(
         "ignore:overflow encountered in matmul:RuntimeWarning")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from shrinknet.selection import (
     threshold_gamma,
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
-from shrinknet import vb
+from shrinknet import selection, vb
 from shrinknet.vb import SpectraFit, fit_local, fit_spectra, stack_spectra
 
 
@@ -213,6 +214,9 @@ class TestP0AndSelection:
         class AtThreshold:
             p = 3
 
+            def fit_ahead(self, submodels):
+                pass
+
             def bayes_factor(self, response, candidate, conditioning):
                 return gamma
 
@@ -355,7 +359,7 @@ class TestBatchedScan:
         """The working-memory budget only sets how the EM setup and the
         scan are split: one gene per block and one block per group, or
         the whole scan in one group, gives the default's results."""
-        m, ranking = _scan_input(24, 20, 4, False)
+        m, ranking = _scan_input(30, 20, 4, False)
         p, n = m.n_genes, m.n_samples
         order = np.array(_ranked_partners(ranking, p))
 
@@ -433,25 +437,173 @@ class TestBatchedScan:
             for g, got in enumerate(_ranked_partners(res.ranking, p))
             for t in range(p)
         }
-        # the sub-models forward selection looks up, replayed from its
-        # decisions: each direction conditions on the partners selected
-        # at earlier ranks
-        chosen = {g: set() for g in range(p)}
-        looked_up = set()
-        for (i, j, _), accepted in zip(_rows(res.ranking),
-                                       res.selection.accepted.tolist()):
-            for resp, cand in ((i, j), (j, i)):
-                cond = frozenset(chosen[resp])
-                looked_up |= {(resp, cond), (resp, cond | {cand})}
-            if accepted:
-                chosen[i].add(j)
-                chosen[j].add(i)
-        misses = len(looked_up - prefixes)
-        assert misses > 0
+        r_max = math.ceil((1.0 - res.p0_hat) * len(res.ranking))
+        looked_up, asked = _replay_walk(res.ranking,
+                                        res.selection.accepted.tolist(),
+                                        r_max, StopConfig().patience, p)
+        ahead = asked - prefixes
+        assert looked_up - prefixes <= ahead  # no lookup fits alone
         stats = res.submodel_stats
-        assert stats["submodel_fits"] == p * p + misses
+        assert stats["submodel_fits"] == p * p + len(ahead)
+        assert stats["submodel_unused"] == len(ahead - looked_up) > 0
         assert stats["submodel_sweeps"] >= 2 * stats["submodel_fits"]
         assert stats["submodel_nonconverged"] == 0
+
+
+class TestLookAhead:
+    def test_fits_have_the_bits_of_lone_fits(self, monkeypatch):
+        """``fit_ahead`` on sub-models of 0 to 25 covariates, under a
+        budget that splits them: every setup call and every group stays
+        within it, and every evidence has the bits of ``fit_local``'s."""
+        m, _ = _scan_input(40, 30, 5, False)
+        p, n = m.n_genes, m.n_samples
+        rng = np.random.default_rng(0)
+        keys = []
+        for _ in range(150):
+            g, k = int(rng.integers(p)), int(rng.integers(26))
+            others = np.delete(np.arange(p), g)
+            keys.append((g, frozenset(
+                rng.choice(others, k, replace=False).tolist())))
+        monkeypatch.setattr(vb, "STACK_DOUBLES", 3000)
+        setups, groups = [], []
+
+        def setup(values, genes, covariates):
+            setups.append(np.size(covariates) * n)
+            return vb.make_workspace(values, genes, covariates)
+
+        def fit(spectra, hp):
+            groups.append(spectra.d2.size)
+            return vb.fit_spectra(spectra, hp)
+
+        monkeypatch.setattr(selection, "make_workspace", setup)
+        monkeypatch.setattr(selection, "fit_spectra", fit)
+        cache = EvidenceCache(m)
+        cache.fit_ahead(keys)
+        assert len(setups) > len({len(c) for _, c in keys})  # split
+        assert max(setups) <= 3000 and max(groups) <= 3000
+        unique = set(keys)
+        assert cache.stats["submodel_fits"] == len(unique)
+        assert cache.stats["submodel_unused"] == len(unique)
+        for g, covariates in unique:
+            lone = fit_local(cache.values, g, sorted(covariates),
+                             cache.prior)
+            assert cache.log_evidence(g, covariates) == lone.lower_bound
+        assert cache.stats["submodel_unused"] == 0
+        assert cache.stats["submodel_fits"] == len(unique)  # no lone fit
+
+
+def _replay_walk(ranking, accepted, r_max, patience, p):
+    """Forward selection replayed from its decisions: the sub-models it
+    looks up, and those its look-ahead asks for. At the start that is both
+    genes' sub-models at ranks 1..min(r_max, patience); after accepting
+    rank r, each accepted gene's new partner set, alone and with each of
+    its candidates up to the old horizon, and both genes' sub-models at
+    the ranks that join the horizon, up to min(r_max, r + patience)."""
+    edges = [(i, j) for i, j, _ in _rows(ranking)][:r_max]
+    chosen = [set() for _ in range(p)]
+
+    def keys(gene, candidates):
+        cond = frozenset(chosen[gene])
+        return {(gene, cond)} | {(gene, cond | {c}) for c in candidates}
+
+    def entering(lo, hi):
+        return set().union(*(keys(i, [j]) | keys(j, [i])
+                             for i, j in edges[lo:hi]))
+
+    horizon = min(r_max, patience)
+    looked_up, asked = set(), entering(0, horizon)
+    for r, ((i, j), take) in enumerate(zip(edges, accepted)):
+        looked_up |= keys(i, [j]) | keys(j, [i])
+        if take:
+            chosen[i].add(j)
+            chosen[j].add(i)
+            for gene in (i, j):
+                asked |= keys(gene, [b if a == gene else a
+                                     for a, b in edges[r + 1:horizon]
+                                     if gene in (a, b)])
+            new_horizon = min(r_max, r + 1 + patience)
+            asked |= entering(horizon, new_horizon)
+            horizon = new_horizon
+    return looked_up, asked
+
+
+def _lone_walk(ranking, alpha, p0, stop, cache):
+    """Forward selection replayed rank by rank without a look-ahead: every
+    Bayes factor goes through ``cache.bayes_factor``, which reads the
+    prefix table when it is filled and fits any other sub-model alone by
+    ``fit_local``. Returns the larger Bayes factor and the decision per
+    rank walked, and the selected pairs."""
+    gamma = threshold_gamma(alpha, p0)
+    big_p = len(ranking)
+    r_max = math.ceil((1.0 - p0) * big_p) if stop.use_rmax else big_p
+    chosen = [set() for _ in range(cache.p)]
+    bf_max, accepted, selected = [], [], set()
+    since_last = 0
+    for i, j, _ in _rows(ranking)[:r_max]:
+        if since_last >= stop.patience:
+            break
+        bf = max(cache.bayes_factor(i, j, frozenset(chosen[i])),
+                 cache.bayes_factor(j, i, frozenset(chosen[j])))
+        bf_max.append(bf)
+        accepted.append(bf > gamma)
+        if bf > gamma:
+            selected.add((i, j))
+            chosen[i].add(j)
+            chosen[j].add(i)
+            since_last = 0
+        else:
+            since_last += 1
+    return np.array(bf_max, dtype=float), accepted, frozenset(selected)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(3, 14),
+       n=st.integers(4, 40), mixing=st.floats(0.0, 1.0),
+       alpha=st.floats(0.05, 0.5), p0=st.none() | st.floats(0.05, 0.95),
+       use_rmax=st.booleans(), patience=st.integers(1, 5))
+def test_lookahead_matches_lone_fits(seed, p, n, mixing, alpha, p0,
+                                     use_rmax, patience):
+    """The look-ahead's stacked fits give every Bayes factor the bits of
+    lone ``fit_local`` fits, so the walk decides as one without it; and
+    the working-memory budget splits the look-ahead's setup and groups
+    without moving a result or a fit count. Genes are mixed at random, by
+    ``mixing``, and ranked by absolute correlation, so that many edges
+    are accepted and partner sets grow. The prefix table is filled at the
+    default budget throughout: its own budget check is
+    ``test_budget_moves_no_result``."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) @ (
+        np.eye(p) + mixing * rng.standard_normal((p, p)))
+    m = standardize(ExpressionMatrix(
+        x, [f"g{i}" for i in range(p)], [f"s{i}" for i in range(n)]))
+    ranking = rank_edges(np.abs(np.corrcoef(m.values, rowvar=False)))
+    stop = StopConfig(patience=patience, use_rmax=use_rmax)
+
+    def select(budget=vb.STACK_DOUBLES):
+        cache = EvidenceCache(m)
+        given = estimate_p0(m, ranking, cache=cache) if p0 is None else p0
+        with mock.patch.object(vb, "STACK_DOUBLES", budget):
+            return forward_select(m, ranking, alpha, given, stop,
+                                  cache), cache.stats
+
+    res, stats = select()
+    lone = EvidenceCache(m)
+    given = estimate_p0(m, ranking, cache=lone) if p0 is None else p0
+    bf_max, accepted, selected = _lone_walk(ranking, alpha, given, stop,
+                                            lone)
+    assert res.bayes_factor_max.tobytes() == bf_max.tobytes()
+    assert res.accepted.tolist() == accepted
+    assert res.selected == selected
+    for budget in (1, 1 << 30):
+        other, other_stats = select(budget)
+        assert other.bayes_factor_max.tobytes() == \
+            res.bayes_factor_max.tobytes()
+        assert other.p0_posterior_bound.tobytes() == \
+            res.p0_posterior_bound.tobytes()
+        assert other.accepted.tolist() == res.accepted.tolist()
+        assert (other.selected, other.p0_hat, other.gamma, other.alpha) == (
+            res.selected, res.p0_hat, res.gamma, res.alpha)
+        assert other_stats["submodel_fits"] == stats["submodel_fits"]
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
