@@ -1,23 +1,28 @@
 """Whole-network fit: variational EM with shared shrinkage hyperparameters.
 
-The p per-gene spectra are set up once, in the eigenbasis of each design's
-cross-product, a bounded block of genes per call. The E-step sweeps them all
-as one array update over their stack, after which the shape/rate (a, b) of the
-shared gamma prior on the local precisions are re-estimated from the pooled
-moments (M-step), in a closed approximate form or an exact fixed-point
-variant. The fit is held as arrays with one row per gene (see ``SemFit``),
-read off once at the end.
+Every gene's regression is that gene on all the others, so the p designs
+are leave-one-out column blocks of the one matrix X, and their
+cross-products leave-one-out blocks of X^T X. The fit takes one spectrum of
+X, through ``make_workspace``: the eigenvalues lambda of X^T X and the gene
+loadings U (p, rank). At a gene's e = E[tau^-2], its regression's moments
+are Schur complements of M = X^T X + e I (see ``_leave_one_out``), so the
+E-step sweeps all p genes as one array update over (p, rank) arrays. The
+shape/rate (a, b) of the shared gamma prior on the local precisions are
+then re-estimated from the pooled moments (M-step), in a closed
+approximate form or an exact fixed-point variant. The fit is held as
+arrays with one row per gene (see ``SemFit``), read off once at the end.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import ExpressionMatrix
-from .errors import NumericalFailureError
+from .errors import DegenerateDesignError, NumericalFailureError
 from .vb import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -26,12 +31,9 @@ from .vb import (
     _bound,
     _bound_constant,
     _posterior_shapes,
-    _posteriors,
-    _spectral_update,
+    _rates,
     digamma,
-    gene_blocks,
     make_workspace,
-    stack_spectra,
 )
 
 #: Cap on the estimated shape when the pooled moments are degenerate
@@ -43,6 +45,15 @@ A_MAX = 1e4
 A_INIT = B_INIT = 0.001
 
 _DEGENERATE_EPS = 1e-8
+
+#: Below full rank, each gene's weight nu = 1 - ||U_g||^2 outside X's row
+#: space is known only to rounding, about 1e-15, and its f0 carries that
+#: error times 1 / (e [M^-1]_gg). A fit in which that gain exceeds this
+#: fails rather than read off coefficients with under 9 digits. Only an
+#: unscaled rank-deficient X whose eigenvalues dwarf E[tau^-2] reaches it:
+#: a duplicated gene among values near 1e5 does without global shrinkage,
+#: and near 1e30 with it; standardized data do not.
+NULL_GAIN_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -82,6 +93,8 @@ class SemFit:
     #: per EM iteration: the (a, b) its E-step ran under and the largest
     #: change in a gene's lower bound since the previous one (None at first)
     trajectory: list[dict] = field(default_factory=list, repr=False)
+    #: milliseconds spent on the one spectral setup of X
+    spectrum_ms: float = 0.0
 
     @property
     def n_genes(self) -> int:
@@ -156,25 +169,145 @@ def eb_update_fixedpoint(a_star: float, b_stars):
     return eb_update_fixedpoint_moments(*_moments_from_rates(a_star, b_stars))
 
 
+def _check_designs(m: ExpressionMatrix) -> None:
+    """Raise ``DegenerateDesignError`` naming a gene whose other genes are
+    all zero: a gene's design is all zero unless two genes are nonzero, or
+    one other than it."""
+    nonzero = np.any(m.values != 0.0, axis=0)
+    if nonzero.sum() < 2:
+        bad = m.gene_ids[int(np.argmax(nonzero))]
+        raise DegenerateDesignError(f"design for gene {bad} is all zeros")
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """The spectrum of X as the EM reads it (see ``_gram_spectrum``): the
+    eigenvalues ``lam`` of X^T X, descending, the gene loadings ``U``
+    (p, rank), and per direction the squared loadings ``u2`` (p,
+    directions) and the multiplicity ``mult``, by which every sum over
+    directions is weighted. Below full rank, X's null space is one more
+    direction, of eigenvalue 0 and multiplicity p - rank, on each copy of
+    which gene g loads nu_g / (p - rank), nu_g = 1 - ||U_g||^2; ``nu_lam``
+    is nu_g lambda_1, None at full rank."""
+
+    lam: np.ndarray
+    U: np.ndarray
+    u2: np.ndarray
+    mult: np.ndarray
+    nu_lam: np.ndarray | None
+
+
+def _gram_spectrum(values) -> _Spectrum:
+    """The ``_Spectrum`` of the (n, p) matrix ``values``, from one
+    ``make_workspace`` call: gene 0 on every gene, of which only the
+    design's spectrum (eigenvalues above ``RANK_RTOL``) is used."""
+    p = values.shape[1]
+    spectra, U = make_workspace(values, 0, np.arange(p))
+    lam, r = spectra.d2, spectra.d2.size
+    u2 = U * U
+    if r == p:
+        return _Spectrum(lam, U, u2, np.ones(r), None)
+    nu = np.maximum(1.0 - u2.sum(axis=1), 0.0)
+    return _Spectrum(np.append(lam, 0.0), U,
+                     np.column_stack([u2, nu / (p - r)]),
+                     np.append(np.ones(r), p - r), nu * lam[0])
+
+
+@dataclass
+class _LeaveOneOut:
+    """Every gene's E-step state (see ``_leave_one_out``). ``res`` holds
+    the resolvents 1 / (lambda + e) of its directions in units of
+    ``scale``: lambda_1 + e, M's largest eigenvalue, unless nu_g lambda_1
+    > e, where X's null space carries f0 and the unit is e (1 + 1 / nu_g).
+    Either way, at any scale of X, the resolvents that carry f0 are at
+    least one, none exceeds the larger of 1 / RANK_RTOL and 1 + 1 / nu_g,
+    and nu_g times the null resolvent is at most two. ``hat`` is
+    lambda / (lambda + e) and ``f0`` is scale [M^-1]_gg. ``fit`` =
+    E||y - D beta||^2, ``ebb`` = E[beta^T beta] and ``sigma_logdet`` is
+    the log determinant of the coefficient covariance M_-g^-1 /
+    E[sigma^-2]."""
+
+    scale: np.ndarray
+    res: np.ndarray
+    hat: np.ndarray
+    f0: np.ndarray
+    fit: np.ndarray
+    ebb: np.ndarray
+    sigma_logdet: np.ndarray
+
+
+def _leave_one_out(sp: _Spectrum, e, e_sig) -> _LeaveOneOut:
+    """One E-step of every gene's regression on all the others, at its own
+    ``e`` = E[tau^-2] and ``e_sig`` = E[sigma^-2].
+
+    With M = X^T X + e I, f0 = [M^-1]_gg and f1 = [M^-2]_gg, the Schur
+    complements of M give the moments of the gene's regression on its
+    design D, with M_-g = D^T D + e I: ||beta||^2 = f1 / f0^2 - 1,
+    tr M_-g^-1 = tr M^-1 - f1 / f0, log det M_-g = log det M + log f0,
+    ||y - D beta||^2 = (f0 - e f1) / f0^2 and tr(D^T D M_-g^-1) =
+    sum hat - (f0 - e f1) / f0. f1 - f0^2 is summed as the spread of the
+    resolvents about f0, weighted by the squared loadings (which sum to
+    one), and f0 - e f1 as the loadings' sum of hat * res, so no moment is
+    a difference of near-equal numbers.
+    """
+    lam, u2, mult = sp.lam, sp.u2, sp.mult
+    if sp.nu_lam is None:
+        scale = lam[0] + e
+    else:  # e + min(lambda_1, e / nu_g), without dividing by nu_g
+        scale = e + lam[0] * (e / np.maximum(e, sp.nu_lam))
+    den = lam + e[:, None]
+    res = scale[:, None] / den
+    hat = lam / den
+    u2res = u2 * res
+    f0 = u2res @ mult
+    dev = res - f0[:, None]
+    ratio = (u2 * dev * dev) @ mult / f0  # scale (f1 / f0 - f0)
+    explained = (u2res * hat) @ mult / f0  # (f0 - e f1) / f0
+    return _LeaveOneOut(
+        scale, res, hat, f0,
+        fit=explained * scale / f0 + (hat @ mult - explained) / e_sig,
+        ebb=ratio / f0 + (res @ mult - f0 - ratio) / (scale * e_sig),
+        sigma_logdet=(-(len(u2) - 1) * np.log(e_sig) - np.log(den) @ mult
+                      - np.log(f0 / scale)))
+
+
+def _coefficients(sp: _Spectrum, loo: _LeaveOneOut, e, e_sig):
+    """Every gene's coefficient means and variances on the other genes,
+    (p, p - 1) each: beta_j = -[M^-1]_jg / f0 and var_j = ([M^-1]_jj -
+    [M^-1]_jg^2 / f0) / E[sigma^-2]. Off the gene, [M^-1]_jg sums the
+    gene's resolvents over the directions of U, or their differences from
+    the null resolvent scale / e, -(scale / e) hat, which needs no null
+    space: the latter below full rank, and where e exceeds sqrt(lambda_1
+    lambda_rank), where its terms are the smaller."""
+    p, r = sp.U.shape
+    shifted = e > np.sqrt(sp.lam[0]) * np.sqrt(sp.lam[-1])
+    w = np.where(shifted[:, None], -(loo.scale / e)[:, None] * loo.hat,
+                 loo.res)[:, :r]
+    off = ~np.eye(p, dtype=bool)
+    col = ((sp.U * w) @ sp.U.T)[off].reshape(p, p - 1)
+    diag = ((loo.res * sp.mult) @ sp.u2.T)[off].reshape(p, p - 1)
+    f0 = loo.f0[:, None]
+    beta_mean = -col / f0
+    beta_var = (diag - col * col / f0) / (loo.scale * e_sig)[:, None]
+    return beta_mean, beta_var
+
+
 def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     """EM over all gene regressions with shared-prior re-estimation.
 
     Each EM iteration sweeps every gene once under the current (a, b), as
-    one array update over the gene spectra stacked and zero-padded past
-    each gene's rank, then updates (a, b) from the pooled moments unless
-    global shrinkage is disabled. Convergence is the max over genes of the
-    per-gene lower-bound change. The posteriors are read off by one more
-    sweep of each gene, from the rates its final sweep started from.
+    one array update over the spectrum of X, then updates (a, b) from the
+    pooled moments unless global shrinkage is disabled. Convergence is the
+    max over genes of the per-gene lower-bound change. The posteriors are
+    read off the final sweep. A gene whose f0 rests on X's null space by
+    more than ``NULL_GAIN_MAX`` raises ``NumericalFailureError``.
     """
     n, p = m.values.shape
     k = p - 1
-    blocks = gene_blocks(p, n * k)
-    # each gene against every other column, in index order
-    others = np.arange(k) + (np.arange(k) >= np.arange(p)[:, None])
-    setups = [make_workspace(m.values, genes, others[genes], m.gene_ids)
-              for genes in blocks]
-    stack = stack_spectra([spectra for spectra, _ in setups])
-    rank = stack.mask.sum(axis=1)
+    _check_designs(m)
+    start = time.perf_counter()
+    spectrum = _gram_spectrum(m.values)
+    spectrum_ms = (time.perf_counter() - start) * 1000.0
     a, b = A_INIT, B_INIT
     b_stars = np.full(p, RATE_INIT)
     d_stars = np.full(p, RATE_INIT)
@@ -190,17 +323,16 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     for t in range(1, config.max_iter + 1):
         hp = HyperParameters(a=a, b=b)
         a_star, c_star = _posterior_shapes(hp, n, k)
-        up = _spectral_update(stack.d2, stack.w, stack.mask, stack.yty,
-                              k - rank, b_stars, d_stars, a_star, c_star, hp)
+        e_tau, e_sig = a_star / b_stars, c_star / d_stars
+        loo = _leave_one_out(spectrum, e_tau, e_sig)
+        b_stars, d_stars = _rates(hp, c_star, e_tau, loo.fit, loo.ebb)
         bounds = _bound(_bound_constant(n, k, hp, a_star, c_star), a_star,
-                        up.b_star, c_star, up.d_star, up.sigma_logdet, up.ebb)
+                        b_stars, c_star, d_stars, loo.sigma_logdet, loo.ebb)
         if not np.isfinite(bounds).all():
             bad = m.gene_ids[int(np.argmax(~np.isfinite(bounds)))]
             raise NumericalFailureError(
                 f"gene {bad}: non-finite lower bound at EM iteration {t}"
             )
-        b_last, d_last = b_stars, d_stars
-        b_stars, d_stars = up.b_star, up.d_star
         delta = (float(np.max(np.abs(bounds - history[-1]))) if history
                  else None)
         history.append(bounds)
@@ -213,14 +345,17 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
             break
         if config.global_shrinkage:
             a, b = updater(a_star, b_stars)
-    beta_mean, beta_var = np.empty((2, p, k))
-    b_star, d_star, lower_bound = np.empty((3, p))
-    for genes, (spectra, V) in zip(blocks, setups):
-        (beta_mean[genes], beta_var[genes], b_star[genes], d_star[genes],
-         lower_bound[genes]) = _posteriors(spectra, V, b_last[genes],
-                                           d_last[genes], a_star, c_star, hp)
-    return SemFit(beta_mean, beta_var, b_star, d_star, lower_bound,
+    gain = loo.scale / (e_tau * loo.f0)  # null / f0 = 1 / (e [M^-1]_gg)
+    if spectrum.nu_lam is not None and np.any(gain > NULL_GAIN_MAX):
+        bad = m.gene_ids[int(np.argmax(gain))]
+        raise NumericalFailureError(
+            f"gene {bad}: its fit rests on directions outside the data's "
+            "row space beyond working precision")
+    beta_mean, beta_var = _coefficients(spectrum, loo, e_tau, e_sig)
+    if not (np.isfinite(beta_mean).all() and np.isfinite(beta_var).all()):
+        raise NumericalFailureError("non-finite posterior coefficients")
+    return SemFit(beta_mean, beta_var, b_stars, d_stars, bounds,
                   hyper=HyperParameters(a=a, b=b),
                   lower_bounds=np.array(history), em_iterations=t,
                   converged=converged, gene_ids=m.gene_ids,
-                  trajectory=trajectory)
+                  trajectory=trajectory, spectrum_ms=spectrum_ms)

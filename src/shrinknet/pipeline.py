@@ -31,7 +31,8 @@ class InferenceResult:
     #: sub-model fits, sweeps and non-converged fits of the evidence cache,
     #: and its look-ahead fits that no lookup used
     submodel_stats: dict
-    #: milliseconds per stage: standardize, em, rank, p0 and select
+    #: milliseconds per stage: standardize, spectrum (the EM's one
+    #: spectral setup), em (the rest of the EM), rank, p0 and select
     timings_ms: dict
 
 
@@ -62,7 +63,9 @@ def infer_network(
         m = standardize(m, scale=scale)
     stage("standardize")
     fit = fit_sem(m, em_config)
+    timings_ms["spectrum"] = fit.spectrum_ms
     stage("em")
+    timings_ms["em"] -= fit.spectrum_ms
     kappa = kappa_scores(fit)
     ranking = rank_edges(kappa)
     stage("rank")

@@ -29,7 +29,11 @@ whole groups within ``STACK_DOUBLES`` (see there), each padded into one
 stack by ``stack_spectra``. ``_posteriors`` reads the posteriors off
 that basis as arrays, one row per regression of a stack; ``fit_local``
 and ``vb_sweep`` return a single regression's as a ``VariationalPosterior``,
-and ``posterior_bounds`` a stack's lower bounds.
+and ``posterior_bounds`` a stack's lower bounds. The EM of ``em.fit_sem``
+takes one spectrum of the whole matrix from ``make_workspace`` and
+reaches every gene's regression on all the others through it; its E-step
+shares the rate update ``_rates`` and the bound ``_bound`` with the sweep
+here.
 """
 
 from __future__ import annotations
@@ -57,10 +61,11 @@ RATE_INIT = 0.001
 #: Working-memory budget of a stacked computation, in doubles: it bounds
 #: the designs factored in one setup call (``gene_blocks``) and the
 #: directions of a group fitted as one stack (``stack_groups``), in the
-#: EM's setup, the p0 scan and forward selection's look-ahead alike. Both
-#: read it here, so it is set in this one place. At 2^14 (128 KiB) the
-#: p0 scan at (p, n) = (40, 30) factors 13 responses per setup call; at
-#: 2^12 it factored 3, and per-call overhead took about a fifth of the run.
+#: p0 scan and forward selection's look-ahead alike (the EM sets up the
+#: one spectrum of the whole matrix, outside it). Both read it here, so
+#: it is set in this one place. At 2^14 (128 KiB) the p0 scan at (p, n) =
+#: (40, 30) factors 13 responses per setup call; at 2^12 it factored 3,
+#: and per-call overhead took about a fifth of the run.
 STACK_DOUBLES = 1 << 14
 
 
@@ -168,12 +173,19 @@ def _spectral_update(d2, w, mask, yty, comp, b_star, d_star, a_star, c_star,
     ebb = _rowdot(theta, theta) + sigma_trace
     rss = yty - 2.0 * _rowdot(theta, w) + _rowdot(d2, theta * theta)
     tr_xtx_sigma = _rowdot(d2, theta_var)
-    d_new = np.maximum(
-        hp.d + 0.5 * (rss + tr_xtx_sigma) + 0.5 * e_tau * ebb, RATE_FLOOR
-    )
-    b_new = np.maximum(hp.b + 0.5 * (c_star / d_new) * ebb, RATE_FLOOR)
+    b_new, d_new = _rates(hp, c_star, e_tau, rss + tr_xtx_sigma, ebb)
     return _Update(theta, theta_var, comp_var, b_new, d_new, sigma_trace,
                    sigma_logdet, ebb)
+
+
+def _rates(hp, c_star, e_tau, fit, ebb):
+    """The updated rates (b*, d*) of tau^-2 and sigma^-2, d* first and b*
+    from it, given E[tau^-2], ``fit`` = E||y - D beta||^2 and ``ebb`` =
+    E[beta^T beta] under the coefficient posterior just set; one value
+    per regression."""
+    d_new = np.maximum(hp.d + 0.5 * fit + 0.5 * e_tau * ebb, RATE_FLOOR)
+    b_new = np.maximum(hp.b + 0.5 * (c_star / d_new) * ebb, RATE_FLOOR)
+    return b_new, d_new
 
 
 def make_workspace(values, gene, covariates, names=None):

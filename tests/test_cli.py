@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from oracles import dense_vb_fit
 from shrinknet.cli import main, manifest_argv
-from shrinknet.data import load_expression_matrix, standardize
+from shrinknet.data import (ExpressionMatrix, load_expression_matrix,
+                            standardize)
+from shrinknet.em import EmConfig, fit_sem
 from shrinknet.pipeline import infer_network
 from shrinknet.selection import EvidenceCache, estimate_p0, rank_edges
+from test_traced_run import _chain_values
 
 
 @pytest.fixture
@@ -126,7 +130,8 @@ class TestInfer:
         assert res.exit_code == 0, res.output
         timings = json.loads(
             (tmp_path / "manifest.json").read_text())["timings_ms"]
-        stages = ["standardize", "em", "rank", "p0", "select", "write"]
+        stages = ["standardize", "spectrum", "em", "rank", "p0", "select",
+                  "write"]
         assert set(timings) == {"load", "fit_and_select", "total", *stages}
         assert all(timings[name] >= 0 for name in timings)
         assert sum(timings[name] for name in stages) <= timings["total"]
@@ -312,6 +317,50 @@ class TestInferEdgeCases:
         assert "g1 is constant" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["scaled_1e150", "scaled_1e-150"])
+    def test_extreme_scale_matches_dense_oracle(self, runner, tmp_path,
+                                                case):
+        """Unscaled values near 1e150 or 1e-150 put the eigenvalues of
+        X^T X and E[tau^-2] some 300 orders of magnitude apart. With the
+        prior held fixed, each gene's fit still matches the dense oracle
+        run for as many sweeps, and ``infer`` exits 0."""
+        x = _edge_case_matrix(case)
+        path = tmp_path / "data.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g",
+                   header=",".join(f"g{i}" for i in range(8)), comments="")
+        res = runner.invoke(main, ["infer", str(path), "--no-scale",
+                                   "--no-global-shrinkage", "--out-dir",
+                                   str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        m = standardize(ExpressionMatrix(
+            x, tuple(f"g{i}" for i in range(8)),
+            tuple(f"s{i}" for i in range(20))), scale=False)
+        fit = fit_sem(m, EmConfig(global_shrinkage=False))
+        hp = fit.hyper
+        for g in range(8):
+            mean, var, _ = dense_vb_fit(
+                m.values[:, g], np.delete(m.values, g, axis=1), hp.a, hp.b,
+                hp.c, hp.d, tol=0.0, max_iter=fit.em_iterations)
+            np.testing.assert_allclose(fit.beta_mean[g], mean, rtol=1e-8,
+                                       atol=0)
+            np.testing.assert_allclose(fit.beta_var[g], var, rtol=1e-8,
+                                       atol=0)
+
+    def test_duplicate_gene_at_extreme_scale_exit_3(self, runner, tmp_path):
+        """A duplicated gene leaves X rank-deficient, and each gene's weight
+        outside its row space is known only to rounding. Unscaled near
+        1e30, that rounding would swamp the fit of every other gene: a
+        numerical failure, not a wrong answer."""
+        path = tmp_path / "data.csv"
+        np.savetxt(path, _edge_case_matrix("duplicate") * 1e30,
+                   delimiter=",", fmt="%.17g",
+                   header=",".join(f"g{i}" for i in range(8)), comments="")
+        res = runner.invoke(main, ["infer", str(path), "--no-scale",
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith("numerical failure: ")
+        assert "row space" in res.output
+
     @pytest.mark.filterwarnings(
         "ignore:overflow encountered in matmul:RuntimeWarning")
     def test_overflowing_unscaled_input_exit_3(self, runner, tmp_path):
@@ -454,6 +503,36 @@ def test_cli_commands_import_no_scipy(sim_dir, tmp_path):
     assert (tmp_path / "infer" / "edges.tsv").exists()
     assert (tmp_path / "benchmark" / "metrics.csv").exists()
     assert (tmp_path / "stability" / "stability.json").exists()
+
+
+@pytest.mark.parametrize("p, n, p0", [(40, 30, None), (80, 160, 0.975)])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, p, n, p0):
+    """The manifest does not record the BLAS thread count, so edges.tsv
+    and fit.json must not depend on it: ``infer`` on chain-graph inputs of
+    both shapes, run with one BLAS thread and with two, writes them
+    byte-identical."""
+    data = tmp_path / "data.csv"
+    np.savetxt(data, _chain_values(p, n, seed=1), delimiter=",",
+               fmt="%.17g", header=",".join(f"g{i}" for i in range(p)),
+               comments="")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / threads
+        args = ["infer", str(data), "--out-dir", str(out)]
+        if p0 is not None:
+            args += ["--p0", repr(p0)]
+        res = subprocess.run([sys.executable, "-m", "shrinknet.cli", *args],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert res.returncode == 0, res.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("edges.tsv", "fit.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_outputs_confined_to_out_dir(runner, sim_dir, tmp_path,

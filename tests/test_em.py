@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 
 from oracles import grid_maximizer, pooled_prior_objective
+from shrinknet import em
 from shrinknet.data import ExpressionMatrix, standardize
 from shrinknet.em import (
     A_MAX,
@@ -18,6 +21,7 @@ from shrinknet.em import (
     fit_sem,
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
+from test_traced_run import _chain_values
 from shrinknet.vb import (
     RATE_INIT,
     HyperParameters,
@@ -222,6 +226,41 @@ class TestFitSem:
         assert f1.hyper == f2.hyper
         np.testing.assert_array_equal(f1.beta_mean, f2.beta_mean)
 
+    def test_setup_is_one_call_in_bounded_memory(self):
+        """One spectral setup of the whole matrix serves all p regressions,
+        and nothing of size p * p * min(n, p) is held: at (p, n) = (400,
+        50) that would be 61 MB."""
+        values = _chain_values(400, 50, seed=1)
+        m = standardize(ExpressionMatrix(
+            values, tuple(f"g{j}" for j in range(400)),
+            tuple(f"s{i}" for i in range(50))))
+        with mock.patch.object(em, "make_workspace",
+                               wraps=em.make_workspace) as setup:
+            tracemalloc.start()
+            try:
+                fit_sem(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert setup.call_count == 1
+        assert peak < 16 * 2**20, peak / 2**20
+
+    def test_unscaled_wide_fit_is_scale_free(self):
+        """Once the data dwarf the prior's rates, scaling a wide X leaves
+        every coefficient's posterior where it was, also at 1e100, where
+        X's eigenvalues exceed E[tau^-2] by 1e200 and its null space
+        carries most of each gene's f0."""
+        x = np.random.default_rng(11).standard_normal((8, 60))
+        fits = [fit_sem(standardize(ExpressionMatrix(
+            x * scale, tuple(f"g{j}" for j in range(60)),
+            tuple(f"s{i}" for i in range(8))), scale=False),
+            EmConfig(global_shrinkage=False)) for scale in (1e4, 1e100)]
+        assert fits[0].em_iterations == fits[1].em_iterations
+        for name in ("beta_mean", "beta_var"):
+            np.testing.assert_allclose(getattr(fits[1], name),
+                                       getattr(fits[0], name), rtol=1e-8,
+                                       atol=0)
+
 
 def _with_genes(m: ExpressionMatrix, column) -> ExpressionMatrix:
     """``m`` with one more gene, ``column(values)``, standardized."""
@@ -240,7 +279,11 @@ def _wide(seed=7, n=8, p=12):
 #: name -> (matrix, EM settings) of the stacked E-step's replay cases
 REPLAY_CASES = {
     "tall": lambda: (small_dataset(), EmConfig(tol=1e-4)),
+    # centered, so X has rank n - 1 < p
+    "square": lambda: (small_dataset(p=10, n=10, seed=6), EmConfig(tol=1e-4)),
     "wide": lambda: (standardize(_wide()), EmConfig()),
+    "wide_duplicate": lambda: (_with_genes(standardize(_wide(seed=9)),
+                                           lambda v: v[:, 3]), EmConfig()),
     # duplicated genes give designs of lower rank, so rows are padded
     "duplicate": lambda: (_with_genes(small_dataset(seed=1), lambda v:
                                       v[:, 2]), EmConfig(tol=1e-4)),

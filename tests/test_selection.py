@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_vb_fit
@@ -607,11 +607,14 @@ def test_lookahead_matches_lone_fits(seed, p, n, mixing, alpha, p0,
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000), perm=st.permutations(range(8)))
-def test_relabelling_genes_relabels_kappa_and_selection(seed, perm):
+@given(seed=st.integers(0, 10_000), perm=st.permutations(range(8)),
+       n=st.sampled_from([40, 6]))
+@example(seed=1, perm=[3, 7, 0, 5, 2, 6, 1, 4], n=6)
+def test_relabelling_genes_relabels_kappa_and_selection(seed, perm, n):
     """Permuting the genes permutes kappa and relabels the selected set:
-    the model gives no gene a special place."""
-    m, _ = _scan_input(8, 40, seed, False)
+    the model gives no gene a special place. With n = 6 there are more
+    genes than samples."""
+    m, _ = _scan_input(8, n, seed, False)
     perm = np.array(perm)
     moved = ExpressionMatrix(m.values[:, perm],
                              [m.gene_ids[g] for g in perm], m.sample_ids)
