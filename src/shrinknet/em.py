@@ -4,11 +4,12 @@ Every gene's regression is that gene on all the others, so the p designs
 are leave-one-out column blocks of the one matrix X, and their
 cross-products leave-one-out blocks of X^T X. The fit takes one spectrum of
 X, through ``make_workspace``: the eigenvalues lambda of X^T X and the gene
-loadings U (p, rank). At a gene's e = E[tau^-2], its regression's moments
-are Schur complements of M = X^T X + e I (see ``_leave_one_out``), so the
-E-step sweeps all p genes as one array update over (p, rank) arrays. The
-shape/rate (a, b) of the shared gamma prior on the local precisions are
-then re-estimated from the pooled moments (M-step), in a closed
+loadings U (p, rank). At a gene's e = E[tau^-2], the ``vb.Moments`` of its
+regression are Schur complements of M = X^T X + e I (see
+``_leave_one_out``), so the E-step of all p genes is one array update over
+(p, rank) arrays, finished by ``vb._estep`` as every sub-model's sweep is.
+The shape/rate (a, b) of the shared gamma prior on the local precisions
+are then re-estimated from the pooled moments (M-step), in a closed
 approximate form or an exact fixed-point variant. The fit is held as
 arrays with one row per gene (see ``SemFit``), read off once at the end.
 """
@@ -28,10 +29,10 @@ from .vb import (
     DEFAULT_TOL,
     RATE_INIT,
     HyperParameters,
-    _bound,
+    Moments,
     _bound_constant,
+    _estep,
     _posterior_shapes,
-    _rates,
     digamma,
     make_workspace,
 )
@@ -222,33 +223,29 @@ class _LeaveOneOut:
     Either way, at any scale of X, the resolvents that carry f0 are at
     least one, none exceeds the larger of 1 / RANK_RTOL and 1 + 1 / nu_g,
     and nu_g times the null resolvent is at most two. ``hat`` is
-    lambda / (lambda + e) and ``f0`` is scale [M^-1]_gg. ``fit`` =
-    E||y - D beta||^2, ``ebb`` = E[beta^T beta] and ``sigma_logdet`` is
-    the log determinant of the coefficient covariance M_-g^-1 /
-    E[sigma^-2]."""
+    lambda / (lambda + e), ``f0`` is scale [M^-1]_gg and ``moments`` are
+    the gene's regression's ``Moments``."""
 
     scale: np.ndarray
     res: np.ndarray
     hat: np.ndarray
     f0: np.ndarray
-    fit: np.ndarray
-    ebb: np.ndarray
-    sigma_logdet: np.ndarray
+    moments: Moments
 
 
-def _leave_one_out(sp: _Spectrum, e, e_sig) -> _LeaveOneOut:
-    """One E-step of every gene's regression on all the others, at its own
-    ``e`` = E[tau^-2] and ``e_sig`` = E[sigma^-2].
+def _leave_one_out(sp: _Spectrum, e) -> _LeaveOneOut:
+    """The ``Moments`` of every gene's regression on all the others, at its
+    own ``e`` = E[tau^-2].
 
     With M = X^T X + e I, f0 = [M^-1]_gg and f1 = [M^-2]_gg, the Schur
     complements of M give the moments of the gene's regression on its
-    design D, with M_-g = D^T D + e I: ||beta||^2 = f1 / f0^2 - 1,
+    design D, with M_-g = D^T D + e I: ||theta||^2 = f1 / f0^2 - 1,
     tr M_-g^-1 = tr M^-1 - f1 / f0, log det M_-g = log det M + log f0,
-    ||y - D beta||^2 = (f0 - e f1) / f0^2 and tr(D^T D M_-g^-1) =
-    sum hat - (f0 - e f1) / f0. f1 - f0^2 is summed as the spread of the
-    resolvents about f0, weighted by the squared loadings (which sum to
-    one), and f0 - e f1 as the loadings' sum of hat * res, so no moment is
-    a difference of near-equal numbers.
+    rss = (f0 - e f1) / f0^2 and tr(D^T D M_-g^-1) = sum hat - (f0 -
+    e f1) / f0. f1 - f0^2 is summed as the spread of the resolvents about
+    f0, weighted by the squared loadings (which sum to one), and f0 - e f1
+    as the loadings' sum of hat * res, so no moment is a difference of
+    near-equal numbers.
     """
     lam, u2, mult = sp.lam, sp.u2, sp.mult
     if sp.nu_lam is None:
@@ -263,12 +260,12 @@ def _leave_one_out(sp: _Spectrum, e, e_sig) -> _LeaveOneOut:
     dev = res - f0[:, None]
     ratio = (u2 * dev * dev) @ mult / f0  # scale (f1 / f0 - f0)
     explained = (u2res * hat) @ mult / f0  # (f0 - e f1) / f0
-    return _LeaveOneOut(
-        scale, res, hat, f0,
-        fit=explained * scale / f0 + (hat @ mult - explained) / e_sig,
-        ebb=ratio / f0 + (res @ mult - f0 - ratio) / (scale * e_sig),
-        sigma_logdet=(-(len(u2) - 1) * np.log(e_sig) - np.log(den) @ mult
-                      - np.log(f0 / scale)))
+    return _LeaveOneOut(scale, res, hat, f0, Moments(
+        rss=explained * scale / f0,
+        theta2=ratio / f0,
+        trace=(res @ mult - f0 - ratio) / scale,
+        logdet=np.log(den) @ mult + np.log(f0 / scale),
+        dof=hat @ mult - explained))
 
 
 def _coefficients(sp: _Spectrum, loo: _LeaveOneOut, e, e_sig):
@@ -324,10 +321,10 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
         hp = HyperParameters(a=a, b=b)
         a_star, c_star = _posterior_shapes(hp, n, k)
         e_tau, e_sig = a_star / b_stars, c_star / d_stars
-        loo = _leave_one_out(spectrum, e_tau, e_sig)
-        b_stars, d_stars = _rates(hp, c_star, e_tau, loo.fit, loo.ebb)
-        bounds = _bound(_bound_constant(n, k, hp, a_star, c_star), a_star,
-                        b_stars, c_star, d_stars, loo.sigma_logdet, loo.ebb)
+        loo = _leave_one_out(spectrum, e_tau)
+        b_stars, d_stars, bounds = _estep(
+            hp, loo.moments, e_tau, e_sig, a_star, c_star, k,
+            _bound_constant(n, k, hp, a_star, c_star))
         if not np.isfinite(bounds).all():
             bad = m.gene_ids[int(np.argmax(~np.isfinite(bounds)))]
             raise NumericalFailureError(

@@ -31,7 +31,6 @@ from .vb import (
     fit_spectra,
     gene_blocks,
     make_workspace,
-    posterior_bounds,
     stack_groups,
     stack_spectra,
 )
@@ -124,11 +123,13 @@ class EvidenceCache:
     are kept by (response gene, prefix length); any other sub-model is
     kept by (response gene, frozenset of covariate genes). Those are
     fitted ahead of use in stacks by ``fit_ahead``, or, when a lookup finds
-    one missing, alone by ``fit_local``; both give the same bits. Every
-    fit stops on the rule of ``fit_local``'s defaults. ``stats`` counts the
-    fits, their sweeps and the fits that hit the sweep cap, from every
-    route, and ``submodel_unused`` the fits of ``fit_ahead`` that no
-    lookup has read.
+    one missing, alone by ``fit_local``; both give the same bits, since a
+    sub-model's evidence is the bound of the sweep that ends its fit.
+    Every fit stops on the rule of ``fit_local``'s defaults. ``stats``
+    counts the fits, their sweeps and the fits that hit the sweep cap,
+    from every route, ``submodel_unused`` the fits of ``fit_ahead`` that
+    no lookup has read, ``submodel_lookups`` the calls of
+    ``log_evidence`` and ``submodel_misses`` those that fitted alone.
     """
 
     def __init__(self, m: ExpressionMatrix):
@@ -143,7 +144,8 @@ class EvidenceCache:
         self._prefix = None
         self._unread = set()  # keys fitted ahead and not yet looked up
         self.stats = {"submodel_fits": 0, "submodel_sweeps": 0,
-                      "submodel_nonconverged": 0, "submodel_unused": 0}
+                      "submodel_nonconverged": 0, "submodel_unused": 0,
+                      "submodel_lookups": 0, "submodel_misses": 0}
 
     def _count(self, iterations, converged) -> None:
         self.stats["submodel_fits"] += np.size(iterations)
@@ -222,18 +224,17 @@ class EvidenceCache:
             covariates = np.array([sorted(c) for _, c in keys],
                                   dtype=np.intp).reshape(len(keys), k)
             for rows in gene_blocks(len(keys), self.n * max(k, 1)):
-                spectra, V = make_workspace(self.values, genes[rows],
-                                            covariates[rows])
-                fit = fit_spectra(spectra, self.prior)
+                fit = fit_spectra(make_workspace(
+                    self.values, genes[rows], covariates[rows])[0],
+                    self.prior)
                 self._count(fit.iterations, fit.converged)
-                bounds = posterior_bounds(spectra, V, fit.b_last, fit.d_last,
-                                          self.prior)
                 self._cache.update(zip((keys[r] for r in rows),
-                                       bounds.tolist()))
+                                       fit.bound.tolist()))
             self._unread.update(keys)
             self.stats["submodel_unused"] += len(keys)
 
     def log_evidence(self, response: int, covariates: frozenset) -> float:
+        self.stats["submodel_lookups"] += 1
         t = self._prefix_length(response, covariates)
         if t is not None:
             return float(self._prefix[response, t])
@@ -245,6 +246,7 @@ class EvidenceCache:
                 self.stats["submodel_unused"] -= 1
             return got
         vp = fit_local(self.values, response, sorted(covariates), self.prior)
+        self.stats["submodel_misses"] += 1
         self._count(vp.iterations, vp.converged)
         self._cache[key] = vp.lower_bound
         return vp.lower_bound

@@ -6,40 +6,37 @@ coordinate ascent on a factorized posterior. The evidence lower bound is
 the convergence criterion and doubles as the model-evidence surrogate used
 for Bayes factors downstream.
 
-Every regression is fitted in the eigenbasis of its design's
-cross-product, where the coefficient posterior is diagonal: a sweep only
-touches the eigenvalues d^2, w = V^T D^T y and y^T y, and the coefficient
-covariance is never formed beyond its diagonal. The route is exact for
-any shape: directions outside the design's row space keep their
-conditional prior, and there are none when the design has full column
-rank. A regression without covariates has an empty spectrum, and its
-sigma posterior is exact after one sweep.
+A sweep reads each regression's data only through five ``Moments`` at its
+e = E[tau^-2], and two routes provide them: ``_spectral_moments`` from a
+stack of design spectra (the selection's sub-models) and
+``em._leave_one_out`` from one spectrum of the whole matrix (every gene of
+the EM). ``_estep`` is the rest of the sweep for both: expected fit,
+E[beta^T beta] and log determinant, then the rates (``_rates``) and the
+lower bound (``_bound``).
 
-Every regression is one gene of the expression matrix on other genes of
-it, and callers name it by gene indices alone: the response gene and its
-covariates, in sorted order. The spectral setup is written once:
-``make_workspace`` gathers the designs and responses from the matrix and
+The spectral route works in the eigenbasis of each design's
+cross-product, where the coefficient posterior is diagonal, and is exact
+for any shape: directions outside the row space keep their conditional
+prior. A regression without covariates has an empty spectrum. Callers
+name a regression by gene indices alone, the response and its sorted
+covariates; ``make_workspace`` gathers the designs and responses and
 takes the eigenbasis of one design's cross-product, or of a stack of
-them, with one ``eigh`` call; no other module lays out a design. The
-sweep is written once too, as array code over a stack of spectra with
-one row per regression: ``fit_spectra`` sweeps the rows of one stack,
-all started together and each stopped by its own rule, and ``fit_local``
-is that recursion on a single regression. Many regressions are fitted in
-whole groups within ``STACK_DOUBLES`` (see there), each padded into one
-stack by ``stack_spectra``. ``_posteriors`` reads the posteriors off
-that basis as arrays, one row per regression of a stack; ``fit_local``
-and ``vb_sweep`` return a single regression's as a ``VariationalPosterior``,
-and ``posterior_bounds`` a stack's lower bounds. The EM of ``em.fit_sem``
-takes one spectrum of the whole matrix from ``make_workspace`` and
-reaches every gene's regression on all the others through it; its E-step
-shares the rate update ``_rates`` and the bound ``_bound`` with the sweep
-here.
+them, with one ``eigh`` call. ``fit_spectra`` sweeps the rows of one
+stack, all started together and each stopped by its own rule, and a
+row's evidence is the bound of its last sweep; ``fit_local`` is that
+recursion on one regression, and its ``lower_bound`` is that bound to the
+bit. Many regressions are fitted in groups within ``STACK_DOUBLES``, each
+padded into one stack by ``stack_spectra``. ``_posteriors`` reads the
+posteriors off the eigenbasis after one more ``_estep``, a row per
+regression; ``fit_local`` and ``vb_sweep`` return one regression's as a
+``VariationalPosterior``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,16 +116,18 @@ class Spectra:
     n: int
 
 
-@dataclass
-class _Update:
-    theta: np.ndarray
-    theta_var: np.ndarray
-    comp_var: np.ndarray
-    b_star: np.ndarray
-    d_star: np.ndarray
-    sigma_trace: np.ndarray
-    sigma_logdet: np.ndarray
-    ebb: np.ndarray
+class Moments(NamedTuple):
+    """What one E-step reads of each regression at its e = E[tau^-2], one
+    value per regression. With M = D^T D + e I and theta = M^-1 D^T y:
+    ``rss`` = ||y - D theta||^2, ``theta2`` = ||theta||^2, ``trace`` =
+    tr M^-1 (a direction outside the design's row space adds 1 / e),
+    ``logdet`` = log det M and ``dof`` = tr(D^T D M^-1)."""
+
+    rss: np.ndarray
+    theta2: np.ndarray
+    trace: np.ndarray
+    logdet: np.ndarray
+    dof: np.ndarray
 
 
 def _rowdot(x, y):
@@ -147,35 +146,38 @@ def _col(x):
     return x[..., None] if getattr(x, "ndim", 0) else x
 
 
-def _spectral_update(d2, w, mask, yty, comp, b_star, d_star, a_star, c_star,
-                     hp) -> _Update:
-    """One coordinate-ascent pass in each design's eigenbasis.
-
-    The last axis of ``d2``, ``w`` and ``mask`` runs over directions (see
-    ``Spectra``); ``yty``, ``comp`` (directions outside the row space),
-    the rates and the shapes hold one value per regression. Directions
-    outside the row space keep their conditional prior variance
-    ``comp_var``. Returns the coefficient mean and variance in that basis,
-    then the two rates updated in turn.
-    """
-    e_tau = a_star / b_star
-    e_sig = c_star / d_star
-    denom = d2 + _col(e_tau)
+def _spectral_moments(d2, w, mask, yty, comp, e) -> Moments:
+    """The ``Moments`` of each regression of a stack of spectra (see
+    ``Spectra``; the last axis runs over directions) at its own ``e``.
+    ``comp`` counts the directions outside each row space. In the
+    eigenbasis theta = w / (d^2 + e), and rss is summed as y^T y -
+    2 theta^T w + sum d^2 theta^2."""
+    denom = d2 + _col(e)
     theta = w / denom
-    precision = _col(e_sig) * denom
-    theta_var = mask / precision
-    comp_precision = e_sig * e_tau
-    comp_var = 1.0 / comp_precision
-    sigma_trace = _rowdot(mask, theta_var) + comp * comp_var
-    sigma_logdet = -_rowdot(mask, np.log(precision)) - (
-        comp * np.log(comp_precision)
-    )
-    ebb = _rowdot(theta, theta) + sigma_trace
-    rss = yty - 2.0 * _rowdot(theta, w) + _rowdot(d2, theta * theta)
-    tr_xtx_sigma = _rowdot(d2, theta_var)
-    b_new, d_new = _rates(hp, c_star, e_tau, rss + tr_xtx_sigma, ebb)
-    return _Update(theta, theta_var, comp_var, b_new, d_new, sigma_trace,
-                   sigma_logdet, ebb)
+    inv = 1.0 / denom
+    return Moments(
+        rss=yty - 2.0 * _rowdot(theta, w) + _rowdot(d2, theta * theta),
+        theta2=_rowdot(theta, theta),
+        trace=_rowdot(mask, inv) + comp / e,
+        logdet=_rowdot(mask, np.log(denom)) + comp * np.log(e),
+        dof=_rowdot(d2, inv))
+
+
+def _estep(hp, moments: Moments, e_tau, e_sig, a_star, c_star, k, constant):
+    """One coordinate-ascent pass of every regression, given its
+    ``Moments`` at ``e_tau`` = E[tau^-2] and ``e_sig`` = E[sigma^-2] from
+    the rates the pass starts from: the coefficient posterior
+    N(theta, M^-1 / e_sig) gives E||y - D beta||^2 = rss + dof / e_sig,
+    E[beta^T beta] = theta2 + trace / e_sig and the log determinant of its
+    covariance, -k log e_sig - logdet, for k coefficients. Returns the
+    updated rates (b*, d*) and the lower bound after the pass, given
+    ``_bound_constant`` of the regression."""
+    ebb = moments.theta2 + moments.trace / e_sig
+    b_new, d_new = _rates(hp, c_star, e_tau,
+                          moments.rss + moments.dof / e_sig, ebb)
+    sigma_logdet = -k * np.log(e_sig) - moments.logdet
+    return b_new, d_new, _bound(constant, a_star, b_new, c_star, d_new,
+                                sigma_logdet, ebb)
 
 
 def _rates(hp, c_star, e_tau, fit, ebb):
@@ -294,28 +296,29 @@ def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
     """Every regression of ``spectra`` read off after one sweep from the
     rates ``(b_star, d_star)``: coefficient means and variances, one row
     per regression, then its two rates and lower bound (a spectrum without
-    the row axis reads off without it). The coefficient moments come back
-    from the eigenbasis through the ``V`` returned with the spectra, its
-    columns past a row's rank dropped; directions outside a design's row
-    space add their conditional prior variance.
+    the row axis reads off without it). The rates and bound are those of
+    ``_estep``, as in ``fit_spectra``'s sweeps. The coefficient moments
+    come back from the eigenbasis through the ``V`` returned with the
+    spectra, its columns past a row's rank dropped; directions outside a
+    design's row space add their conditional prior variance.
     """
-    rank = spectra.mask.sum(axis=-1)
-    up = _spectral_update(spectra.d2, spectra.w, spectra.mask, spectra.yty,
-                          spectra.k - rank, b_star, d_star, a_star, c_star,
-                          hp)
+    e_tau, e_sig = a_star / b_star, c_star / d_star
+    b_new, d_new, lower_bound = _estep(
+        hp, _spectral_moments(spectra.d2, spectra.w, spectra.mask,
+                              spectra.yty,
+                              spectra.k - spectra.mask.sum(axis=-1), e_tau),
+        e_tau, e_sig, a_star, c_star, spectra.k,
+        _bound_constant(spectra.n, spectra.k, hp, a_star, c_star))
+    if not np.isfinite(lower_bound).all():
+        raise NumericalFailureError("non-finite lower bound")
+    denom = spectra.d2 + _col(e_tau)
     # zero past each row's rank, in a C-contiguous copy that goes to BLAS
     v = V * spectra.mask[..., None, :]
     v2 = v**2
-    beta_mean = (v @ up.theta[..., None])[..., 0]
-    beta_var = ((v2 @ up.theta_var[..., None])[..., 0]
-                + (1.0 - v2.sum(axis=-1)) * _col(up.comp_var))
-    lower_bound = _bound(
-        _bound_constant(spectra.n, spectra.k, hp, a_star, c_star), a_star,
-        up.b_star, c_star, up.d_star, up.sigma_logdet,
-        _rowdot(beta_mean, beta_mean) + up.sigma_trace)
-    if not np.isfinite(lower_bound).all():
-        raise NumericalFailureError("non-finite lower bound")
-    return beta_mean, beta_var, up.b_star, up.d_star, lower_bound
+    beta_mean = (v @ (spectra.w / denom)[..., None])[..., 0]
+    beta_var = ((v2 @ (spectra.mask / denom)[..., None])[..., 0]
+                + (1.0 - v2.sum(axis=-1)) / _col(e_tau)) / _col(e_sig)
+    return beta_mean, beta_var, b_new, d_new, lower_bound
 
 
 def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
@@ -433,7 +436,7 @@ def fit_spectra(
     live = dict(
         d2=spectra.d2, w=spectra.w, mask=spectra.mask, yty=spectra.yty,
         comp=spectra.k - spectra.mask.sum(axis=-1),  # outside row space
-        a_star=a_star, c_star=c_star,
+        k=spectra.k, a_star=a_star, c_star=c_star,
         constant=_bound_constant(spectra.n, spectra.k, hp, a_star, c_star),
         b=np.full(shape, RATE_INIT), d=np.full(shape, RATE_INIT),
         prev=np.full(shape, np.nan), row=np.arange(rows).reshape(shape),
@@ -442,11 +445,12 @@ def fit_spectra(
                      np.empty(rows, dtype=bool), np.empty(rows),
                      np.empty(rows))
     for sweep in range(1, max_iter + 1):
-        up = _spectral_update(live["d2"], live["w"], live["mask"],
-                              live["yty"], live["comp"], live["b"],
-                              live["d"], live["a_star"], live["c_star"], hp)
-        lb = _bound(live["constant"], live["a_star"], up.b_star,
-                    live["c_star"], up.d_star, up.sigma_logdet, up.ebb)
+        e_tau = live["a_star"] / live["b"]
+        b, d, lb = _estep(
+            hp, _spectral_moments(live["d2"], live["w"], live["mask"],
+                                  live["yty"], live["comp"], e_tau),
+            e_tau, live["c_star"] / live["d"], live["a_star"],
+            live["c_star"], live["k"], live["constant"])
         if not np.isfinite(lb).all():
             raise NumericalFailureError(
                 f"non-finite lower bound at iteration {sweep}"
@@ -454,7 +458,7 @@ def fit_spectra(
         settled = np.abs(lb - live["prev"]) < tol
         done = settled | (sweep == max_iter)
         if not done.any():
-            live.update(b=up.b_star, d=up.d_star, prev=lb)
+            live.update(b=b, d=d, prev=lb)
             continue
         row = live["row"][done]
         fit.bound[row], fit.converged[row] = lb[done], settled[done]
@@ -463,20 +467,9 @@ def fit_spectra(
         if done.all():
             break
         keep = ~done
-        live.update(b=up.b_star, d=up.d_star, prev=lb)
+        live.update(b=b, d=d, prev=lb)
         live = {key: value[keep] for key, value in live.items()}
     return fit
-
-
-def posterior_bounds(spectra: Spectra, V, b_last, d_last,
-                     hp: HyperParameters) -> np.ndarray:
-    """The lower bound of each row of the stack ``spectra``, read off as
-    ``fit_local`` reads it: after one sweep from the rates ``b_last`` and
-    ``d_last`` that ``fit_spectra``'s last sweep started from. Each row
-    gives the bits of ``fit_local``'s ``lower_bound`` when every row of
-    the stack ``fit_spectra`` swept had this one's width."""
-    a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
-    return _posteriors(spectra, V, b_last, d_last, a_star, c_star, hp)[-1]
 
 
 def fit_local(

@@ -2,13 +2,15 @@
 
 Everything here is deliberately slow and simple: a Gibbs sampler for the
 single-equation posterior, a dense variational fit that forms the full
-coefficient covariance, numerical quadrature for the exact model evidence
-with one covariate, and a grid maximizer for the pooled-prior objective.
+coefficient covariance (in float64, and in ``mpmath`` at any precision),
+numerical quadrature for the exact model evidence with one covariate, and
+a grid maximizer for the pooled-prior objective.
 None of it shares code with the package internals.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.linalg import cho_factor, cho_solve
@@ -99,6 +101,47 @@ def dense_vb_fit(y, X, a, b, c, d, tol, max_iter, rate_init=1e-3):
             break
         prev = bound
     return beta, np.diag(Sigma).copy(), float(bound)
+
+
+def mp_dense_vb_bound(y, X, a, b, c, d, sweeps, dps=50, rate_init=1e-3):
+    """The lower bound of ``dense_vb_fit``'s model after exactly ``sweeps``
+    sweeps from ``rate_init``, in ``dps``-digit ``mpmath`` arithmetic.
+
+    The float64 inputs are taken exactly. Each sweep inverts the dense
+    M = X'X + E[tau^-2] I by LU, so nothing is shared with the eigenbasis
+    route. Returns the bound as an ``mpf``.
+    """
+    with mpmath.workdps(dps):
+        y = mpmath.matrix([mpmath.mpf(float(v)) for v in y])
+        X = mpmath.matrix([[mpmath.mpf(float(v)) for v in row]
+                           for row in np.asarray(X, dtype=float)])
+        n, k = X.rows, X.cols
+        a, b, c, d = (mpmath.mpf(float(v)) for v in (a, b, c, d))
+        XtX = X.T * X
+        Xty = X.T * y
+        yty = (y.T * y)[0]
+        a_star = a + k / mpmath.mpf(2)
+        c_star = c + (n + k) / mpmath.mpf(2)
+        b_star = d_star = mpmath.mpf(rate_init)
+        for _ in range(sweeps):
+            e_tau, e_sig = a_star / b_star, c_star / d_star
+            M = XtX + e_tau * mpmath.eye(k)
+            Minv = mpmath.inverse(M)
+            beta = Minv * Xty
+            logdet = -mpmath.log(mpmath.det(M)) - k * mpmath.log(e_sig)
+            trace = sum(Minv[i, i] for i in range(k))
+            ebb = (beta.T * beta)[0] + trace / e_sig
+            rss = yty - 2 * (beta.T * Xty)[0] + (beta.T * XtX * beta)[0]
+            tr_xtx_sigma = sum(XtX[i, j] * Minv[j, i] for i in range(k)
+                               for j in range(k)) / e_sig
+            d_star = d + (rss + tr_xtx_sigma) / 2 + e_tau * ebb / 2
+            b_star = b + (c_star / d_star) * ebb / 2
+        return (-n * mpmath.log(2 * mpmath.pi) / 2 + logdet / 2 + k / 2
+                + a * mpmath.log(b) - mpmath.loggamma(a)
+                - a_star * mpmath.log(b_star) + mpmath.loggamma(a_star)
+                + c * mpmath.log(d) - mpmath.loggamma(c)
+                - c_star * mpmath.log(d_star) + mpmath.loggamma(c_star)
+                + (c_star / d_star) * (a_star / b_star) * ebb / 2)
 
 
 def quadrature_log_evidence(y, x, a, b, c, d):

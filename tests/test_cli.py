@@ -112,6 +112,8 @@ class TestInfer:
         assert stats["submodel_fits"] >= 100
         assert stats["submodel_sweeps"] >= 2 * stats["submodel_fits"]
         assert stats["submodel_nonconverged"] == 0
+        assert stats["submodel_lookups"] >= 4
+        assert stats["submodel_misses"] == 0
         assert "stats" not in fit
         assert stats["em_a_at_cap"] is (fit["a"] == 1e4)
         trajectory = fit["em_trajectory"]

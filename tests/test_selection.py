@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_vb_fit
+from oracles import dense_vb_fit, mp_dense_vb_bound
 from shrinknet.data import ExpressionMatrix, standardize
 from shrinknet.em import EmConfig, fit_sem
 from shrinknet.errors import NumericalFailureError
@@ -26,6 +26,7 @@ from shrinknet.selection import (
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
 from shrinknet import selection, vb
 from shrinknet.vb import SpectraFit, fit_local, fit_spectra, stack_spectra
+from test_traced_run import _chain_values
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +284,12 @@ def _scan_input(p, n, seed, duplicate):
     return m, rank_edges(rng.random((p, p)))
 
 
+def _chain_matrix(p, n, seed):
+    return ExpressionMatrix(_chain_values(p, n, seed),
+                            [f"g{i}" for i in range(p)],
+                            [f"s{i}" for i in range(n)])
+
+
 SCAN_CASES = {
     "tall": (12, 30, 0, False),
     "wide": (20, 8, 1, False),  # prefixes of 8 or more genes have k >= n
@@ -405,6 +412,29 @@ class TestBatchedScan:
                 )
                 assert abs(table[g, t] - bound) <= 1e-8, (g, t)
 
+    def test_table_accurate_at_the_data_rank(self):
+        """At n - 1 partners a gene's centred design spans its response
+        and its cross-product's smallest eigenvalue is below 1e-7 of the
+        largest. Two such prefix evidences of the default ranking of a
+        chain input agree with a 50-digit dense fit run for as many sweeps
+        to 1e-12; a rank cutoff of 1e-7, which drops those directions,
+        puts them 4e-7 and 9e-7 off."""
+        p, n = 60, 20
+        m = standardize(_chain_matrix(p, n, 3))
+        ranking = rank_edges(kappa_scores(fit_sem(m)))
+        cache = EvidenceCache(m)
+        table = cache.fill_prefixes(ranking)
+        partners = _ranked_partners(ranking, p)
+        prior = cache.prior
+        for g in (13, 38):
+            covariates = sorted(partners[g][:n - 1])
+            sweeps = fit_local(cache.values, g, covariates,
+                               prior).iterations
+            want = mp_dense_vb_bound(
+                cache.values[:, g], cache.values[:, covariates], prior.a,
+                prior.b, prior.c, prior.d, sweeps)
+            assert abs(table[g, n - 1] - want) <= 1e-12 * abs(want), g
+
     @pytest.mark.parametrize("case", sorted(SCAN_CASES))
     def test_estimate_p0_matches_ranking_replay(self, case):
         m, ranking = _scan_input(*SCAN_CASES[case])
@@ -448,6 +478,10 @@ class TestBatchedScan:
         assert stats["submodel_unused"] == len(ahead - looked_up) > 0
         assert stats["submodel_sweeps"] >= 2 * stats["submodel_fits"]
         assert stats["submodel_nonconverged"] == 0
+        # two Bayes factors of two evidences per rank walked, none fitted
+        # alone
+        assert stats["submodel_lookups"] == 4 * res.selection.ranks_evaluated
+        assert stats["submodel_misses"] == 0
 
 
 class TestLookAhead:
@@ -490,6 +524,33 @@ class TestLookAhead:
             assert cache.log_evidence(g, covariates) == lone.lower_bound
         assert cache.stats["submodel_unused"] == 0
         assert cache.stats["submodel_fits"] == len(unique)  # no lone fit
+
+    def test_counts_lookups_and_misses(self):
+        """Every ``log_evidence`` call is a lookup, and one the look-ahead
+        did not fit is a miss, fitted alone."""
+        m, _ = _scan_input(40, 30, 5, False)
+        p = m.n_genes
+        rng = np.random.default_rng(0)
+        keys = []
+        for _ in range(150):
+            g, k = int(rng.integers(p)), int(rng.integers(26))
+            others = np.delete(np.arange(p), g)
+            keys.append((g, frozenset(
+                rng.choice(others, k, replace=False).tolist())))
+        cache = EvidenceCache(m)
+        cache.fit_ahead(keys)
+        unique = set(keys)
+        for key in unique:
+            cache.log_evidence(*key)
+        assert cache.stats["submodel_lookups"] == len(unique)
+        assert cache.stats["submodel_misses"] == 0
+        missing = next((g, frozenset([h])) for g in range(p)
+                       for h in range(p)
+                       if h != g and (g, frozenset([h])) not in unique)
+        cache.log_evidence(*missing)
+        assert cache.stats["submodel_lookups"] == len(unique) + 1
+        assert cache.stats["submodel_misses"] == 1
+        assert cache.stats["submodel_fits"] == len(unique) + 1
 
 
 def _replay_walk(ranking, accepted, r_max, patience, p):
@@ -626,3 +687,53 @@ def test_relabelling_genes_relabels_kappa_and_selection(seed, perm, n):
     assert after.p0_hat == before.p0_hat
     assert {tuple(sorted((int(perm[i]), int(perm[j]))))
             for i, j in after.selection.selected} == before.selection.selected
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(3, 14),
+       n=st.integers(4, 40), data=st.data())
+def test_flipping_gene_signs_changes_nothing(seed, p, n, data):
+    """The model sees a gene only through products of its values with
+    another's or its own, so negating genes leaves kappa, the ranking, p0
+    and the selected set as they were, to the bit."""
+    m = _chain_matrix(p, n, seed)
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=p,
+                                       max_size=p)))
+    flipped = ExpressionMatrix(np.where(flip, -m.values, m.values),
+                               m.gene_ids, m.sample_ids)
+    before, after = infer_network(m), infer_network(flipped)
+    assert after.kappa.tobytes() == before.kappa.tobytes()
+    for name in ("i", "j", "kappa_bar"):
+        assert getattr(after.ranking, name).tobytes() == \
+            getattr(before.ranking, name).tobytes()
+    assert after.p0_hat == before.p0_hat
+    assert after.selection.selected == before.selection.selected
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(3, 14),
+       n=st.integers(4, 40), data=st.data())
+def test_permuting_samples_changes_no_decision(seed, p, n, data):
+    """Samples are exchangeable: permuting them moves kappa only by
+    rounding, and leaves the ranking, p0 and the selected set as they
+    were. Inputs with a tie within that rounding, between two kappa or at
+    a Bayes factor's threshold, are skipped."""
+    m = _chain_matrix(p, n, seed)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    moved = ExpressionMatrix(m.values[perm], m.gene_ids,
+                             [m.sample_ids[s] for s in perm])
+    before = infer_network(m)
+    kappa = before.ranking.kappa_bar
+    assume(np.all(np.abs(np.diff(kappa)) > 1e-9 * np.abs(kappa[1:])))
+    steps = np.diff(EvidenceCache(standardize(m)).fill_prefixes(
+        before.ranking), axis=1)
+    assume(np.all(np.abs(steps) > 1e-9))
+    gamma = before.selection.gamma
+    assume(np.all(np.abs(before.selection.bayes_factor_max - gamma)
+                  > 1e-9 * gamma))
+    after = infer_network(moved)
+    np.testing.assert_allclose(after.kappa, before.kappa, rtol=1e-10, atol=0)
+    np.testing.assert_array_equal(after.ranking.i, before.ranking.i)
+    np.testing.assert_array_equal(after.ranking.j, before.ranking.j)
+    assert after.p0_hat == before.p0_hat
+    assert after.selection.selected == before.selection.selected

@@ -345,12 +345,18 @@ class TestSpectralSetup:
 class TestFitSpectra:
     def test_single_regression_form(self):
         """A spectrum without the row axis fits exactly as a stack of one,
-        and rows of different widths joined by ``stack_spectra`` fit as
-        they do alone."""
-        rows = [make_workspace(*random_problem(20, k, seed=seed))[0]
-                for k, seed in ((4, 1), (3, 4), (6, 2), (30, 9))]
+        rows of different widths joined by ``stack_spectra`` fit as they
+        do alone, and ``fit_local``'s bound is the bound of the fit's last
+        sweep, to the bit."""
+        problems = [random_problem(20, k, seed=seed)
+                    for k, seed in ((4, 1), (3, 4), (6, 2), (30, 9))]
+        rows = [make_workspace(*prob)[0] for prob in problems]
         assert len({row.d2.shape[-1] for row in rows}) == len(rows)
         alone = [fit_spectra(row, VAGUE, tol=1e-8) for row in rows]
+        for prob, got in zip(problems, alone):
+            vp = fit_local(*prob, VAGUE, tol=1e-8)
+            assert vp.lower_bound == got.bound[0]
+            assert vp.iterations == got.iterations[0]
         for row, got in zip(rows, alone):
             stack = Spectra(row.d2[None], row.w[None], row.mask[None],
                             np.array([row.yty]), np.array([row.k]), row.n)
