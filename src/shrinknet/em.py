@@ -25,8 +25,6 @@ import numpy as np
 from .data import ExpressionMatrix
 from .errors import DegenerateDesignError, NumericalFailureError
 from .vb import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     RATE_INIT,
     HyperParameters,
     Moments,
@@ -55,6 +53,11 @@ _DEGENERATE_EPS = 1e-8
 #: a duplicated gene among values near 1e5 does without global shrinkage,
 #: and near 1e30 with it; standardized data do not.
 NULL_GAIN_MAX = 1e6
+
+#: The EM stops once no gene's bound moves by ``tol`` in an iteration, or
+#: after ``max_iter`` iterations.
+DEFAULT_TOL = 1e-3
+DEFAULT_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)

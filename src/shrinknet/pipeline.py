@@ -28,8 +28,8 @@ class InferenceResult:
     ranking: EdgeRanking
     p0_hat: float
     selection: SelectionResult
-    #: sub-model fits, sweeps and non-converged fits of the evidence cache,
-    #: and its look-ahead fits that no lookup used
+    #: sub-model fits and solver evaluations of the evidence cache, and
+    #: its look-ahead fits that no lookup used
     submodel_stats: dict
     #: milliseconds per stage: standardize, spectrum (the EM's one
     #: spectral setup), em (the rest of the EM), rank, p0 and select

@@ -22,18 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import vb
 from .data import ExpressionMatrix
 from .em import SemFit
 from .errors import NumericalFailureError
 from .vb import (
     HyperParameters,
-    fit_local,
     fit_spectra,
     gene_blocks,
     make_workspace,
     stack_groups,
     stack_spectra,
 )
+
+fit_local = vb.fit_local  # the name perfbench's selection.submodel span wraps
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,12 @@ class EvidenceCache:
     matches an unpenalized intercept in the conjugate updates. Evidences of
     the ranking prefixes, filled in one batched pass by ``fill_prefixes``,
     are kept by (response gene, prefix length); any other sub-model is
-    kept by (response gene, frozenset of covariate genes). Those are
-    fitted ahead of use in stacks by ``fit_ahead``, or, when a lookup finds
-    one missing, alone by ``fit_local``; both give the same bits, since a
-    sub-model's evidence is the bound of the sweep that ends its fit.
-    Every fit stops on the rule of ``fit_local``'s defaults. ``stats``
-    counts the fits, their sweeps and the fits that hit the sweep cap,
-    from every route, ``submodel_unused`` the fits of ``fit_ahead`` that
-    no lookup has read, ``submodel_lookups`` the calls of
-    ``log_evidence`` and ``submodel_misses`` those that fitted alone.
+    kept by (response gene, frozenset of covariate genes) and fitted by
+    ``fit_ahead``, ahead of use or when a lookup finds one missing. Every
+    fit is ``vb.fit_spectra``'s. ``stats`` counts the fits and their solver
+    evaluations, ``submodel_unused`` the fits ahead that no lookup has
+    read, ``submodel_lookups`` the calls of ``log_evidence`` and
+    ``submodel_misses`` those that found no fit.
     """
 
     def __init__(self, m: ExpressionMatrix):
@@ -143,15 +142,16 @@ class EvidenceCache:
         self._partner_rank = None
         self._prefix = None
         self._unread = set()  # keys fitted ahead and not yet looked up
-        self.stats = {"submodel_fits": 0, "submodel_sweeps": 0,
-                      "submodel_nonconverged": 0, "submodel_unused": 0,
-                      "submodel_lookups": 0, "submodel_misses": 0}
+        self.stats = {"submodel_fits": 0, "submodel_evaluations": 0,
+                      "submodel_unused": 0, "submodel_lookups": 0,
+                      "submodel_misses": 0}
 
-    def _count(self, iterations, converged) -> None:
-        self.stats["submodel_fits"] += np.size(iterations)
-        self.stats["submodel_sweeps"] += int(np.sum(iterations))
-        self.stats["submodel_nonconverged"] += int(
-            np.size(converged) - np.count_nonzero(converged))
+    def _fit(self, spectra):
+        """Bounds of the rows of ``spectra``, counted in ``stats``."""
+        fit = fit_spectra(spectra, self.prior)
+        self.stats["submodel_fits"] += len(fit.bound)
+        self.stats["submodel_evaluations"] += int(fit.evaluations.sum())
+        return fit.bound
 
     def fill_prefixes(self, ranking: EdgeRanking) -> np.ndarray:
         """Fit, in one batched pass, every sub-model that regresses a gene
@@ -162,9 +162,9 @@ class EvidenceCache:
         The ranking must hold every gene pair exactly once, as
         ``rank_edges`` makes it; otherwise ``ValueError`` is raised. The
         scan walks the prefix lengths in order, factors each one's designs
-        a block of responses at a time, and fits groups of blocks to
-        completion as one stack; ``vb.STACK_DOUBLES`` bounds both the
-        setup calls and the groups, whatever the number of genes.
+        a block of responses at a time, and fits groups of blocks as one
+        stack; ``vb.STACK_DOUBLES`` bounds both the setup calls and the
+        groups, whatever the number of genes.
         """
         p, n = self.p, self.n
         response = np.concatenate([ranking.i, ranking.j])
@@ -179,16 +179,12 @@ class EvidenceCache:
         partner_rank[np.arange(p)[:, None], order] = np.arange(p - 1)
         self._partner_rank = partner_rank.tolist()  # read per lookup
         blocks = gene_blocks(p, n * p)
-        fits = [fit_spectra(stack_spectra(group), self.prior)
-                for group in stack_groups(
-                    make_workspace(self.values, genes,
-                                   np.sort(order[genes, :t], axis=1))[0]
-                    for t in range(p) for genes in blocks)]
-        bound, iterations, converged = (
-            np.concatenate([getattr(fit, name) for fit in fits])
-            for name in ("bound", "iterations", "converged"))
+        bound = np.concatenate([
+            self._fit(stack_spectra(group)) for group in stack_groups(
+                make_workspace(self.values, genes,
+                               np.sort(order[genes, :t], axis=1))[0]
+                for t in range(p) for genes in blocks)])
         self._prefix = bound.reshape(p, p).T  # rows in (t, gene) order
-        self._count(iterations, converged)
         return self._prefix
 
     def _prefix_length(self, response: int, covariates: frozenset):
@@ -224,12 +220,10 @@ class EvidenceCache:
             covariates = np.array([sorted(c) for _, c in keys],
                                   dtype=np.intp).reshape(len(keys), k)
             for rows in gene_blocks(len(keys), self.n * max(k, 1)):
-                fit = fit_spectra(make_workspace(
-                    self.values, genes[rows], covariates[rows])[0],
-                    self.prior)
-                self._count(fit.iterations, fit.converged)
+                bound = self._fit(make_workspace(
+                    self.values, genes[rows], covariates[rows])[0])
                 self._cache.update(zip((keys[r] for r in rows),
-                                       fit.bound.tolist()))
+                                       bound.tolist()))
             self._unread.update(keys)
             self.stats["submodel_unused"] += len(keys)
 
@@ -239,17 +233,13 @@ class EvidenceCache:
         if t is not None:
             return float(self._prefix[response, t])
         key = (response, covariates)
-        got = self._cache.get(key)
-        if got is not None:
-            if key in self._unread:
-                self._unread.remove(key)
-                self.stats["submodel_unused"] -= 1
-            return got
-        vp = fit_local(self.values, response, sorted(covariates), self.prior)
-        self.stats["submodel_misses"] += 1
-        self._count(vp.iterations, vp.converged)
-        self._cache[key] = vp.lower_bound
-        return vp.lower_bound
+        if key not in self._cache:
+            self.stats["submodel_misses"] += 1
+            self.fit_ahead([key])
+        if key in self._unread:
+            self._unread.remove(key)
+            self.stats["submodel_unused"] -= 1
+        return self._cache[key]
 
     def bayes_factor(self, response: int, candidate: int,
                      conditioning: frozenset) -> float:

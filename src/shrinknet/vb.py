@@ -1,35 +1,28 @@
 """Per-gene variational fit for the shrinkage regression model.
 
 Each gene's regression carries a Gaussian coefficient prior with variance
-sigma^2 tau^2, gamma priors on tau^-2 and sigma^-2, and is fitted by
-coordinate ascent on a factorized posterior. The evidence lower bound is
-the convergence criterion and doubles as the model-evidence surrogate used
+sigma^2 tau^2 and gamma priors on tau^-2 and sigma^-2, under a factorized
+posterior. Its evidence lower bound is the model-evidence surrogate used
 for Bayes factors downstream.
 
-A sweep reads each regression's data only through five ``Moments`` at its
-e = E[tau^-2], and two routes provide them: ``_spectral_moments`` from a
-stack of design spectra (the selection's sub-models) and
-``em._leave_one_out`` from one spectrum of the whole matrix (every gene of
-the EM). ``_estep`` is the rest of the sweep for both: expected fit,
-E[beta^T beta] and log determinant, then the rates (``_rates``) and the
-lower bound (``_bound``).
+A coordinate-ascent sweep reads each regression's data only through five
+``Moments`` at its e = E[tau^-2], and two routes provide them:
+``_spectral_moments`` from a stack of design spectra (the selection's
+sub-models) and ``em._leave_one_out`` from one spectrum of the whole
+matrix (every gene of the EM). ``_estep`` is the rest of the sweep for
+both: the rates (``_rates``) and the lower bound (``_bound``).
 
 The spectral route works in the eigenbasis of each design's
-cross-product, where the coefficient posterior is diagonal, and is exact
-for any shape: directions outside the row space keep their conditional
-prior. A regression without covariates has an empty spectrum. Callers
-name a regression by gene indices alone, the response and its sorted
-covariates; ``make_workspace`` gathers the designs and responses and
-takes the eigenbasis of one design's cross-product, or of a stack of
-them, with one ``eigh`` call. ``fit_spectra`` sweeps the rows of one
-stack, all started together and each stopped by its own rule, and a
-row's evidence is the bound of its last sweep; ``fit_local`` is that
-recursion on one regression, and its ``lower_bound`` is that bound to the
-bit. Many regressions are fitted in groups within ``STACK_DOUBLES``, each
-padded into one stack by ``stack_spectra``. ``_posteriors`` reads the
-posteriors off the eigenbasis after one more ``_estep``, a row per
-regression; ``fit_local`` and ``vb_sweep`` return one regression's as a
-``VariationalPosterior``.
+cross-product, where the coefficient posterior is diagonal; directions
+outside the row space keep their conditional prior. Callers name a
+regression by gene indices, the response and its sorted covariates;
+``make_workspace`` gathers the designs and takes their eigenbases with
+one ``eigh`` call. ``fit_spectra`` fits every row of a stack at the
+fixed point of its sweeps by one scalar root solve, and ``fit_local``
+fits one regression by it; groups of regressions are padded into stacks
+within ``STACK_DOUBLES`` by ``stack_spectra``. ``_posteriors`` reads the
+posteriors off the eigenbasis after one more ``_estep``; ``fit_local``
+and ``vb_sweep`` return one regression's as a ``VariationalPosterior``.
 """
 
 from __future__ import annotations
@@ -50,10 +43,17 @@ RATE_FLOOR = 1e-12
 #: outside the row space, so dropping it moves the fit by O(d^2/E[tau^-2]).
 RANK_RTOL = 1e-12
 
-DEFAULT_TOL = 1e-3
-DEFAULT_MAX_ITER = 1000
-#: Both rates start here in every fit.
+#: Both rates start here in the EM's sweeps.
 RATE_INIT = 0.001
+
+#: ``fit_spectra`` steps at most this far in log E[tau^-2] past the
+#: fixed-point step, so it cannot jump over a short interval where h >= 0.
+STEP_PAST = 0.25
+#: ``fit_spectra`` stops a row once its Newton step in log E[tau^-2] is
+#: below this fraction of max(1, |log E[tau^-2]|).
+STEP_RTOL = 1e-9
+#: A solve that has not stopped after this many evaluations has failed.
+MAX_EVALUATIONS = 100
 
 #: Working-memory budget of a stacked computation, in doubles: it bounds
 #: the designs factored in one setup call (``gene_blocks``) and the
@@ -354,17 +354,14 @@ def vb_sweep(
 
 @dataclass
 class SpectraFit:
-    """Per-row outcome of ``fit_spectra``.
-
-    ``b_last`` and ``d_last`` are the rates the final sweep started from:
-    one sweep from them reproduces each row's final state.
-    """
+    """Per-row outcome of ``fit_spectra``: the fixed point's rates, the
+    bound of one sweep from them and the evaluations the row's solve
+    took."""
 
     bound: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    b_last: np.ndarray
-    d_last: np.ndarray
+    b_star: np.ndarray
+    d_star: np.ndarray
+    evaluations: np.ndarray
 
 
 def _posterior_shapes(hp: HyperParameters, n, k):
@@ -411,65 +408,74 @@ def stack_groups(blocks):
         yield group
 
 
-def fit_spectra(
-    spectra: Spectra,
-    hp: HyperParameters,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectraFit:
-    """Fit every row of ``spectra`` by the sweeps of one fit, sweeping all
-    live rows at once.
+def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
+    """Fit every row of ``spectra`` at the fixed point of its sweeps.
 
-    All rows start together. Each stops on its own once its lower bound
-    changes by less than ``tol`` in a sweep, or after ``max_iter`` sweeps,
-    keeps the bound of its last sweep and leaves the live arrays. Results
-    follow the row order, one entry per row (one in all for a spectrum
-    without the row axis).
+    At e = E[tau^-2] the fixed point's rates have closed forms: with
+    R(e) = rss + e ||theta||^2, d*(e) = (d + R/2) / (1 - k / (2 c*)) and
+    b*(e) = b + (c*/d*) ||theta||^2 / 2 + tr M^-1 / 2. A fit is thus a
+    root of h(u) = log(a* / b*(e^u)) - u; b* falls as e rises, and every
+    root lies below u_hi = log(a* / b). The sweeps from ``RATE_INIT`` come
+    down to the largest root, and so does this solve: Newton steps down
+    from u_hi, each at least the fixed-point step u + h(u), which cannot
+    cross the largest root, and at most ``STEP_PAST`` past it; once a
+    probe has h >= 0, Newton inside the bracket, else bisection. A row
+    stops once its Newton step is below ``STEP_RTOL`` max(1, |u|), and its
+    evidence is the bound of one ``_estep`` from its rates. Results follow
+    the row order, one entry per row (one in all for a spectrum without
+    the row axis).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 2:
-        raise ValueError("max_iter must be at least 2")
-    shape = np.shape(spectra.yty)
-    rows = np.size(spectra.yty)
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
-    live = dict(
-        d2=spectra.d2, w=spectra.w, mask=spectra.mask, yty=spectra.yty,
-        comp=spectra.k - spectra.mask.sum(axis=-1),  # outside row space
-        k=spectra.k, a_star=a_star, c_star=c_star,
-        constant=_bound_constant(spectra.n, spectra.k, hp, a_star, c_star),
-        b=np.full(shape, RATE_INIT), d=np.full(shape, RATE_INIT),
-        prev=np.full(shape, np.nan), row=np.arange(rows).reshape(shape),
-    )
-    fit = SpectraFit(np.empty(rows), np.empty(rows, dtype=int),
-                     np.empty(rows, dtype=bool), np.empty(rows),
-                     np.empty(rows))
-    for sweep in range(1, max_iter + 1):
-        e_tau = live["a_star"] / live["b"]
-        b, d, lb = _estep(
-            hp, _spectral_moments(live["d2"], live["w"], live["mask"],
-                                  live["yty"], live["comp"], e_tau),
-            e_tau, live["c_star"] / live["d"], live["a_star"],
-            live["c_star"], live["k"], live["constant"])
-        if not np.isfinite(lb).all():
-            raise NumericalFailureError(
-                f"non-finite lower bound at iteration {sweep}"
-            )
-        settled = np.abs(lb - live["prev"]) < tol
-        done = settled | (sweep == max_iter)
-        if not done.any():
-            live.update(b=b, d=d, prev=lb)
-            continue
-        row = live["row"][done]
-        fit.bound[row], fit.converged[row] = lb[done], settled[done]
-        fit.b_last[row], fit.d_last[row] = live["b"][done], live["d"][done]
-        fit.iterations[row] = sweep
+    d2, w, mask, k = spectra.d2, spectra.w, spectra.mask, spectra.k
+    comp = k - mask.sum(axis=-1)  # directions outside the row space
+    scale = 1.0 / (1.0 - k / (2.0 * c_star))
+    u = np.log(a_star / hp.b) + np.zeros(np.shape(spectra.yty))
+    lo, hi = np.full(u.shape, -np.inf), u
+    done = np.zeros(u.shape, dtype=bool)
+    counts = np.zeros(u.shape, dtype=int)
+    for evaluations in range(1, MAX_EVALUATIONS + 1):
+        e = np.exp(u)
+        inv = 1.0 / (d2 + _col(e))
+        theta = w * inv
+        theta2 = _rowdot(theta, theta)
+        d_star = scale * (hp.d + 0.5 * (spectra.yty - _rowdot(theta, w)))
+        b_star = (hp.b + 0.5 * (c_star / d_star) * theta2
+                  + 0.5 * (_rowdot(mask, inv) + comp / e))
         if done.all():
             break
-        keep = ~done
-        live.update(b=b, d=d, prev=lb)
-        live = {key: value[keep] for key, value in live.items()}
-    return fit
+        h = np.log(a_star / b_star) - u
+        # db*/de, from dR/de = ||theta||^2, d||theta||^2/de =
+        # -2 sum w^2 / (d^2 + e)^3 and d tr M^-1/de = -sum 1 / (d^2 + e)^2
+        # - comp / e^2
+        slope = (0.5 * c_star / d_star * (
+            -2.0 * _rowdot(theta * inv, theta)
+            - 0.5 * scale * theta2 * theta2 / d_star)
+            - 0.5 * (_rowdot(mask, inv * inv) + comp / (e * e)))
+        falling = 1.0 + e * slope / b_star  # -h'(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = u + h / falling
+        lo, hi = np.where(h >= 0, u, lo), np.where(h >= 0, hi, u)
+        inside = (newton > lo) & (newton < hi)
+        step = np.where(lo > -np.inf,
+                        np.where(inside, newton, 0.5 * (lo + hi)),
+                        np.clip(np.where(falling > 0, newton, -np.inf),
+                                u + h - STEP_PAST, u + h))
+        settled = np.abs(newton - u) < STEP_RTOL * np.maximum(1.0, np.abs(u))
+        u = np.where(done, u, np.where(settled, newton, step))
+        counts = np.where(done, counts, evaluations + 1)
+        done |= settled
+    else:
+        raise NumericalFailureError(
+            f"fixed point not found in {MAX_EVALUATIONS} evaluations")
+    e_tau = a_star / b_star
+    bound = _estep(hp, _spectral_moments(d2, w, mask, spectra.yty, comp,
+                                         e_tau),
+                   e_tau, c_star / d_star, a_star, c_star, k,
+                   _bound_constant(spectra.n, k, hp, a_star, c_star))[2]
+    if not np.isfinite(bound).all():
+        raise NumericalFailureError("non-finite lower bound")
+    return SpectraFit(*(np.reshape(x, -1)
+                        for x in (bound, b_star, d_star, counts)))
 
 
 def fit_local(
@@ -477,15 +483,12 @@ def fit_local(
     gene: int,
     covariates,
     hp: HyperParameters,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> VariationalPosterior:
     """Fit gene ``gene`` of ``values`` on the genes ``covariates`` (as
-    ``make_workspace`` takes them): sweeps until the lower bound changes
-    by less than ``tol``."""
+    ``make_workspace`` takes them) by ``fit_spectra``, and read off the
+    posterior of one sweep from its rates."""
     spectra, V = make_workspace(values, gene, covariates)
-    fit = fit_spectra(spectra, hp, tol=tol, max_iter=max_iter)
+    fit = fit_spectra(spectra, hp)
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
-    return _posterior(spectra, V, fit.b_last[0], fit.d_last[0], a_star,
-                      c_star, hp, int(fit.iterations[0]),
-                      bool(fit.converged[0]))
+    return _posterior(spectra, V, fit.b_star[0], fit.d_star[0], a_star,
+                      c_star, hp, int(fit.evaluations[0]), True)

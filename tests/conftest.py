@@ -4,6 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shrinknet.vb import (
+    RATE_INIT,
+    VariationalPosterior,
+    _posterior_shapes,
+    vb_sweep,
+)
+
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
 
@@ -34,6 +41,20 @@ def random_problem(n, k, seed=0, snr=1.0):
     beta[nz] = rng.standard_normal(nz.size) * snr
     y = X @ beta + rng.standard_normal(n)
     return regression(y, X)
+
+
+def swept(prob, hp, sweeps):
+    """The state after ``sweeps`` ``vb_sweep`` passes of the regression
+    ``prob`` from both rates at ``RATE_INIT``: an early point of the
+    coordinate-ascent trajectory."""
+    values, gene, covariates = prob
+    k = len(covariates)
+    a_star, c_star = _posterior_shapes(hp, len(values), k)
+    state = VariationalPosterior(np.zeros(k), np.zeros(k), a_star, RATE_INIT,
+                                 c_star, RATE_INIT, np.nan, 0, False)
+    for _ in range(sweeps):
+        state = vb_sweep(state, values, gene, covariates, hp)
+    return state
 
 
 @pytest.fixture

@@ -103,9 +103,11 @@ def dense_vb_fit(y, X, a, b, c, d, tol, max_iter, rate_init=1e-3):
     return beta, np.diag(Sigma).copy(), float(bound)
 
 
-def mp_dense_vb_bound(y, X, a, b, c, d, sweeps, dps=50, rate_init=1e-3):
+def mp_dense_vb_bound(y, X, a, b, c, d, sweeps, dps=50, rate_init=1e-3,
+                      d_init=None):
     """The lower bound of ``dense_vb_fit``'s model after exactly ``sweeps``
-    sweeps from ``rate_init``, in ``dps``-digit ``mpmath`` arithmetic.
+    sweeps from both rates at ``rate_init`` (or the rate of sigma^-2 at
+    ``d_init``), in ``dps``-digit ``mpmath`` arithmetic.
 
     The float64 inputs are taken exactly. Each sweep inverts the dense
     M = X'X + E[tau^-2] I by LU, so nothing is shared with the eigenbasis
@@ -122,7 +124,8 @@ def mp_dense_vb_bound(y, X, a, b, c, d, sweeps, dps=50, rate_init=1e-3):
         yty = (y.T * y)[0]
         a_star = a + k / mpmath.mpf(2)
         c_star = c + (n + k) / mpmath.mpf(2)
-        b_star = d_star = mpmath.mpf(rate_init)
+        b_star = mpmath.mpf(float(rate_init))
+        d_star = mpmath.mpf(float(rate_init if d_init is None else d_init))
         for _ in range(sweeps):
             e_tau, e_sig = a_star / b_star, c_star / d_star
             M = XtX + e_tau * mpmath.eye(k)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_problem, regression
+from conftest import random_problem, regression, swept
 from oracles import (
     dense_vb_fit,
     gibbs_posterior_moments,
@@ -64,7 +64,7 @@ def test_criterion_1_vb_vs_oracles():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 2)) * 2.0
     y = X @ np.array([2.0, -1.5]) + 0.3 * rng.standard_normal(20)
-    vp = fit_local(*regression(y, X), VAGUE, tol=1e-10, max_iter=10_000)
+    vp = fit_local(*regression(y, X), VAGUE)
     mean, var = gibbs_posterior_moments(
         y, X, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
         n_draws=50_000, burn=5_000, seed=11,
@@ -75,8 +75,7 @@ def test_criterion_1_vb_vs_oracles():
     rng2 = np.random.default_rng(5)
     x1 = rng2.standard_normal(10)
     y1 = 0.8 * x1 + 0.3 * rng2.standard_normal(10)
-    vp1 = fit_local(*regression(y1, x1[:, None]), VAGUE, tol=1e-12,
-                    max_iter=10_000)
+    vp1 = fit_local(*regression(y1, x1[:, None]), VAGUE)
     exact = quadrature_log_evidence(y1, x1, VAGUE.a, VAGUE.b, VAGUE.c,
                                     VAGUE.d)
 
@@ -106,7 +105,7 @@ def test_criterion_2_bound_monotonicity():
         n = int(rng.choice([10, 25]))
         k = int(rng.choice([4, 29]))
         prob = random_problem(n, k, seed=int(rng.integers(1 << 30)))
-        vp = fit_local(*prob, VAGUE, tol=1e-3, max_iter=3)
+        vp = swept(prob, VAGUE, 3)
         for _ in range(12):
             nxt = vb_sweep(vp, *prob, VAGUE)
             worst = min(worst, nxt.lower_bound - vp.lower_bound)
@@ -180,9 +179,9 @@ def test_criterion_4_route_equivalence():
         values = prob[0]
         mean, var, bound = dense_vb_fit(
             values[:, 0], values[:, 1:], VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
-            tol=1e-10, max_iter=5000,
+            tol=1e-12, max_iter=100_000,
         )
-        s = fit_local(*prob, VAGUE, tol=1e-10, max_iter=5000)
+        s = fit_local(*prob, VAGUE)
         scale = np.maximum(np.abs(mean), 1e-12)
         worst = max(
             worst,

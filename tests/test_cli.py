@@ -110,8 +110,8 @@ class TestInfer:
         assert stats["em_converged"] is True
         # the p0 scan fits every ranking prefix: p^2 sub-models at p=10
         assert stats["submodel_fits"] >= 100
-        assert stats["submodel_sweeps"] >= 2 * stats["submodel_fits"]
-        assert stats["submodel_nonconverged"] == 0
+        assert stats["submodel_evaluations"] >= 2 * stats["submodel_fits"]
+        assert "submodel_nonconverged" not in stats
         assert stats["submodel_lookups"] >= 4
         assert stats["submodel_misses"] == 0
         assert "stats" not in fit
@@ -189,10 +189,7 @@ class TestInfer:
         assert res.exit_code == 0, res.output
         stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
         assert (stats["em_iterations"], stats["em_converged"]) == (2, False)
-        assert res.stderr == (
-            "warning: EM converged=False after 2 iterations; "
-            f"{stats['submodel_nonconverged']} of {stats['submodel_fits']} "
-            "sub-model fits hit the sweep cap\n")
+        assert res.stderr == "warning: EM converged=False after 2 iterations\n"
         assert res.stdout.startswith("selected ")
         assert res.stdout.count("\n") == 1
         for name in ("edges.tsv", "fit.json", "manifest.json"):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from conftest import random_problem, regression, regressions
+from conftest import random_problem, regression, regressions, swept
 from oracles import (
     dense_vb_fit,
     gibbs_posterior_moments,
@@ -12,7 +12,8 @@ from oracles import (
 )
 from shrinknet.data import ExpressionMatrix
 from shrinknet.em import fit_sem
-from shrinknet.errors import DegenerateDesignError
+from shrinknet import vb
+from shrinknet.errors import DegenerateDesignError, NumericalFailureError
 from shrinknet.selection import EvidenceCache, rank_edges
 from shrinknet.vb import (
     HyperParameters,
@@ -75,7 +76,7 @@ class TestSpecialFunctions:
 class TestFitLocal:
     def test_shapes_and_flags(self):
         prob = random_problem(15, 4, seed=1)
-        vp = fit_local(*prob, VAGUE, tol=1e-8)
+        vp = fit_local(*prob, VAGUE)
         assert vp.beta_mean.shape == (4,)
         assert vp.beta_var.shape == (4,)
         assert vp.converged
@@ -83,9 +84,9 @@ class TestFitLocal:
         assert vp.c_star == pytest.approx(VAGUE.c + 0.5 * (15 + 4))
 
     def test_posterior_mean_is_ridge(self):
-        # at convergence the mean solves (X'X + E[tau^-2] I) beta = X'y
+        # at the fixed point the mean solves (X'X + E[tau^-2] I) beta = X'y
         prob = random_problem(30, 5, seed=2)
-        vp = fit_local(*prob, VAGUE, tol=1e-12, max_iter=5000)
+        vp = fit_local(*prob, VAGUE)
         e_tau = vp.a_star / vp.b_star
         X, y = prob[0][:, 1:], prob[0][:, 0]
         expect = np.linalg.solve(X.T @ X + e_tau * np.eye(5), X.T @ y)
@@ -95,7 +96,7 @@ class TestFitLocal:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((20, 2)) * 2.0
         y = X @ np.array([2.0, -1.5]) + 0.3 * rng.standard_normal(20)
-        vp = fit_local(*regression(y, X), VAGUE, tol=1e-10, max_iter=5000)
+        vp = fit_local(*regression(y, X), VAGUE)
         mean, var = gibbs_posterior_moments(
             y, X, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
             n_draws=20_000, burn=2_000, seed=11,
@@ -111,8 +112,7 @@ class TestFitLocal:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(10)
         y = 0.8 * x + 0.3 * rng.standard_normal(10)
-        vp = fit_local(*regression(y, x[:, None]), VAGUE, tol=1e-12,
-                       max_iter=5000)
+        vp = fit_local(*regression(y, x[:, None]), VAGUE)
         exact = quadrature_log_evidence(
             y, x, VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d
         )
@@ -121,61 +121,61 @@ class TestFitLocal:
 
     def test_strong_prior_shrinks_harder(self):
         prob = random_problem(25, 6, seed=3)
-        loose = fit_local(*prob, VAGUE, tol=1e-10, max_iter=5000)
-        tight = fit_local(
-            *prob, HyperParameters(a=100.0, b=0.1), tol=1e-10, max_iter=5000
-        )
+        loose = fit_local(*prob, VAGUE)
+        tight = fit_local(*prob, HyperParameters(a=100.0, b=0.1))
         assert np.linalg.norm(tight.beta_mean) < np.linalg.norm(
             loose.beta_mean
         )
 
     def test_invalid_args(self):
+        """A fit is a root solve that ends by construction: neither entry
+        point takes a stopping tolerance or a sweep cap."""
         prob = random_problem(10, 3)
-        for tol in (0.0, float("nan")):
-            with pytest.raises(ValueError, match="tol"):
-                fit_local(*prob, VAGUE, tol=tol)
-        with pytest.raises(ValueError, match="max_iter"):
-            fit_local(*prob, VAGUE, max_iter=1)
+        spectra = make_workspace(*prob)[0]
+        for name, value in (("tol", 1e-3), ("max_iter", 1000)):
+            with pytest.raises(TypeError, match=name):
+                fit_local(*prob, VAGUE, **{name: value})
+            with pytest.raises(TypeError, match=name):
+                fit_spectra(spectra, VAGUE, **{name: value})
 
 
-    # (n, k, seed, tol, max_iter) -> (iterations, converged), recorded from
-    # the per-fit loop the batched recursion replaced
+    # (n, k, seed) -> evaluations of the root solve, recorded when it
+    # replaced the sweeps
     PINNED_RUNS = {
-        (15, 4, 1, 1e-8, 1000): (70, True),
-        (30, 5, 2, 1e-12, 5000): (157, True),
-        (25, 6, 3, 1e-10, 5000): (145, True),
-        (12, 3, 4, 1e-4, 1000): (27, True),
-        (12, 3, 4, 1e-1, 2): (2, False),
-        (10, 3, 0, 1e-3, 1000): (36, True),
-        (15, 4, 6, 1e-8, 1000): (124, True),
-        (15, 4, 8, 1e-10, 5000): (121, True),
-        (20, 6, 0, 1e-10, 3000): (78, True),
-        (20, 6, 1, 1e-10, 3000): (68, True),
-        (20, 6, 2, 1e-10, 3000): (192, True),
-        (20, 6, 3, 1e-10, 3000): (57, True),
-        (20, 6, 4, 1e-10, 3000): (84, True),
-        (8, 20, 9, 1e-10, 3000): (1286, True),
-        (8, 8, 9, 1e-10, 3000): (242, True),
+        (15, 4, 1): 17,
+        (30, 5, 2): 15,
+        (25, 6, 3): 9,
+        (12, 3, 4): 14,
+        (12, 3, 5): 16,
+        (10, 3, 0): 10,
+        (15, 4, 6): 10,
+        (15, 4, 8): 15,
+        (20, 6, 0): 19,
+        (20, 6, 1): 18,
+        (20, 6, 2): 10,
+        (20, 6, 3): 17,
+        (20, 6, 4): 18,
+        (8, 20, 9): 24,
+        (8, 8, 9): 21,
     }
 
     @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
     def test_iteration_counts_pinned(self, run):
-        n, k, seed, tol, max_iter = run
-        vp = fit_local(*random_problem(n, k, seed=seed), VAGUE, tol=tol,
-                       max_iter=max_iter)
-        assert (vp.iterations, vp.converged) == self.PINNED_RUNS[run]
+        n, k, seed = run
+        vp = fit_local(*random_problem(n, k, seed=seed), VAGUE)
+        assert (vp.iterations, vp.converged) == (self.PINNED_RUNS[run], True)
 
 
 class TestSweep:
     def test_increments_iteration_count(self):
         prob = random_problem(12, 3, seed=4)
-        v0 = fit_local(*prob, VAGUE, tol=1e-4)
+        v0 = fit_local(*prob, VAGUE)
         v1 = vb_sweep(v0, *prob, VAGUE)
         assert v1.iterations == v0.iterations + 1
 
     def test_sweep_monotone_in_bound(self):
         prob = random_problem(12, 3, seed=4)
-        vp = fit_local(*prob, VAGUE, tol=1e-1, max_iter=2)
+        vp = swept(prob, VAGUE, 2)
         for _ in range(20):
             nxt = vb_sweep(vp, *prob, VAGUE)
             assert nxt.lower_bound >= vp.lower_bound - 1e-8
@@ -189,12 +189,12 @@ class TestSweep:
             vb_sweep(bad, *prob, VAGUE)
 
 
-def _assert_matches_dense_oracle(prob, tol, max_iter):
-    s = fit_local(*prob, VAGUE, tol=tol, max_iter=max_iter)
+def _assert_matches_dense_oracle(prob):
+    s = fit_local(*prob, VAGUE)
     values = prob[0]
     mean, var, bound = dense_vb_fit(
         values[:, 0], values[:, 1:], VAGUE.a, VAGUE.b, VAGUE.c, VAGUE.d,
-        tol=tol, max_iter=max_iter,
+        tol=1e-12, max_iter=100_000,
     )
     np.testing.assert_allclose(s.beta_mean, mean, rtol=1e-8, atol=1e-12)
     np.testing.assert_allclose(s.beta_var, var, rtol=1e-8)
@@ -206,15 +206,11 @@ class TestPaths:
     @pytest.mark.parametrize("seed", range(5))
     def test_direct_and_reduced_agree(self, seed):
         # the spectral fit against the dense Cholesky formula
-        _assert_matches_dense_oracle(
-            random_problem(20, 6, seed=seed), tol=1e-10, max_iter=3000
-        )
+        _assert_matches_dense_oracle(random_problem(20, 6, seed=seed))
 
     def test_reduced_handles_wide_designs(self):
         for n, k in ((8, 20), (8, 8)):
-            vp = _assert_matches_dense_oracle(
-                random_problem(n, k, seed=9), tol=1e-10, max_iter=3000
-            )
+            vp = _assert_matches_dense_oracle(random_problem(n, k, seed=9))
             assert vp.beta_mean.shape == (k,)
             assert np.all(vp.beta_var > 0)
             assert np.isfinite(vp.lower_bound)
@@ -238,16 +234,16 @@ class TestPaths:
         y = X @ rng.standard_normal(X.shape[1]) + rng.standard_normal(len(X))
         if kind == "centred_wide":
             y -= y.mean()
-        vp = fit_local(*regression(y, X), VAGUE, tol=1e-10, max_iter=3000)
+        vp = fit_local(*regression(y, X), VAGUE)
         mean, _, bound = dense_vb_fit(y, X, VAGUE.a, VAGUE.b, VAGUE.c,
-                                      VAGUE.d, tol=1e-10, max_iter=3000)
+                                      VAGUE.d, tol=1e-12, max_iter=100_000)
         assert abs(vp.lower_bound - bound) <= 1e-8
         assert np.linalg.norm(vp.beta_mean - mean) <= 1e-6 * np.linalg.norm(
             mean)
 
     def test_zero_covariate_bound_closed_form(self):
         y = np.random.default_rng(2).standard_normal(12)
-        vp = fit_local(*regression(y, np.empty((12, 0))), VAGUE, tol=1e-12)
+        vp = fit_local(*regression(y, np.empty((12, 0))), VAGUE)
         n, c, d = 12, VAGUE.c, VAGUE.d
         expect = (
             -0.5 * n * np.log(2 * np.pi)
@@ -346,30 +342,37 @@ class TestFitSpectra:
     def test_single_regression_form(self):
         """A spectrum without the row axis fits exactly as a stack of one,
         rows of different widths joined by ``stack_spectra`` fit as they
-        do alone, and ``fit_local``'s bound is the bound of the fit's last
-        sweep, to the bit."""
+        do alone, and ``fit_local``'s bound is the fit's, to the bit."""
         problems = [random_problem(20, k, seed=seed)
                     for k, seed in ((4, 1), (3, 4), (6, 2), (30, 9))]
         rows = [make_workspace(*prob)[0] for prob in problems]
         assert len({row.d2.shape[-1] for row in rows}) == len(rows)
-        alone = [fit_spectra(row, VAGUE, tol=1e-8) for row in rows]
+        alone = [fit_spectra(row, VAGUE) for row in rows]
         for prob, got in zip(problems, alone):
-            vp = fit_local(*prob, VAGUE, tol=1e-8)
+            vp = fit_local(*prob, VAGUE)
             assert vp.lower_bound == got.bound[0]
-            assert vp.iterations == got.iterations[0]
+            assert vp.iterations == got.evaluations[0]
         for row, got in zip(rows, alone):
             stack = Spectra(row.d2[None], row.w[None], row.mask[None],
                             np.array([row.yty]), np.array([row.k]), row.n)
-            want = fit_spectra(stack, VAGUE, tol=1e-8)
-            for name in ("bound", "iterations", "converged", "b_last",
-                         "d_last"):
+            want = fit_spectra(stack, VAGUE)
+            for name in ("bound", "b_star", "d_star", "evaluations"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))
-        joined = fit_spectra(stack_spectra(rows), VAGUE, tol=1e-8)
+        joined = fit_spectra(stack_spectra(rows), VAGUE)
         np.testing.assert_array_equal(
-            joined.iterations, [f.iterations[0] for f in alone])
+            joined.evaluations, [f.evaluations[0] for f in alone])
         np.testing.assert_allclose(joined.bound,
                                    [f.bound[0] for f in alone], rtol=1e-12)
+
+
+    def test_unsettled_solve_fails(self, monkeypatch):
+        """A solve that has not settled within ``MAX_EVALUATIONS`` raises
+        rather than return a fit short of its fixed point."""
+        spectra = make_workspace(*random_problem(20, 4, seed=1))[0]
+        monkeypatch.setattr(vb, "MAX_EVALUATIONS", 2)
+        with pytest.raises(NumericalFailureError, match="2 evaluations"):
+            fit_spectra(spectra, VAGUE)
 
 
 @settings(max_examples=30, deadline=None)
@@ -382,7 +385,7 @@ def test_trajectory_never_decreases(n, k, seed):
     # the reported bound uses the simplified fixed-point expression, whose
     # monotonicity is guaranteed in the vague-prior regime the fit runs in
     prob = random_problem(n, k, seed=seed)
-    vp = fit_local(*prob, VAGUE, tol=1e-3, max_iter=3)
+    vp = swept(prob, VAGUE, 3)
     for _ in range(10):
         nxt = vb_sweep(vp, *prob, VAGUE)
         assert nxt.lower_bound >= vp.lower_bound - 1e-8
@@ -392,13 +395,20 @@ def test_trajectory_never_decreases(n, k, seed):
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
+    k=st.integers(0, 15),
     a=st.floats(0.01, 10.0),
     b=st.floats(0.01, 10.0),
 )
-def test_extra_sweeps_at_fixed_point_change_nothing(seed, a, b):
-    prob = random_problem(12, 4, seed=seed)
+def test_extra_sweeps_at_fixed_point_change_nothing(seed, k, a, b):
+    """``fit_local`` ends at a fixed point of the sweeps, with fewer
+    covariates than samples, as many, and more (n = 12): one more sweep
+    moves neither rate."""
+    values, gene, covariates = random_problem(12, max(k, 1), seed=seed)
+    prob = values, gene, covariates[:k]
     hp = HyperParameters(a=a, b=b)
-    vp = fit_local(*prob, hp, tol=1e-12, max_iter=10_000)
+    vp = fit_local(*prob, hp)
     nxt = vb_sweep(vp, *prob, hp)
+    assert abs(nxt.b_star - vp.b_star) < 1e-9 * vp.b_star
+    assert abs(nxt.d_star - vp.d_star) < 1e-9 * vp.d_star
     assert nxt.lower_bound >= vp.lower_bound - 1e-8
     np.testing.assert_allclose(nxt.beta_mean, vp.beta_mean, atol=1e-6)
