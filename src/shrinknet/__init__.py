@@ -10,8 +10,6 @@ from .data import (  # noqa: F401
 from .em import (  # noqa: F401
     EmConfig,
     SemFit,
-    eb_update_approx,
-    eb_update_fixedpoint,
     fit_sem,
 )
 from .pipeline import InferenceResult, infer_network  # noqa: F401

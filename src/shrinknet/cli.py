@@ -25,6 +25,7 @@ import click
 import numpy as np
 
 from .benchmark import (
+    DEFAULT_EV,
     METRICS_FIELDS,
     SimConfig,
     SplitConfig,
@@ -33,7 +34,7 @@ from .benchmark import (
     run_split_harness,
 )
 from .data import load_expression_matrix
-from .em import A_MAX, EmConfig
+from .em import A_MAX, DEFAULT_MAX_ITER, DEFAULT_TOL, EmConfig
 from .errors import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -176,8 +177,8 @@ def main():
               help="Input has genes in rows instead of columns.")
 @click.option("--no-scale", is_flag=True,
               help="Center gene columns but skip unit-variance scaling.")
-@click.option("--tol", default=1e-3, show_default=True)
-@click.option("--max-iter", default=1000, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True)
+@click.option("--max-iter", default=DEFAULT_MAX_ITER, show_default=True)
 @click.option("--no-global-shrinkage", is_flag=True,
               help="Keep the fixed non-informative shared prior.")
 @click.option("--eb", type=click.Choice(["approx", "exact"]),
@@ -187,7 +188,7 @@ def main():
               help="Bound on the posterior null probability per edge.")
 @click.option("--p0", default=None, type=float,
               help="Null fraction override (default: estimated).")
-@click.option("--patience", default=100, show_default=True,
+@click.option("--patience", default=StopConfig().patience, show_default=True,
               help="Stop after this many consecutive rejections.")
 @click.option("--no-rmax", is_flag=True,
               help="Disable the rank budget implied by the null fraction.")
@@ -347,7 +348,7 @@ def benchmark(run, kinds, n_genes, n_list, reps, seed, alpha, dof, threads):
 @click.option("--n-small", required=True, type=int,
               help="Rows in the small half of each split.")
 @click.option("--resamples", default=100, show_default=True)
-@click.option("--ev", default=30.0, show_default=True,
+@click.option("--ev", default=DEFAULT_EV, show_default=True,
               help="Expected-false-edge budget of the stability bound.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--alpha", default=0.1, show_default=True)

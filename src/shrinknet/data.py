@@ -172,14 +172,15 @@ def standardize(m: ExpressionMatrix, scale: bool = True) -> ExpressionMatrix:
     """Center every gene column; with ``scale`` also set unit sample sd."""
     if m.n_samples < 2:
         raise ValidationError("standardization needs at least 2 samples")
+    # exactly: the rounded mean of a constant column need not equal it
+    constant = m.values.max(axis=0) == m.values.min(axis=0)
+    if np.any(constant):
+        gene = m.gene_ids[int(np.argmax(constant))]
+        raise DegenerateGeneError(f"gene {gene} is constant across samples")
     # scale each column's largest |x| into [0.5, 1) so no square underflows
     # or overflows; a power of two scales exactly, changing nothing else
     _, exponent = np.frexp(np.abs(m.values).max(axis=0))
     v = np.ldexp(m.values, -exponent)
-    sd = v.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        gene = m.gene_ids[int(np.argmax(sd == 0.0))]
-        raise DegenerateGeneError(f"gene {gene} is constant across samples")
     out = v - v.mean(axis=0)
     if scale:
         out = out / out.std(axis=0, ddof=1)

@@ -54,6 +54,13 @@ _DEGENERATE_EPS = 1e-8
 #: and near 1e30 with it; standardized data do not.
 NULL_GAIN_MAX = 1e6
 
+#: Every sum the fit forms over the n samples (X^T X) or over the genes
+#: (X X^T), and every eigenvalue of either, is at most the sum of all the
+#: squares of X. A matrix whose squares sum past this, a sixteenth of the
+#: largest double, fails rather than overflow in the few such sums that a
+#: moment adds up.
+SQUARES_MAX = 2.0**1020
+
 #: The EM stops once no gene's bound moves by ``tol`` in an iteration, or
 #: after ``max_iter`` iterations.
 DEFAULT_TOL = 1e-3
@@ -154,33 +161,23 @@ def eb_update_fixedpoint_moments(e_tau2inv, e_log_tau2inv):
     return a_hat, b_hat
 
 
-def _moments_from_rates(a_star: float, b_stars):
-    b_stars = np.asarray(b_stars, dtype=float)
-    if np.any(b_stars <= 0):
-        raise ValueError("all rate parameters must be positive")
-    e_tau = a_star / b_stars
-    e_log = digamma(a_star) - np.log(b_stars)
-    return e_tau, e_log
-
-
-def eb_update_approx(a_star: float, b_stars):
-    """Approximate (a, b) update from per-gene posterior gamma parameters."""
-    return eb_update_approx_moments(*_moments_from_rates(a_star, b_stars))
-
-
-def eb_update_fixedpoint(a_star: float, b_stars):
-    """Exact (a, b) update from per-gene posterior gamma parameters."""
-    return eb_update_fixedpoint_moments(*_moments_from_rates(a_star, b_stars))
-
-
 def _check_designs(m: ExpressionMatrix) -> None:
     """Raise ``DegenerateDesignError`` naming a gene whose other genes are
     all zero: a gene's design is all zero unless two genes are nonzero, or
-    one other than it."""
+    one other than it. Raise ``NumericalFailureError`` naming the gene of
+    the largest squares if those of X sum past ``SQUARES_MAX``."""
     nonzero = np.any(m.values != 0.0, axis=0)
     if nonzero.sum() < 2:
         bad = m.gene_ids[int(np.argmax(nonzero))]
         raise DegenerateDesignError(f"design for gene {bad} is all zeros")
+    with np.errstate(over="ignore"):
+        squares = np.square(m.values).sum(axis=0)
+        total = squares.sum()
+    if not total <= SQUARES_MAX:
+        bad = m.gene_ids[int(np.argmax(squares))]
+        raise NumericalFailureError(
+            f"gene {bad}: the squares of the data sum past {SQUARES_MAX:.3g},"
+            " where cross-products overflow")
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,8 @@ def _gram_spectrum(values) -> _Spectrum:
     design's spectrum (eigenvalues above ``RANK_RTOL``) is used."""
     p = values.shape[1]
     spectra, U = make_workspace(values, 0, np.arange(p))
-    lam, r = spectra.d2, spectra.d2.size
+    lam, U = spectra.d2[0], U[0]
+    r = lam.size
     u2 = U * U
     if r == p:
         return _Spectrum(lam, U, u2, np.ones(r), None)
@@ -312,9 +310,9 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     b_stars = np.full(p, RATE_INIT)
     d_stars = np.full(p, RATE_INIT)
     updater = (
-        eb_update_approx
+        eb_update_approx_moments
         if config.eb_update == "approx"
-        else eb_update_fixedpoint
+        else eb_update_fixedpoint_moments
     )
     history: list[np.ndarray] = []
     trajectory: list[dict] = []
@@ -343,8 +341,9 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
         if delta is not None and delta < config.tol:
             converged = True
             break
-        if config.global_shrinkage:
-            a, b = updater(a_star, b_stars)
+        if config.global_shrinkage:  # from E[tau^-2], E[log tau^-2]
+            a, b = updater(a_star / b_stars,
+                           digamma(a_star) - np.log(b_stars))
     gain = loo.scale / (e_tau * loo.f0)  # null / f0 = 1 / (e [M^-1]_gg)
     if spectrum.nu_lam is not None and np.any(gain > NULL_GAIN_MAX):
         bad = m.gene_ids[int(np.argmax(gain))]

@@ -6,13 +6,13 @@ so rank r is entry r - 1 of each. Selection then walks the ranking and
 accepts an edge when the larger of its two directed Bayes factors clears a
 threshold tied to a bound on the posterior probability that both
 coefficients are zero; its decisions are arrays over the ranks it
-evaluated. Sub-model evidences are variational lower bounds computed under
-a fixed unit-information prior on the local precision. The evidences of
-every prefix of every gene's partners in ranking order are computed
-together in one batched pass, into a table whose steps along a row are
-exactly the rank-conditioned Bayes factors that estimate the null fraction.
-Forward selection fits the other sub-models it can reach before its next
-acceptance ahead of use, in stacks by the same route.
+evaluated. Sub-model evidences are variational lower bounds under a fixed
+unit-information prior on the local precision. The evidences of every
+prefix of every gene's partners in ranking order fill one table, whose
+steps along a row are the rank-conditioned Bayes factors that estimate
+the null fraction; forward selection fits the other sub-models it can
+reach before its next acceptance ahead of use. Both set their sub-models
+up by one rule, ``EvidenceCache._setups``.
 """
 
 from __future__ import annotations
@@ -146,6 +146,16 @@ class EvidenceCache:
                       "submodel_unused": 0, "submodel_lookups": 0,
                       "submodel_misses": 0}
 
+    def _setups(self, genes, covariates):
+        """Spectra of each gene of ``genes`` on its row of ``covariates``
+        (sorted, k per row), set up a block of rows at a time, as many per
+        ``make_workspace`` call as ``vb.STACK_DOUBLES`` holds of their
+        designs. Yields each block's rows and spectra."""
+        k = covariates.shape[1]
+        for rows in gene_blocks(len(genes), self.n * max(k, 1)):
+            yield rows, make_workspace(self.values, genes[rows],
+                                       covariates[rows])[0]
+
     def _fit(self, spectra):
         """Bounds of the rows of ``spectra``, counted in ``stats``."""
         fit = fit_spectra(spectra, self.prior)
@@ -161,12 +171,11 @@ class EvidenceCache:
 
         The ranking must hold every gene pair exactly once, as
         ``rank_edges`` makes it; otherwise ``ValueError`` is raised. The
-        scan walks the prefix lengths in order, factors each one's designs
-        a block of responses at a time, and fits groups of blocks as one
-        stack; ``vb.STACK_DOUBLES`` bounds both the setup calls and the
-        groups, whatever the number of genes.
+        scan walks the prefix lengths in order, sets each one's designs up
+        by ``_setups`` and fits groups of blocks as one stack within
+        ``vb.STACK_DOUBLES`` (``vb.stack_groups``).
         """
-        p, n = self.p, self.n
+        p = self.p
         response = np.concatenate([ranking.i, ranking.j])
         partner = np.concatenate([ranking.j, ranking.i])
         pairs = np.zeros((p, p), dtype=int)
@@ -178,12 +187,11 @@ class EvidenceCache:
         partner_rank = np.full((p, p), p)
         partner_rank[np.arange(p)[:, None], order] = np.arange(p - 1)
         self._partner_rank = partner_rank.tolist()  # read per lookup
-        blocks = gene_blocks(p, n * p)
+        genes = np.arange(p)
         bound = np.concatenate([
             self._fit(stack_spectra(group)) for group in stack_groups(
-                make_workspace(self.values, genes,
-                               np.sort(order[genes, :t], axis=1))[0]
-                for t in range(p) for genes in blocks)])
+                spectra for t in range(p) for _, spectra in self._setups(
+                    genes, np.sort(order[:, :t], axis=1)))])
         self._prefix = bound.reshape(p, p).T  # rows in (t, gene) order
         return self._prefix
 
@@ -202,13 +210,11 @@ class EvidenceCache:
         response gene and a frozenset of covariate genes) that neither the
         prefix table nor the cache holds, and cache its evidence.
 
-        Sub-models with the same number k of covariates are set up a
-        block at a time, as many per ``make_workspace`` call as
-        ``vb.STACK_DOUBLES`` holds of their designs, and each block is
-        fitted as one stack of at most k directions a row, inside the
-        same budget. A block's rows share k, so, unless a design is rank
-        deficient, each row is as wide as its own spectrum and its
-        evidence has the bits of a lone ``fit_local`` fit.
+        Sub-models with the same number k of covariates are set up
+        together by ``_setups``, and each block is fitted as one stack. A
+        block's rows share k, so, unless a design is rank deficient, each
+        row is as wide as its own spectrum and its evidence has the bits
+        of a lone ``fit_local`` fit.
         """
         wanted = {}
         for key in submodels:
@@ -219,11 +225,9 @@ class EvidenceCache:
             genes = np.array([g for g, _ in keys])
             covariates = np.array([sorted(c) for _, c in keys],
                                   dtype=np.intp).reshape(len(keys), k)
-            for rows in gene_blocks(len(keys), self.n * max(k, 1)):
-                bound = self._fit(make_workspace(
-                    self.values, genes[rows], covariates[rows])[0])
+            for rows, spectra in self._setups(genes, covariates):
                 self._cache.update(zip((keys[r] for r in rows),
-                                       bound.tolist()))
+                                       self._fit(spectra).tolist()))
             self._unread.update(keys)
             self.stats["submodel_unused"] += len(keys)
 

@@ -6,23 +6,17 @@ posterior. Its evidence lower bound is the model-evidence surrogate used
 for Bayes factors downstream.
 
 A coordinate-ascent sweep reads each regression's data only through five
-``Moments`` at its e = E[tau^-2], and two routes provide them:
-``_spectral_moments`` from a stack of design spectra (the selection's
-sub-models) and ``em._leave_one_out`` from one spectrum of the whole
-matrix (every gene of the EM). ``_estep`` is the rest of the sweep for
-both: the rates (``_rates``) and the lower bound (``_bound``).
+``Moments`` at its e = E[tau^-2]: ``_spectral_moments`` provides them
+from a stack of design spectra, ``em._leave_one_out`` from one spectrum of
+the whole matrix, and ``_estep`` is the rest of the sweep for both.
 
-The spectral route works in the eigenbasis of each design's
-cross-product, where the coefficient posterior is diagonal; directions
-outside the row space keep their conditional prior. Callers name a
-regression by gene indices, the response and its sorted covariates;
-``make_workspace`` gathers the designs and takes their eigenbases with
-one ``eigh`` call. ``fit_spectra`` fits every row of a stack at the
-fixed point of its sweeps by one scalar root solve, and ``fit_local``
-fits one regression by it; groups of regressions are padded into stacks
-within ``STACK_DOUBLES`` by ``stack_spectra``. ``_posteriors`` reads the
-posteriors off the eigenbasis after one more ``_estep``; ``fit_local``
-and ``vb_sweep`` return one regression's as a ``VariationalPosterior``.
+Every regression is a row of a stack (``Spectra``), named by gene
+indices: ``make_workspace`` gathers the designs and takes their
+eigenbases with one ``eigh`` call, ``stack_spectra`` pads blocks into one
+stack, and ``fit_spectra`` fits every row at the fixed point of its
+sweeps by one scalar root solve. ``_posteriors`` reads the posteriors off
+the eigenbasis; ``fit_local`` and ``vb_sweep`` return those of a stack of
+one as a ``VariationalPosterior``.
 """
 
 from __future__ import annotations
@@ -57,12 +51,10 @@ MAX_EVALUATIONS = 100
 
 #: Working-memory budget of a stacked computation, in doubles: it bounds
 #: the designs factored in one setup call (``gene_blocks``) and the
-#: directions of a group fitted as one stack (``stack_groups``), in the
-#: p0 scan and forward selection's look-ahead alike (the EM sets up the
-#: one spectrum of the whole matrix, outside it). Both read it here, so
-#: it is set in this one place. At 2^14 (128 KiB) the p0 scan at (p, n) =
-#: (40, 30) factors 13 responses per setup call; at 2^12 it factored 3,
-#: and per-call overhead took about a fifth of the run.
+#: directions of a group fitted as one stack (``stack_groups``) of the
+#: selection's sub-models (the EM's one spectrum of the whole matrix is
+#: outside it). At 2^14 (128 KiB) the p0 scan at (p, n) = (40, 30) makes
+#: 78 setup calls.
 STACK_DOUBLES = 1 << 14
 
 
@@ -104,14 +96,12 @@ class Spectra:
     the matching V^T D^T y; past a row's numerical rank both are zero
     and ``mask`` is zero. A fit depends on its data only through these,
     ``y^T y``, the number of covariates ``k`` and the sample count ``n``.
-    The spectrum of a single regression may leave out the row axis; its
-    numpy arithmetic then runs on scalars, which costs less.
     """
 
-    d2: np.ndarray  # (rows, width), or (width,) for a single regression
+    d2: np.ndarray  # (rows, width)
     w: np.ndarray  # as d2
     mask: np.ndarray  # as d2, 1.0 on a direction, 0.0 on padding
-    yty: np.ndarray  # (rows,), or a scalar for a single regression
+    yty: np.ndarray  # (rows,)
     k: np.ndarray  # as yty
     n: int
 
@@ -131,19 +121,8 @@ class Moments(NamedTuple):
 
 
 def _rowdot(x, y):
-    """Dot products along the last axis: one per regression.
-
-    Each row takes the BLAS product that a single design takes, so a row
-    of a stack sums in the same order as the design swept on its own.
-    """
-    if x.ndim == 1:
-        return x @ y
+    """Dot products along the last axis of two stacks: one per row."""
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def _col(x):
-    """Per-regression values, lined up against the direction axis."""
-    return x[..., None] if getattr(x, "ndim", 0) else x
 
 
 def _spectral_moments(d2, w, mask, yty, comp, e) -> Moments:
@@ -152,7 +131,7 @@ def _spectral_moments(d2, w, mask, yty, comp, e) -> Moments:
     ``comp`` counts the directions outside each row space. In the
     eigenbasis theta = w / (d^2 + e), and rss is summed as y^T y -
     2 theta^T w + sum d^2 theta^2."""
-    denom = d2 + _col(e)
+    denom = d2 + e[:, None]
     theta = w / denom
     inv = 1.0 / denom
     return Moments(
@@ -190,29 +169,25 @@ def _rates(hp, c_star, e_tau, fit, ebb):
     return b_new, d_new
 
 
-def make_workspace(values, gene, covariates, names=None):
-    """Spectral setup of one regression, or of a stack of them.
+def make_workspace(values, gene, covariates):
+    """Spectral setup of a stack of regressions.
 
     Every regression is gene ``gene`` of the (n, p) matrix ``values`` on
-    the genes ``covariates``: one index with a 1-D index array, or an
-    array of genes with one row of covariates each. The design's columns
-    follow ``covariates``, and callers list them in sorted order: so a
-    ranking prefix in the p0 scan's table and the same set fitted by
-    ``fit_local`` are the same regression, to the last bit. Designs and
-    responses are gathered here. One ``eigh`` call takes the
+    the genes ``covariates``: an array of genes with one row of covariates
+    each, or one index with a 1-D index array, a stack of one. The
+    design's columns follow ``covariates``, and callers list them in
+    sorted order: so a ranking prefix in the p0 scan's table and the same
+    set fitted by ``fit_local`` are the same regression, to the last bit.
+    Designs and responses are gathered here. One ``eigh`` call takes the
     eigenbasis of each design's cross-product, the smaller of D^T D and
     D D^T: d^2 are its eigenvalues above ``RANK_RTOL`` of the largest, V
     the eigenvectors of D^T D (D^T U / d from those U of D D^T), and
     w = V^T D^T y. A stack is as wide as its largest rank, and the
-    directions of a row past its own rank are masked; a single
-    regression's spectrum leaves out the row axis (see ``Spectra``).
-    Returns the spectra and V, (k, rank) for one regression and
-    (rows, k, width) for a stack. A regression without covariates has an
-    empty spectrum; an all-zero design raises ``DegenerateDesignError``
-    naming its gene, by ``names[gene]`` if ``names`` is given and by
-    index if not.
+    directions of a row past its own rank are masked. Returns the spectra
+    and V, (rows, k, width). A regression without covariates has an empty
+    spectrum; an all-zero design raises ``DegenerateDesignError`` naming
+    its gene by index.
     """
-    single = np.ndim(gene) == 0
     genes = np.atleast_1d(gene)
     covariates = np.asarray(covariates, dtype=np.intp).reshape(
         len(genes), -1)
@@ -224,7 +199,6 @@ def make_workspace(values, gene, covariates, names=None):
     lam, v = lam[:, ::-1], v[..., ::-1]  # descending
     if k and not np.all(lam[:, 0] > 0.0):
         bad = int(genes[np.argmin(lam[:, 0] > 0.0)])
-        bad = bad if names is None else names[bad]
         raise DegenerateDesignError(f"design for gene {bad} is all zeros")
     mask = lam > RANK_RTOL * lam[:, :1]
     width = int(mask.sum(axis=1).max(initial=0))
@@ -234,9 +208,6 @@ def make_workspace(values, gene, covariates, names=None):
     d2 = np.where(mask, lam, 0.0)
     w = np.where(mask, (responses[:, None, :] @ designs @ v)[:, 0], 0.0)
     yty = _rowdot(responses, responses)
-    if single:
-        return Spectra(d2[0], w[0], mask[0].astype(float), yty[0], k,
-                       n), v[0].copy()
     return Spectra(d2, w, mask.astype(float), yty, np.full(rows, k), n), v
 
 
@@ -294,10 +265,10 @@ def _bound(constant, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
 def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
                 hp: HyperParameters):
     """Every regression of ``spectra`` read off after one sweep from the
-    rates ``(b_star, d_star)``: coefficient means and variances, one row
-    per regression, then its two rates and lower bound (a spectrum without
-    the row axis reads off without it). The rates and bound are those of
-    ``_estep``, as in ``fit_spectra``'s sweeps. The coefficient moments
+    rates ``(b_star, d_star)``, one per row: coefficient means and
+    variances, one row per regression, then its two rates and lower
+    bound. The rates and bound are those of ``_estep``, as in
+    ``fit_spectra``'s sweeps. The coefficient moments
     come back from the eigenbasis through the ``V`` returned with the
     spectra, its columns past a row's rank dropped; directions outside a
     design's row space add their conditional prior variance.
@@ -311,24 +282,25 @@ def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
         _bound_constant(spectra.n, spectra.k, hp, a_star, c_star))
     if not np.isfinite(lower_bound).all():
         raise NumericalFailureError("non-finite lower bound")
-    denom = spectra.d2 + _col(e_tau)
+    e_tau, e_sig = e_tau[:, None], e_sig[:, None]
+    denom = spectra.d2 + e_tau
     # zero past each row's rank, in a C-contiguous copy that goes to BLAS
     v = V * spectra.mask[..., None, :]
     v2 = v**2
     beta_mean = (v @ (spectra.w / denom)[..., None])[..., 0]
     beta_var = ((v2 @ (spectra.mask / denom)[..., None])[..., 0]
-                + (1.0 - v2.sum(axis=-1)) / _col(e_tau)) / _col(e_sig)
+                + (1.0 - v2.sum(axis=-1)) / e_tau) / e_sig
     return beta_mean, beta_var, b_new, d_new, lower_bound
 
 
 def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
                hp: HyperParameters, iterations, converged):
-    """``_posteriors`` of a single regression's spectrum, as one record."""
+    """``_posteriors`` of a stack of one, as one record."""
     beta_mean, beta_var, b_star, d_star, lower_bound = _posteriors(
         spectra, V, b_star, d_star, a_star, c_star, hp)
-    return VariationalPosterior(beta_mean, beta_var, a_star, float(b_star),
-                                c_star, float(d_star), float(lower_bound),
-                                iterations, converged)
+    return VariationalPosterior(beta_mean[0], beta_var[0], a_star,
+                                float(b_star[0]), c_star, float(d_star[0]),
+                                float(lower_bound[0]), iterations, converged)
 
 
 def vb_sweep(
@@ -348,8 +320,9 @@ def vb_sweep(
     if not (state.b_star > 0 and state.d_star > 0):
         raise ValueError("state rates must be positive")
     spectra, V = make_workspace(values, gene, covariates)
-    return _posterior(spectra, V, state.b_star, state.d_star, state.a_star,
-                      state.c_star, hp, state.iterations + 1, state.converged)
+    return _posterior(spectra, V, np.array([state.b_star]),
+                      np.array([state.d_star]), state.a_star, state.c_star,
+                      hp, state.iterations + 1, state.converged)
 
 
 @dataclass
@@ -380,14 +353,13 @@ def gene_blocks(p: int, doubles_per_gene: int) -> list[np.ndarray]:
 
 def stack_spectra(blocks: list[Spectra]) -> Spectra:
     """The rows of ``blocks``, which share a sample count, as one stack:
-    the direction arrays are zero-padded out to the widest block, and a
-    single regression's spectrum becomes one row."""
-    ends = np.cumsum([0] + [np.size(block.yty) for block in blocks])
-    width = max(block.d2.shape[-1] for block in blocks)
+    the direction arrays are zero-padded out to the widest block."""
+    ends = np.cumsum([0] + [len(block.yty) for block in blocks])
+    width = max(block.d2.shape[1] for block in blocks)
     d2, w, mask = np.zeros((3, ends[-1], width))
     for block, start, stop in zip(blocks, ends, ends[1:]):
         for out, x in ((d2, block.d2), (w, block.w), (mask, block.mask)):
-            out[start:stop, :x.shape[-1]] = x
+            out[start:stop, :x.shape[1]] = x
     return Spectra(d2, w, mask, np.hstack([block.yty for block in blocks]),
                    np.hstack([block.k for block in blocks]), blocks[0].n)
 
@@ -398,7 +370,7 @@ def stack_groups(blocks):
     that is a run of its own. Yields each run as a list."""
     group, rows, width = [], 0, 0
     for block in blocks:
-        size, cols = np.size(block.yty), max(1, block.d2.shape[-1])
+        size, cols = block.d2.shape[0], max(1, block.d2.shape[1])
         if group and (rows + size) * max(width, cols) > STACK_DOUBLES:
             yield group
             group, rows, width = [], 0, 0
@@ -422,20 +394,19 @@ def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
     probe has h >= 0, Newton inside the bracket, else bisection. A row
     stops once its Newton step is below ``STEP_RTOL`` max(1, |u|), and its
     evidence is the bound of one ``_estep`` from its rates. Results follow
-    the row order, one entry per row (one in all for a spectrum without
-    the row axis).
+    the row order, one entry per row.
     """
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
     d2, w, mask, k = spectra.d2, spectra.w, spectra.mask, spectra.k
     comp = k - mask.sum(axis=-1)  # directions outside the row space
     scale = 1.0 / (1.0 - k / (2.0 * c_star))
-    u = np.log(a_star / hp.b) + np.zeros(np.shape(spectra.yty))
+    u = np.log(a_star / hp.b) + np.zeros(len(spectra.yty))
     lo, hi = np.full(u.shape, -np.inf), u
     done = np.zeros(u.shape, dtype=bool)
     counts = np.zeros(u.shape, dtype=int)
     for evaluations in range(1, MAX_EVALUATIONS + 1):
         e = np.exp(u)
-        inv = 1.0 / (d2 + _col(e))
+        inv = 1.0 / (d2 + e[:, None])
         theta = w * inv
         theta2 = _rowdot(theta, theta)
         d_star = scale * (hp.d + 0.5 * (spectra.yty - _rowdot(theta, w)))
@@ -474,8 +445,7 @@ def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
                    _bound_constant(spectra.n, k, hp, a_star, c_star))[2]
     if not np.isfinite(bound).all():
         raise NumericalFailureError("non-finite lower bound")
-    return SpectraFit(*(np.reshape(x, -1)
-                        for x in (bound, b_star, d_star, counts)))
+    return SpectraFit(bound, b_star, d_star, counts)
 
 
 def fit_local(
@@ -489,6 +459,6 @@ def fit_local(
     posterior of one sweep from its rates."""
     spectra, V = make_workspace(values, gene, covariates)
     fit = fit_spectra(spectra, hp)
-    a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
-    return _posterior(spectra, V, fit.b_star[0], fit.d_star[0], a_star,
-                      c_star, hp, int(fit.evaluations[0]), True)
+    a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k[0])
+    return _posterior(spectra, V, fit.b_star, fit.d_star, a_star, c_star,
+                      hp, int(fit.evaluations[0]), True)

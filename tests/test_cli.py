@@ -11,12 +11,14 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import dense_vb_fit
+from shrinknet.benchmark import SplitConfig
 from shrinknet.cli import main, manifest_argv
 from shrinknet.data import (ExpressionMatrix, load_expression_matrix,
                             standardize)
 from shrinknet.em import EmConfig, fit_sem
 from shrinknet.pipeline import infer_network
-from shrinknet.selection import EvidenceCache, estimate_p0, rank_edges
+from shrinknet.selection import (EvidenceCache, StopConfig, estimate_p0,
+                                 rank_edges)
 from test_traced_run import _chain_values
 
 
@@ -295,14 +297,20 @@ class TestInferEdgeCases:
         assert len(fit["em_trajectory"]) == fit["em_iterations"]
         assert all(np.isfinite(list(fit["per_gene_lower_bound"].values())))
 
-    def test_constant_gene_exit_2(self, runner, tmp_path):
+    @pytest.mark.parametrize("level", [2.0, 0.1, 2e-4])
+    def test_constant_gene_exit_2(self, runner, tmp_path, level):
+        """A constant gene is named whether or not its mean rounds to it
+        (0.1 and 2e-4 do not: their centred column came out nonzero)."""
+        x = _edge_case_matrix("constant")
+        x[:, 3] = level
         path = tmp_path / "data.csv"
-        np.savetxt(path, _edge_case_matrix("constant"), delimiter=",",
+        np.savetxt(path, x, delimiter=",", fmt="%.17g",
                    header=",".join(f"g{i}" for i in range(8)), comments="")
         res = runner.invoke(main, ["infer", str(path), "--out-dir",
                                    str(tmp_path)])
         assert res.exit_code == 2
-        assert "g3 is constant" in res.output
+        assert res.output == "input error: gene g3 is constant across " \
+            "samples\n"
 
     def test_failed_fit_leaves_no_out_dir(self, runner, tmp_path):
         """A gene found constant by standardization, inside the fit,
@@ -360,8 +368,6 @@ class TestInferEdgeCases:
         assert res.output.startswith("numerical failure: ")
         assert "row space" in res.output
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered in matmul:RuntimeWarning")
     def test_overflowing_unscaled_input_exit_3(self, runner, tmp_path):
         """Unscaled values near 1e160 overflow the design cross-products:
         a numerical failure, not a configuration error."""
@@ -372,6 +378,25 @@ class TestInferEdgeCases:
                                    "--out-dir", str(tmp_path)])
         assert res.exit_code == 3, res.output
         assert res.output.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("shape, gene", [((4, 30), 7), ((10, 5), 2)])
+    def test_one_overflowing_gene_exit_3(self, runner, tmp_path, shape,
+                                         gene):
+        """One unscaled gene whose squares overflow, in a wide and a tall
+        matrix: one line naming it, where the wide matrix raised an
+        IndexError and the tall one warned and blamed an all-zero design."""
+        x = np.random.default_rng(0).standard_normal(shape)
+        x[:, gene] *= 1e150
+        x *= 1e4
+        path = tmp_path / "data.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g",
+                   header=",".join(f"g{i}" for i in range(shape[1])),
+                   comments="")
+        res = runner.invoke(main, ["infer", str(path), "--no-scale",
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith(f"numerical failure: gene g{gene}: ")
+        assert res.output.count("\n") == 1
 
 
 class TestBenchmark:
@@ -595,6 +620,18 @@ def test_threads_env_below_one_exit_4(runner, tmp_path, monkeypatch, value):
     assert res.exit_code == 4, res.output
     assert "SHRINKNET_THREADS" in res.stderr
     assert not out.exists()
+
+
+def test_defaults_are_the_library_defaults():
+    """``infer``'s EM and stop defaults, and ``stability``'s budget of
+    expected false edges, are the ones the library itself uses."""
+    defaults = {(command, param.name): param.default
+                for command in ("infer", "stability")
+                for param in main.commands[command].params}
+    assert defaults["infer", "tol"] == EmConfig().tol
+    assert defaults["infer", "max_iter"] == EmConfig().max_iter
+    assert defaults["infer", "patience"] == StopConfig().patience
+    assert defaults["stability", "ev"] == SplitConfig(n_small=2).e_v
 
 
 def _tiny_run(name, sim_dir):

@@ -14,9 +14,7 @@ from shrinknet.data import ExpressionMatrix, standardize
 from shrinknet.em import (
     A_MAX,
     EmConfig,
-    eb_update_approx,
     eb_update_approx_moments,
-    eb_update_fixedpoint,
     eb_update_fixedpoint_moments,
     fit_sem,
 )
@@ -114,21 +112,6 @@ class TestEbUpdates:
         assert b_hat == pytest.approx(a_hat / 2.0)
         a_fx, _ = eb_update_fixedpoint_moments(e_tau, e_log)
         assert a_fx == 1e4
-
-    def test_rate_wrappers_match_moment_forms(self):
-        a_star = 4.5
-        b_stars = np.array([0.8, 1.2, 2.0, 0.3])
-        e_tau, e_log = gamma_moments(a_star, b_stars)
-        assert eb_update_approx(a_star, b_stars) == pytest.approx(
-            eb_update_approx_moments(e_tau, e_log)
-        )
-        assert eb_update_fixedpoint(a_star, b_stars) == pytest.approx(
-            eb_update_fixedpoint_moments(e_tau, e_log)
-        )
-
-    def test_rejects_nonpositive_rates(self):
-        with pytest.raises(ValueError, match="positive"):
-            eb_update_approx(2.0, [1.0, 0.0])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -321,8 +304,8 @@ class TestStackedEStep:
             )
             for _ in range(p)
         ]
-        updater = (eb_update_approx if config.eb_update == "approx"
-                   else eb_update_fixedpoint)
+        updater = (eb_update_approx_moments if config.eb_update == "approx"
+                   else eb_update_fixedpoint_moments)
         prev = None
         for t, row in enumerate(trajectory, start=1):
             hp = HyperParameters(a=row["a"], b=row["b"])
@@ -343,7 +326,8 @@ class TestStackedEStep:
             assert stop == (t == fit.em_iterations and fit.converged)
             prev = bounds
             if t < len(trajectory):
-                want = (updater(a_star, [s.b_star for s in states])
+                want = (updater(*gamma_moments(a_star,
+                                               [s.b_star for s in states]))
                         if config.global_shrinkage else (row["a"], row["b"]))
                 nxt = trajectory[t]
                 assert (nxt["a"], nxt["b"]) == pytest.approx(want,

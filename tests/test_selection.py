@@ -363,37 +363,55 @@ class TestBatchedScan:
 
     @pytest.mark.parametrize("budget", [1, 1 << 30])
     def test_budget_moves_no_result(self, budget, monkeypatch):
-        """The working-memory budget only sets how the EM setup and the
-        scan are split: one gene per block and one block per group, or
-        the whole scan in one group, gives the default's results."""
+        """The working-memory budget only sets how the scan is split: one
+        gene per setup call and one block per group, or one setup call per
+        prefix length and the whole scan in one group, gives the default's
+        results, and the EM does not read it."""
         m, ranking = _scan_input(30, 20, 4, False)
-        p, n = m.n_genes, m.n_samples
-        order = np.array(_ranked_partners(ranking, p))
+        p = m.n_genes
 
-        def splits():
-            blocks = vb.gene_blocks(p, n * p)
-            groups = vb.stack_groups(
-                vb.make_workspace(m.values, genes,
-                                  np.sort(order[genes, :t], axis=1))[0]
-                for t in range(p) for genes in blocks)
-            return (len(vb.gene_blocks(p, n * (p - 1))), len(blocks),
-                    sum(1 for _ in groups))
+        def scan():
+            """The table, the stats and (setup calls, groups fitted)."""
+            cache = EvidenceCache(m)
+            with mock.patch.object(selection, "make_workspace",
+                                   wraps=vb.make_workspace) as setup, \
+                    mock.patch.object(selection, "fit_spectra",
+                                      wraps=vb.fit_spectra) as fit:
+                table = cache.fill_prefixes(ranking).copy()
+            return table, cache.stats, (setup.call_count, fit.call_count)
 
-        assert all(1 < count < p for count in splits())  # the default
-        sem, cache = fit_sem(m), EvidenceCache(m)
-        table = cache.fill_prefixes(ranking).copy()
+        table, stats, (calls, groups) = scan()
+        assert p < calls < p * p and 1 < groups < calls  # the default
+        sem = fit_sem(m)
         monkeypatch.setattr(vb, "STACK_DOUBLES", budget)
-        assert splits() == ((p, p, p * p) if budget == 1 else (1, 1, 1))
-        other, patched = fit_sem(m), EvidenceCache(m)
-        np.testing.assert_allclose(patched.fill_prefixes(ranking), table,
-                                   rtol=0, atol=1e-12)
-        assert patched.stats == cache.stats
+        other_table, other_stats, split = scan()
+        assert split == ((p * p, p * p) if budget == 1 else (p, 1))
+        np.testing.assert_allclose(other_table, table, rtol=0, atol=1e-12)
+        assert other_stats == stats
+        other = fit_sem(m)
         np.testing.assert_allclose(other.lower_bounds[-1],
                                    sem.lower_bounds[-1], rtol=0, atol=1e-12)
         assert other.em_iterations == sem.em_iterations
         np.testing.assert_allclose(other.beta_mean, sem.beta_mean,
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(other.beta_var, sem.beta_var, rtol=1e-12)
+
+    def test_setup_calls_fill_the_budget(self, monkeypatch):
+        """Each setup call of the scan gathers at most ``vb.STACK_DOUBLES``
+        design doubles, as many as its own prefix length's designs fit: 78
+        calls at (p, n) = (40, 30), where blocks sized for the widest
+        design, n p doubles a response, took 160."""
+        m, ranking = _scan_input(40, 30, 0, False)
+        gathered = []
+
+        def setup(values, genes, covariates):
+            gathered.append(np.size(covariates) * len(values))
+            return vb.make_workspace(values, genes, covariates)
+
+        monkeypatch.setattr(selection, "make_workspace", setup)
+        EvidenceCache(m).fill_prefixes(ranking)
+        assert len(gathered) == 78
+        assert max(gathered) <= vb.STACK_DOUBLES
 
     def test_table_matches_dense_oracle(self):
         """Every prefix evidence against the dense Cholesky fit, with

@@ -17,7 +17,6 @@ from shrinknet.errors import DegenerateDesignError, NumericalFailureError
 from shrinknet.selection import EvidenceCache, rank_edges
 from shrinknet.vb import (
     HyperParameters,
-    Spectra,
     digamma,
     fit_local,
     fit_spectra,
@@ -273,13 +272,14 @@ class TestSpectralSetup:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_factors_reproduce_gram(self, kind):
-        """X'X = V diag(d^2) V' and X'y = V w, alone and as a stack row."""
+        """X'X = V diag(d^2) V' and X'y = V w, in a stack of one and as a
+        row of a larger stack."""
         X, y = _design(kind)
         spectra, V = make_workspace(*regression(y, X))
-        np.testing.assert_allclose(V @ np.diag(spectra.d2) @ V.T, X.T @ X,
-                                   atol=1e-10)
-        np.testing.assert_allclose(V @ spectra.w, X.T @ y, atol=1e-10)
-        assert spectra.yty == pytest.approx(y @ y, rel=1e-14)
+        np.testing.assert_allclose(V[0] @ np.diag(spectra.d2[0]) @ V[0].T,
+                                   X.T @ X, atol=1e-10)
+        np.testing.assert_allclose(V[0] @ spectra.w[0], X.T @ y, atol=1e-10)
+        assert spectra.yty[0] == pytest.approx(y @ y, rel=1e-14)
         rng = np.random.default_rng(1)
         other, y2 = rng.standard_normal(X.shape), rng.standard_normal(len(y))
         stack, Vs = make_workspace(*regressions([(y2, other), (y, X)]))
@@ -295,8 +295,9 @@ class TestSpectralSetup:
         X, y = _design(kind)
         rank = np.linalg.matrix_rank(X)
         spectra, V = make_workspace(*regression(y, X))
-        assert spectra.mask.sum() == rank == len(spectra.d2)
-        assert V.shape == (X.shape[1], rank)
+        assert spectra.mask.sum() == rank
+        assert spectra.d2.shape == (1, rank)
+        assert V.shape == (1, X.shape[1], rank)
         # a stack is as wide as its largest rank, masked past each row's
         full = np.random.default_rng(3).standard_normal(X.shape)
         stack, Vs = make_workspace(*regressions([(y, X), (y, full)]))
@@ -310,10 +311,10 @@ class TestSpectralSetup:
     def test_empty_design_gives_empty_spectrum(self):
         y = np.random.default_rng(2).standard_normal(7)
         spectra, V = make_workspace(*regression(y, np.empty((7, 0))))
-        assert spectra.d2.shape == spectra.w.shape == (0,)
-        assert V.shape == (0, 0)
-        assert (spectra.k, spectra.n) == (0, 7)
-        assert spectra.yty == pytest.approx(y @ y, rel=1e-14)
+        assert spectra.d2.shape == spectra.w.shape == (1, 0)
+        assert V.shape == (1, 0, 0)
+        assert (spectra.k[0], spectra.n) == (0, 7)
+        assert spectra.yty[0] == pytest.approx(y @ y, rel=1e-14)
         stack, Vs = make_workspace(*regressions([(y, np.empty((7, 0)))] * 3))
         assert stack.d2.shape == (3, 0) and Vs.shape == (3, 0, 0)
         vp = fit_local(*regression(y, np.empty((7, 0))), VAGUE)
@@ -340,25 +341,19 @@ class TestSpectralSetup:
 
 class TestFitSpectra:
     def test_single_regression_form(self):
-        """A spectrum without the row axis fits exactly as a stack of one,
-        rows of different widths joined by ``stack_spectra`` fit as they
-        do alone, and ``fit_local``'s bound is the fit's, to the bit."""
+        """A single regression is a stack of one, rows of different widths
+        joined by ``stack_spectra`` fit as they do alone, and
+        ``fit_local``'s bound is the fit's, to the bit."""
         problems = [random_problem(20, k, seed=seed)
                     for k, seed in ((4, 1), (3, 4), (6, 2), (30, 9))]
         rows = [make_workspace(*prob)[0] for prob in problems]
-        assert len({row.d2.shape[-1] for row in rows}) == len(rows)
+        assert len({row.d2.shape[1] for row in rows}) == len(rows)
         alone = [fit_spectra(row, VAGUE) for row in rows]
         for prob, got in zip(problems, alone):
+            assert got.bound.shape == got.evaluations.shape == (1,)
             vp = fit_local(*prob, VAGUE)
             assert vp.lower_bound == got.bound[0]
             assert vp.iterations == got.evaluations[0]
-        for row, got in zip(rows, alone):
-            stack = Spectra(row.d2[None], row.w[None], row.mask[None],
-                            np.array([row.yty]), np.array([row.k]), row.n)
-            want = fit_spectra(stack, VAGUE)
-            for name in ("bound", "b_star", "d_star", "evaluations"):
-                np.testing.assert_array_equal(getattr(got, name),
-                                              getattr(want, name))
         joined = fit_spectra(stack_spectra(rows), VAGUE)
         np.testing.assert_array_equal(
             joined.evaluations, [f.evaluations[0] for f in alone])
