@@ -28,6 +28,7 @@ from .pipeline import infer_network
 from .simulate import (
     GRAPH_KINDS,
     check_dof,
+    check_seed,
     make_structure,
     sample_mvn,
     sample_precision,
@@ -60,6 +61,7 @@ class SimConfig:
 
     def __post_init__(self):
         check_dof(self.dof)
+        check_seed(self.seed)
         if not (self.kinds and self.n_list and self.reps >= 1
                 and self.threads >= 1 and self.p >= 2
                 and all(n >= 2 for n in self.n_list)
@@ -223,6 +225,7 @@ class SplitConfig:
     validate_on_large: bool = True
 
     def __post_init__(self):
+        check_seed(self.seed)
         # written so that NaN fails each comparison
         if not (self.e_v > 0 and 0.0 < self.alpha < 1.0
                 and self.resamples >= 2 and self.threads >= 1):

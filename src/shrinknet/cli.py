@@ -49,7 +49,8 @@ from .manifest import write_json, write_manifest
 from .metrics import check_split_size
 from .pipeline import infer_network
 from .selection import StopConfig
-from .simulate import make_structure, sample_mvn, sample_precision
+from .simulate import (check_seed, make_structure, sample_mvn,
+                       sample_precision)
 
 
 def default_threads() -> int:
@@ -129,12 +130,18 @@ def command(fn):
 def manifest_argv(manifest: dict, out_dir=None) -> list:
     """The command line that reruns the run ``manifest`` records, writing
     into ``out_dir`` if given. Relative input paths resolve against the
-    directory the run started in."""
+    directory the run started in. A ``config`` key that the command no
+    longer has raises ``ConfigError``: the run could not be repeated."""
     config = dict(manifest["config"])
     if out_dir is not None:
         config["out_dir"] = str(out_dir)
+    params = main.commands[manifest["command"]].params
+    unknown = sorted(config.keys() - {p.name for p in params} - {"resolved"})
+    if unknown:
+        raise ConfigError(f"{manifest['command']} has no parameter "
+                          f"{', '.join(unknown)} of the recorded run")
     argv = [manifest["command"]]
-    for param in main.commands[manifest["command"]].params:
+    for param in params:
         value = config[param.name]
         if isinstance(param, click.Argument):
             argv.append(str(value))
@@ -181,9 +188,6 @@ def main():
 @click.option("--max-iter", default=DEFAULT_MAX_ITER, show_default=True)
 @click.option("--no-global-shrinkage", is_flag=True,
               help="Keep the fixed non-informative shared prior.")
-@click.option("--eb", type=click.Choice(["approx", "exact"]),
-              default="approx", show_default=True,
-              help="Hyperparameter update rule.")
 @click.option("--alpha", default=0.1, show_default=True,
               help="Bound on the posterior null probability per edge.")
 @click.option("--p0", default=None, type=float,
@@ -196,13 +200,13 @@ def main():
               help="Has no effect: infer runs in one process.")
 @command
 def infer(run, input_path, fmt, transpose, no_scale, tol, max_iter,
-          no_global_shrinkage, eb, alpha, p0, patience, no_rmax, threads):
+          no_global_shrinkage, alpha, p0, patience, no_rmax, threads):
     """Infer a network from an expression matrix CSV/TSV."""
     if p0 is not None and not 0.0 < p0 < 1.0:
         raise ConfigError("--p0 must lie in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise ConfigError("--alpha must lie in (0, 1)")
-    em_config = EmConfig(tol=tol, max_iter=max_iter, eb_update=eb,
+    em_config = EmConfig(tol=tol, max_iter=max_iter,
                          global_shrinkage=not no_global_shrinkage)
     stop = StopConfig(patience=patience, use_rmax=not no_rmax)
     m = run.load(input_path, fmt, transpose)
@@ -287,6 +291,7 @@ def simulate(run, kind, n_genes, n_samples, seed, dof, bandwidth, blocks,
         params["density"] = density
     # the draw is this command's input: any setting it rejects, and any
     # failed draw, leaves --out-dir uncreated
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     g = make_structure(kind, n_genes, params=params, rng=rng)
     omega = sample_precision(g, dof=dof, rng=rng)

@@ -73,6 +73,10 @@ class ExpressionMatrix:
         return self.values.shape[1]
 
 
+def _is_missing(token: str) -> bool:
+    return token == "" or token.upper() in ("NA", "NAN")
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -87,8 +91,9 @@ def load_expression_matrix(
     """Read a CSV/TSV file with a gene-id header row.
 
     An optional first column of sample ids is auto-detected from the first
-    data row (non-numeric first cell). Blank or non-numeric cells raise an
-    explicit error with their location; nothing is imputed. With
+    data row: its first cell is a sample id unless it is a number or a
+    missing value (blank, NA or NaN). Missing or non-numeric cells raise
+    an explicit error with their location; nothing is imputed. With
     ``transpose`` the file is read genes-in-rows and flipped.
     """
     path = Path(path)
@@ -104,7 +109,8 @@ def load_expression_matrix(
         raise MalformedInputError(f"{path}: need a header row and data rows")
     header = [cell.strip() for cell in rows[0]]
     first_data = [cell.strip() for cell in rows[1]]
-    has_sample_col = not _is_number(first_data[0]) if first_data else False
+    has_sample_col = bool(first_data) and not (
+        _is_number(first_data[0]) or _is_missing(first_data[0]))
     n_cols = len(first_data)
     if has_sample_col:
         if len(header) == n_cols:
@@ -139,7 +145,7 @@ def load_expression_matrix(
             sample_ids.append(f"s{i - 1}")
         parsed = []
         for j, cell in enumerate(cells):
-            if cell == "" or cell.upper() in ("NA", "NAN"):
+            if _is_missing(cell):
                 raise MissingDataError(
                     f"{path}: missing value at row {i}, column "
                     f"{gene_ids[j] if j < len(gene_ids) else j + 1}"

@@ -9,14 +9,13 @@ regression are Schur complements of M = X^T X + e I (see
 ``_leave_one_out``), so the E-step of all p genes is one array update over
 (p, rank) arrays, finished by ``vb._estep`` as every sub-model's sweep is.
 The shape/rate (a, b) of the shared gamma prior on the local precisions
-are then re-estimated from the pooled moments (M-step), in a closed
-approximate form or an exact fixed-point variant. The fit is held as
-arrays with one row per gene (see ``SemFit``), read off once at the end.
+are then re-estimated from the pooled moments (M-step) in one closed
+form, ``eb_update_approx_moments``. The fit is held as arrays with one
+row per gene (see ``SemFit``), read off once at the end.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -72,15 +71,12 @@ class EmConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     global_shrinkage: bool = True
-    eb_update: str = "approx"  # "approx" or "exact"
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 2:
             raise ValueError("max_iter must be at least 2")
-        if self.eb_update not in ("approx", "exact"):
-            raise ValueError("eb_update must be 'approx' or 'exact'")
 
 
 @dataclass
@@ -128,35 +124,6 @@ def eb_update_approx_moments(e_tau2inv, e_log_tau2inv):
         a_hat = A_MAX
     else:
         a_hat = min(0.5 / gap, A_MAX)
-    b_hat = a_hat * p / total
-    return a_hat, b_hat
-
-
-def eb_update_fixedpoint_moments(e_tau2inv, e_log_tau2inv):
-    """Exact maximizer of the pooled prior likelihood in (a, b).
-
-    Profiling out b = a * p / sum(E[tau^-2]) leaves a one-dimensional
-    stationarity condition digamma(a) - log(a) = -gap, whose left side
-    increases strictly to zero. It is solved by bisection on log(a) over
-    [1e-10, A_MAX]: about 55 halvings, down to a bracket 1e-15 * max(1,
-    |log a|) wide.
-    """
-    e_tau2inv = np.asarray(e_tau2inv, dtype=float)
-    e_log_tau2inv = np.asarray(e_log_tau2inv, dtype=float)
-    p = e_tau2inv.shape[0]
-    total = float(np.sum(e_tau2inv))
-    gap = np.log(total / p) - float(np.mean(e_log_tau2inv))
-    if gap <= _DEGENERATE_EPS or digamma(A_MAX) - math.log(A_MAX) + gap <= 0:
-        a_hat = A_MAX
-    else:
-        lo, hi = math.log(1e-10), math.log(A_MAX)
-        while hi - lo > 1e-15 * max(1.0, abs(lo)):
-            mid = 0.5 * (lo + hi)
-            if digamma(math.exp(mid)) - mid + gap < 0:
-                lo = mid
-            else:
-                hi = mid
-        a_hat = math.exp(0.5 * (lo + hi))
     b_hat = a_hat * p / total
     return a_hat, b_hat
 
@@ -309,11 +276,6 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     a, b = A_INIT, B_INIT
     b_stars = np.full(p, RATE_INIT)
     d_stars = np.full(p, RATE_INIT)
-    updater = (
-        eb_update_approx_moments
-        if config.eb_update == "approx"
-        else eb_update_fixedpoint_moments
-    )
     history: list[np.ndarray] = []
     trajectory: list[dict] = []
     converged = False
@@ -342,8 +304,8 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
             converged = True
             break
         if config.global_shrinkage:  # from E[tau^-2], E[log tau^-2]
-            a, b = updater(a_star / b_stars,
-                           digamma(a_star) - np.log(b_stars))
+            a, b = eb_update_approx_moments(
+                a_star / b_stars, digamma(a_star) - np.log(b_stars))
     gain = loo.scale / (e_tau * loo.f0)  # null / f0 = 1 / (e [M^-1]_gg)
     if spectrum.nu_lam is not None and np.any(gain > NULL_GAIN_MAX):
         bad = m.gene_ids[int(np.argmax(gain))]

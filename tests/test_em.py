@@ -4,18 +4,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy import optimize, special
+from scipy import special
 
-from oracles import grid_maximizer, pooled_prior_objective
+from oracles import eb_maximizer
 from shrinknet import em
 from shrinknet.data import ExpressionMatrix, standardize
 from shrinknet.em import (
     A_MAX,
     EmConfig,
     eb_update_approx_moments,
-    eb_update_fixedpoint_moments,
     fit_sem,
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
@@ -42,64 +39,12 @@ def small_dataset(p=8, n=40, seed=0):
 
 
 class TestEbUpdates:
-    def test_fixedpoint_matches_grid_maximizer(self):
-        e_tau, e_log = gamma_moments(3.0, [1.0, 2.0, 0.5, 4.0, 1.5])
-        a_hat, b_hat = eb_update_fixedpoint_moments(e_tau, e_log)
-        a_grid, b_grid = grid_maximizer(e_tau, e_log)
-        assert a_hat == pytest.approx(a_grid, abs=1e-4)
-        assert b_hat == pytest.approx(b_grid, abs=1e-4)
-
-    def test_fixedpoint_matches_brentq(self):
-        # The reference runs Brent's method to the last bit: an xtol of
-        # 1e-12 is absolute, 1e-9 relative at a = 1e-3. For large a the
-        # root itself is set only to within the rounding of digamma(a) -
-        # log(a), about eps (|digamma a| + |log a|), over that side's
-        # slope a trigamma(a) - 1 ~ 1/(2a) in log a: 2e-12 at a = 1e3.
-        eps = np.finfo(float).eps
-        rng = np.random.default_rng(0)
-        gaps = np.r_[10.0 ** rng.uniform(-4.0, 3.0, 200), 1e-5]
-        capped = 0
-        for gap in gaps:
-            p = int(rng.integers(2, 50))
-            scale = 10.0 ** rng.uniform(-3.0, 3.0)
-            e_tau = np.full(p, scale)
-            e_log = np.full(p, np.log(scale) - gap)
-            exact_gap = np.log(e_tau.sum() / p) - np.mean(e_log)
-
-            def f(x):
-                return special.digamma(x) - np.log(x) + exact_gap
-
-            if f(A_MAX) <= 0:
-                want = A_MAX
-                capped += 1
-            else:
-                want = optimize.brentq(f, 1e-10, A_MAX, xtol=1e-300,
-                                       rtol=4 * eps)
-            rounding = eps * (abs(special.digamma(want)) + abs(np.log(want)))
-            slope = want * special.polygamma(1, want) - 1.0
-            rel = 1e-12 + 64 * rounding / slope
-            a_hat, b_hat = eb_update_fixedpoint_moments(e_tau, e_log)
-            assert a_hat == pytest.approx(want, rel=rel, abs=0)
-            assert b_hat == pytest.approx(want / scale, rel=rel, abs=0)
-        assert capped == 1
-
-    def test_fixedpoint_is_stationary(self):
-        e_tau, e_log = gamma_moments(1.7, np.linspace(0.3, 3.0, 10))
-        a_hat, b_hat = eb_update_fixedpoint_moments(e_tau, e_log)
-        # no nearby (a, b) improves the pooled objective
-        best = pooled_prior_objective(a_hat, b_hat, e_tau, e_log)
-        for da in (-1e-4, 1e-4):
-            for db in (-1e-4, 1e-4):
-                assert pooled_prior_objective(
-                    a_hat * (1 + da), b_hat * (1 + db), e_tau, e_log
-                ) <= best + 1e-10
-
     @pytest.mark.parametrize("a_true", [2.0, 5.0, 20.0])
     def test_approx_close_to_exact_for_large_shape(self, a_true):
         rng = np.random.default_rng(int(a_true))
         e_tau, e_log = gamma_moments(a_true, rng.uniform(0.5, 2.0, 30))
         a_ap, b_ap = eb_update_approx_moments(e_tau, e_log)
-        a_ex, b_ex = eb_update_fixedpoint_moments(e_tau, e_log)
+        a_ex, b_ex = eb_maximizer(e_tau, e_log)
         assert a_ap == pytest.approx(a_ex, rel=0.10)
         assert b_ap == pytest.approx(b_ex, rel=0.10)
 
@@ -110,22 +55,7 @@ class TestEbUpdates:
         a_hat, b_hat = eb_update_approx_moments(e_tau, e_log)
         assert a_hat == 1e4
         assert b_hat == pytest.approx(a_hat / 2.0)
-        a_fx, _ = eb_update_fixedpoint_moments(e_tau, e_log)
-        assert a_fx == 1e4
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        a=st.floats(0.05, 50.0),
-        seed=st.integers(0, 1000),
-        p=st.integers(3, 40),
-    )
-    def test_fixedpoint_never_beaten_by_grid(self, a, seed, p):
-        rng = np.random.default_rng(seed)
-        e_tau, e_log = gamma_moments(a, rng.uniform(0.1, 5.0, p))
-        a_hat, b_hat = eb_update_fixedpoint_moments(e_tau, e_log)
-        a_grid, b_grid = grid_maximizer(e_tau, e_log)
-        assert pooled_prior_objective(a_hat, b_hat, e_tau, e_log) >= \
-            pooled_prior_objective(a_grid, b_grid, e_tau, e_log) - 1e-8
+        assert eb_maximizer(e_tau, e_log, a_max=A_MAX)[0] == A_MAX
 
 
 class TestEmConfig:
@@ -135,8 +65,6 @@ class TestEmConfig:
                 EmConfig(tol=tol)
         with pytest.raises(ValueError):
             EmConfig(max_iter=1)
-        with pytest.raises(ValueError):
-            EmConfig(eb_update="nope")
 
 
 class TestFitSem:
@@ -180,13 +108,6 @@ class TestFitSem:
         m = small_dataset(seed=3)
         fit = fit_sem(m, EmConfig(tol=1e-4))
         assert fit.hyper.a != 0.001 or fit.hyper.b != 0.001
-
-    def test_exact_and_approx_updates_land_close(self):
-        m = small_dataset(seed=4)
-        f_ap = fit_sem(m, EmConfig(tol=1e-5, eb_update="approx"))
-        f_ex = fit_sem(m, EmConfig(tol=1e-5, eb_update="exact"))
-        assert f_ap.hyper.a == pytest.approx(f_ex.hyper.a, rel=0.25)
-        assert f_ap.hyper.b == pytest.approx(f_ex.hyper.b, rel=0.25)
 
     def test_wide_matrix(self):
         # more genes than samples: every design is rank deficient
@@ -275,8 +196,6 @@ REPLAY_CASES = {
                                  EmConfig(tol=1e-4)),
     "no_shrinkage": lambda: (standardize(_wide(seed=3, n=10, p=8)),
                              EmConfig(global_shrinkage=False)),
-    "exact_update": lambda: (small_dataset(seed=4),
-                             EmConfig(tol=1e-5, eb_update="exact")),
 }
 
 
@@ -304,8 +223,6 @@ class TestStackedEStep:
             )
             for _ in range(p)
         ]
-        updater = (eb_update_approx_moments if config.eb_update == "approx"
-                   else eb_update_fixedpoint_moments)
         prev = None
         for t, row in enumerate(trajectory, start=1):
             hp = HyperParameters(a=row["a"], b=row["b"])
@@ -326,8 +243,8 @@ class TestStackedEStep:
             assert stop == (t == fit.em_iterations and fit.converged)
             prev = bounds
             if t < len(trajectory):
-                want = (updater(*gamma_moments(a_star,
-                                               [s.b_star for s in states]))
+                want = (eb_update_approx_moments(*gamma_moments(
+                    a_star, [s.b_star for s in states]))
                         if config.global_shrinkage else (row["a"], row["b"]))
                 nxt = trajectory[t]
                 assert (nxt["a"], nxt["b"]) == pytest.approx(want,

@@ -284,7 +284,7 @@ class TestSpectralSetup:
         other, y2 = rng.standard_normal(X.shape), rng.standard_normal(len(y))
         stack, Vs = make_workspace(*regressions([(y2, other), (y, X)]))
         for j, (design, response) in enumerate(((other, y2), (X, y))):
-            v = Vs[j] * stack.mask[j]
+            v = Vs[j] * (stack.d2[j] > 0)
             np.testing.assert_allclose(v @ np.diag(stack.d2[j]) @ v.T,
                                        design.T @ design, atol=1e-10)
             np.testing.assert_allclose(v @ stack.w[j], design.T @ response,
@@ -295,13 +295,13 @@ class TestSpectralSetup:
         X, y = _design(kind)
         rank = np.linalg.matrix_rank(X)
         spectra, V = make_workspace(*regression(y, X))
-        assert spectra.mask.sum() == rank
+        assert (spectra.d2 > 0).sum() == rank
         assert spectra.d2.shape == (1, rank)
         assert V.shape == (1, X.shape[1], rank)
-        # a stack is as wide as its largest rank, masked past each row's
+        # a stack is as wide as its largest rank, zero past each row's
         full = np.random.default_rng(3).standard_normal(X.shape)
         stack, Vs = make_workspace(*regressions([(y, X), (y, full)]))
-        np.testing.assert_array_equal(stack.mask.sum(axis=1),
+        np.testing.assert_array_equal((stack.d2 > 0).sum(axis=1),
                                       [rank, min(X.shape)])
         assert stack.d2.shape == (2, min(X.shape))
         assert np.all(stack.d2[0, rank:] == 0) and np.all(
