@@ -26,9 +26,9 @@ from .metrics import (
 )
 from .pipeline import infer_network
 from .simulate import (
-    GRAPH_KINDS,
     check_dof,
     check_seed,
+    default_structure_params,
     make_structure,
     sample_mvn,
     sample_precision,
@@ -45,6 +45,24 @@ METRICS_FIELDS = ("kind", "n", "rep", "method", "tpr", "fpr", "precision",
                   "b", "em_iterations", "em_converged", "error")
 
 _PRECISION_RETRIES = 10
+
+
+def _check_methods(methods) -> None:
+    for meth in methods:
+        if meth not in METHODS:
+            raise InvalidParamsError(
+                f"unknown method {meth!r}; valid methods: "
+                f"{', '.join(METHODS)}"
+            )
+
+
+def _map_tasks(fn, tasks, threads: int) -> list:
+    """``fn`` of each task, in task order: in this process at one thread,
+    else on a pool of ``threads`` worker processes."""
+    if threads == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks))
 
 
 @dataclass(frozen=True)
@@ -69,18 +87,9 @@ class SimConfig:
             raise InvalidParamsError(
                 "kinds and n_list must be nonempty, reps and threads at "
                 "least 1, p and every n at least 2 and alpha in (0, 1)")
-        for kind in self.kinds:
-            if kind not in GRAPH_KINDS:
-                raise InvalidParamsError(
-                    f"unknown graph kind {kind!r}; valid kinds: "
-                    f"{', '.join(GRAPH_KINDS)}"
-                )
-        for meth in self.methods:
-            if meth not in METHODS:
-                raise InvalidParamsError(
-                    f"unknown method {meth!r}; valid methods: "
-                    f"{', '.join(METHODS)}"
-                )
+        for kind in self.kinds:  # a kind unknown, or that cannot tile p
+            default_structure_params(kind, self.p)
+        _check_methods(self.methods)
 
 
 def em_config_for(method: str) -> EmConfig:
@@ -181,11 +190,7 @@ def run_model_sim(config: SimConfig) -> SimResult:
     children = root.spawn(len(combos))
     for (kind, n, rep), child in zip(combos, children):
         tasks.append((config, kind, n, rep, child))
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(_run_sim_task, tasks))
-    else:
-        chunks = [_run_sim_task(t) for t in tasks]
+    chunks = _map_tasks(_run_sim_task, tasks, config.threads)
     rows = [row for chunk in chunks for row in chunk]
     ok = [r for r in rows if not r["error"]]
     failed = [r for r in rows if r["error"]]
@@ -226,6 +231,7 @@ class SplitConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
+        _check_methods(self.methods)
         # written so that NaN fails each comparison
         if not (self.e_v > 0 and 0.0 < self.alpha < 1.0
                 and self.resamples >= 2 and self.threads >= 1):
@@ -235,7 +241,7 @@ class SplitConfig:
 
 
 def _run_split_task(args):
-    values, gene_ids, sample_ids, cfg, split_idx, seed_seq = args
+    values, gene_ids, sample_ids, cfg, seed_seq = args
     m = ExpressionMatrix(values, gene_ids, sample_ids)
     rng = np.random.default_rng(seed_seq)
     small, large = random_split(m, cfg.n_small, rng=rng)
@@ -256,7 +262,7 @@ def _run_split_task(args):
                                       alpha=cfg.alpha, pre_standardized=True)
             entry["selected_large"] = sorted(res_large.selection.selected)
         out[method] = entry
-    return split_idx, out
+    return out
 
 
 @dataclass
@@ -274,17 +280,9 @@ def run_split_harness(m: ExpressionMatrix, cfg: SplitConfig) -> SplitHarnessResu
     big_p = p * (p - 1) // 2
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.resamples)
-    tasks = [
-        (m.values, m.gene_ids, m.sample_ids, cfg, idx, child)
-        for idx, child in enumerate(children)
-    ]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_run_split_task, tasks))
-    else:
-        results = [_run_split_task(t) for t in tasks]
-    results.sort(key=lambda t: t[0])
-    per_split = [out for _, out in results]
+    tasks = [(m.values, m.gene_ids, m.sample_ids, cfg, child)
+             for child in children]
+    per_split = _map_tasks(_run_split_task, tasks, cfg.threads)
     stability = {}
     validation = {}
     for method in cfg.methods:

@@ -10,9 +10,9 @@ evaluated. Sub-model evidences are variational lower bounds under a fixed
 unit-information prior on the local precision. The evidences of every
 prefix of every gene's partners in ranking order fill one table, whose
 steps along a row are the rank-conditioned Bayes factors that estimate
-the null fraction; forward selection fits the other sub-models it can
-reach before its next acceptance ahead of use. Both set their sub-models
-up by one rule, ``EvidenceCache._setups``.
+the null fraction. Forward selection keeps its own store: it fits the
+sub-models it can reach before its next acceptance ahead of use. Both set
+their sub-models up by one rule, ``EvidenceCache._setups``.
 """
 
 from __future__ import annotations
@@ -120,15 +120,15 @@ class EvidenceCache:
     """Memoized sub-model evidences on a fixed (centered) matrix.
 
     Sub-models get an intercept by centering response and covariates, which
-    matches an unpenalized intercept in the conjugate updates. Evidences of
-    the ranking prefixes, filled in one batched pass by ``fill_prefixes``,
-    are kept by (response gene, prefix length); any other sub-model is
-    kept by (response gene, frozenset of covariate genes) and fitted by
-    ``fit_ahead``, ahead of use or when a lookup finds one missing. Every
-    fit is ``vb.fit_spectra``'s. ``stats`` counts the fits and their solver
-    evaluations, ``submodel_unused`` the fits ahead that no lookup has
-    read, ``submodel_lookups`` the calls of ``log_evidence`` and
-    ``submodel_misses`` those that found no fit.
+    matches an unpenalized intercept in the conjugate updates. The one
+    store is keyed by (response gene, frozenset of covariate genes); every
+    sub-model in it is fitted by ``fit_ahead``, ahead of use or when a
+    lookup finds it missing, so its evidence has the bits of a lone
+    ``fit_local`` fit. ``fill_prefixes`` returns the p0 scan's table and
+    stores none of it. Every fit is ``vb.fit_spectra``'s. ``stats`` counts
+    the fits of both and their solver evaluations, ``submodel_unused`` the
+    fits ahead that no lookup has read, ``submodel_lookups`` the calls of
+    ``log_evidence`` and ``submodel_misses`` those that found no fit.
     """
 
     def __init__(self, m: ExpressionMatrix):
@@ -137,10 +137,6 @@ class EvidenceCache:
         self.p = m.n_genes
         self.prior = selection_prior(self.n)
         self._cache: dict[tuple[int, frozenset], float] = {}
-        # _partner_rank[g, h]: position of h among g's ranked partners (p
-        # for h = g); _prefix[g, t]: evidence of g on its first t partners
-        self._partner_rank = None
-        self._prefix = None
         self._unread = set()  # keys fitted ahead and not yet looked up
         self.stats = {"submodel_fits": 0, "submodel_evaluations": 0,
                       "submodel_unused": 0, "submodel_lookups": 0,
@@ -184,31 +180,17 @@ class EvidenceCache:
             raise ValueError("the ranking must hold every gene pair once")
         rank = np.tile(np.arange(len(ranking)), 2)
         order = partner[np.lexsort((rank, response))].reshape(p, p - 1)
-        partner_rank = np.full((p, p), p)
-        partner_rank[np.arange(p)[:, None], order] = np.arange(p - 1)
-        self._partner_rank = partner_rank.tolist()  # read per lookup
         genes = np.arange(p)
         bound = np.concatenate([
             self._fit(stack_spectra(group)) for group in stack_groups(
                 spectra for t in range(p) for _, spectra in self._setups(
                     genes, np.sort(order[:, :t], axis=1)))])
-        self._prefix = bound.reshape(p, p).T  # rows in (t, gene) order
-        return self._prefix
-
-    def _prefix_length(self, response: int, covariates: frozenset):
-        """Length of the ranking prefix ``covariates`` is, or None."""
-        if self._prefix is None:
-            return None
-        t = len(covariates)
-        rank = self._partner_rank[response]
-        if t and max(map(rank.__getitem__, covariates)) != t - 1:
-            return None
-        return t
+        return bound.reshape(p, p).T  # rows in (t, gene) order
 
     def fit_ahead(self, submodels) -> None:
         """Fit, as stacks, every sub-model of ``submodels`` (pairs of a
-        response gene and a frozenset of covariate genes) that neither the
-        prefix table nor the cache holds, and cache its evidence.
+        response gene and a frozenset of covariate genes) that the store
+        does not hold, and store its evidence.
 
         Sub-models with the same number k of covariates are set up
         together by ``_setups``, and each block is fitted as one stack. A
@@ -218,7 +200,7 @@ class EvidenceCache:
         """
         wanted = {}
         for key in submodels:
-            if key not in self._cache and self._prefix_length(*key) is None:
+            if key not in self._cache:
                 wanted.setdefault(len(key[1]), {})[key] = None
         for k, keys in wanted.items():
             keys = list(keys)
@@ -233,9 +215,6 @@ class EvidenceCache:
 
     def log_evidence(self, response: int, covariates: frozenset) -> float:
         self.stats["submodel_lookups"] += 1
-        t = self._prefix_length(response, covariates)
-        if t is not None:
-            return float(self._prefix[response, t])
         key = (response, covariates)
         if key not in self._cache:
             self.stats["submodel_misses"] += 1

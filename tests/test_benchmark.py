@@ -38,6 +38,12 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError, match="valid methods"):
             SimConfig(methods=("oracle",))
 
+    @pytest.mark.parametrize("kind", ["hub", "cluster"])
+    def test_rejects_a_kind_that_cannot_tile_p(self, kind):
+        with pytest.raises(InvalidParamsError, match="cannot tile p=7"):
+            tiny_sim_config(kinds=("band", kind), p=7)
+        tiny_sim_config(kinds=(kind,), p=15)
+
     @pytest.mark.parametrize("bad", [
         {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": float("nan")},
         {"n_list": (20, 1)}, {"n_list": (0,)}, {"p": 1}, {"threads": 0},
@@ -109,6 +115,11 @@ class TestSplitHarness:
     def test_config_rejects_bad_settings(self, bad):
         with pytest.raises(InvalidParamsError):
             SplitConfig(n_small=20, **bad)
+
+    def test_config_rejects_unknown_method(self):
+        """A name ``em_config_for`` does not know would run as noshrink."""
+        with pytest.raises(InvalidParamsError, match="valid methods"):
+            SplitConfig(n_small=20, methods=("shrinknet", "oracle"))
 
     def test_report_structure(self, split_input):
         cfg = SplitConfig(n_small=20, resamples=3, seed=2,

@@ -442,6 +442,25 @@ class TestBenchmark:
         assert "valid kinds" in res.output
 
 
+    @pytest.mark.parametrize("kind", ["hub", "cluster"])
+    def test_kind_that_cannot_tile_p_exit_4(self, runner, tmp_path, kind):
+        """Default hub and cluster blocks of 5 and 10 genes cannot tile
+        p = 7: one line, as ``simulate`` gives, before any replicate runs
+        or --out-dir is made."""
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["benchmark", "--kinds", f"band,{kind}",
+                                   "--p", "7", "--n", "20", "--reps", "1",
+                                   "--threads", "1", "--out-dir", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.output.count("\n") == 1
+        assert "cannot tile p=7" in res.output
+        assert not out.exists()
+        res = runner.invoke(main, ["simulate", "--kind", kind, "--p", "7",
+                                   "--out-dir", str(out)])
+        assert res.exit_code == 4, res.output
+        assert "cannot tile p=7" in res.output
+
+
 class TestStability:
     def test_small_run(self, runner, sim_dir, tmp_path):
         res = runner.invoke(

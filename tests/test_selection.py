@@ -489,11 +489,12 @@ class TestBatchedScan:
         looked_up, asked = _replay_walk(res.ranking,
                                         res.selection.accepted.tolist(),
                                         r_max, StopConfig().patience, p)
-        ahead = asked - prefixes
-        assert looked_up - prefixes <= ahead  # no lookup fits alone
+        assert looked_up <= asked  # no lookup fits alone
+        # ranking prefixes the walk looks up are fitted again
+        assert looked_up & prefixes
         stats = res.submodel_stats
-        assert stats["submodel_fits"] == p * p + len(ahead)
-        assert stats["submodel_unused"] == len(ahead - looked_up) > 0
+        assert stats["submodel_fits"] == p * p + len(asked)
+        assert stats["submodel_unused"] == len(asked - looked_up) > 0
         assert stats["submodel_evaluations"] >= 2 * stats["submodel_fits"]
         # two Bayes factors of two evidences per rank walked, none fitted
         # alone
@@ -637,10 +638,10 @@ def _replay_walk(ranking, accepted, r_max, patience, p):
 
 def _lone_walk(ranking, alpha, p0, stop, cache):
     """Forward selection replayed rank by rank without a look-ahead: every
-    Bayes factor goes through ``cache.bayes_factor``, which reads the
-    prefix table when it is filled and fits any other sub-model on its
-    own when it is looked up. Returns the larger Bayes factor and the decision per
-    rank walked, and the selected pairs."""
+    Bayes factor goes through ``cache.bayes_factor``, which fits each
+    sub-model on its own when it is first looked up. Returns the larger
+    Bayes factor and the decision per rank walked, and the selected
+    pairs."""
     gamma = threshold_gamma(alpha, p0)
     big_p = len(ranking)
     r_max = math.ceil((1.0 - p0) * big_p) if stop.use_rmax else big_p
@@ -676,9 +677,10 @@ def test_lookahead_matches_lone_fits(seed, p, n, mixing, alpha, p0,
     the working-memory budget splits the look-ahead's setup and groups
     without moving a result or a fit count. Genes are mixed at random, by
     ``mixing``, and ranked by absolute correlation, so that many edges
-    are accepted and partner sets grow. The prefix table is filled at the
-    default budget throughout: its own budget check is
-    ``test_budget_moves_no_result``."""
+    are accepted and partner sets grow. The walk reads none of the p0
+    table's entries, so where p0 is estimated the table only sets the
+    threshold; ``test_table_budget_moves_no_selection_bit`` checks that
+    the table's own budget moves no selection bit."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p)) @ (
         np.eye(p) + mixing * rng.standard_normal((p, p)))
@@ -712,6 +714,31 @@ def test_lookahead_matches_lone_fits(seed, p, n, mixing, alpha, p0,
         assert (other.selected, other.p0_hat, other.gamma, other.alpha) == (
             res.selected, res.p0_hat, res.gamma, res.alpha)
         assert other_stats["submodel_fits"] == stats["submodel_fits"]
+
+
+def test_table_budget_moves_no_selection_bit():
+    """Forward selection fits every sub-model it reads, so the budget the
+    p0 table was filled under, one gene per setup call, the default or
+    the whole scan in one group, moves none of its Bayes factors or null
+    bounds by a bit on a chain (40, 30) input."""
+    m = standardize(_chain_matrix(40, 30, 1))
+    ranking = rank_edges(kappa_scores(fit_sem(m)))
+    p0 = estimate_p0(m, ranking)
+
+    def select(budget):
+        cache = EvidenceCache(m)
+        with mock.patch.object(vb, "STACK_DOUBLES", budget):
+            cache.fill_prefixes(ranking)
+        return forward_select(m, ranking, 0.1, p0, cache=cache)
+
+    want = select(vb.STACK_DOUBLES)
+    assert want.ranks_evaluated > 0
+    for budget in (1, 1 << 30):
+        got = select(budget)
+        assert got.bayes_factor_max.tobytes() == \
+            want.bayes_factor_max.tobytes(), budget
+        assert got.p0_posterior_bound.tobytes() == \
+            want.p0_posterior_bound.tobytes(), budget
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
