@@ -184,8 +184,12 @@ def main():
               help="Input has genes in rows instead of columns.")
 @click.option("--no-scale", is_flag=True,
               help="Center gene columns but skip unit-variance scaling.")
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
-@click.option("--max-iter", default=DEFAULT_MAX_ITER, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True,
+              help="Stop the shared-prior EM once no gene's bound moves by "
+              "this much; unused with --no-global-shrinkage.")
+@click.option("--max-iter", default=DEFAULT_MAX_ITER, show_default=True,
+              help="Iteration cap of the shared-prior EM; unused with "
+              "--no-global-shrinkage.")
 @click.option("--no-global-shrinkage", is_flag=True,
               help="Keep the fixed non-informative shared prior.")
 @click.option("--alpha", default=0.1, show_default=True,

@@ -10,8 +10,12 @@ regression are Schur complements of M = X^T X + e I (see
 (p, rank) arrays, finished by ``vb._estep`` as every sub-model's sweep is.
 The shape/rate (a, b) of the shared gamma prior on the local precisions
 are then re-estimated from the pooled moments (M-step) in one closed
-form, ``eb_update_approx_moments``. The fit is held as arrays with one
-row per gene (see ``SemFit``), read off once at the end.
+form, ``eb_update_approx_moments``. Without global shrinkage (a, b) stay
+fixed, and every gene's fixed point is one scalar root, which
+``vb.solve_fixed_points`` solves for all genes at once from the same
+Schur complements (``_root_sums``): one iteration, converged. The fit is
+held as arrays with one row per gene (see ``SemFit``), read off once at
+the end.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from .vb import (
     Moments,
     _bound_constant,
     _estep,
+    RootSums,
     _posterior_shapes,
     digamma,
     make_workspace,
+    solve_fixed_points,
 )
 
 #: Cap on the estimated shape when the pooled moments are degenerate
@@ -84,7 +90,8 @@ class SemFit:
     """Joint fit: the final shared prior and each gene's posterior, one row
     per gene: ``beta_mean`` and ``beta_var`` (p, p - 1) on the other genes
     in index order, ``b_star``, ``d_star`` and ``lower_bound`` (p,) after
-    the final sweep, scored under the (a, b) that sweep ran with, and
+    the final sweep (under the fixed prior, the rates it starts from at
+    the fixed point), scored under the (a, b) that sweep ran with, and
     ``lower_bounds`` (iterations, p), the bounds of every iteration."""
 
     beta_mean: np.ndarray = field(repr=False)
@@ -257,15 +264,90 @@ def _coefficients(sp: _Spectrum, loo: _LeaveOneOut, e, e_sig):
     return beta_mean, beta_var
 
 
+def _root_sums(sp: _Spectrum, e) -> RootSums:
+    """The ``vb.RootSums`` of every gene's regression at its own ``e``: with
+    f2 = [M^-3]_gg, theta^T M_-g^-1 theta = (f0 f2 - f1^2) / f0^3 and
+    tr M_-g^-2 = tr M^-2 - (2 f0 f2 - f1^2) / f0^2, in ``_leave_one_out``'s
+    ``scale`` units, f0 f2 - f1^2 summed as the spread f0 sum u^2 res (res
+    - f1/f0)^2, and R(e) = rss + e ||theta||^2, a sum of positive terms."""
+    loo = _leave_one_out(sp, e)
+    f0, res, scale = loo.f0, loo.res, loo.scale
+    u2res = sp.u2 * res
+    mean = (u2res * res) @ sp.mult / f0  # f1 / f0
+    dev = res - mean[:, None]
+    spread = (u2res * dev * dev) @ sp.mult  # (f0 f2 - f1^2) / f0
+    inv = res / scale[:, None]  # 1 / (lambda + e): res^2 could overflow
+    moments = loo.moments
+    return RootSums(
+        resid=moments.rss + e * moments.theta2,
+        theta2=moments.theta2,
+        trace=moments.trace,
+        curvature=spread / (f0 * f0) / scale,
+        trace2=(inv * inv) @ sp.mult
+        - (2.0 * spread / f0 + mean * mean) / scale / scale)
+
+
+def _check_null_gain(m: ExpressionMatrix, sp: _Spectrum,
+                     loo: _LeaveOneOut, e) -> None:
+    """Raise ``NumericalFailureError`` if a gene's f0 rests on X's null
+    space by more than ``NULL_GAIN_MAX``: if its gain 1 / (e [M^-1]_gg),
+    which falls as e rises, exceeds it."""
+    gain = loo.scale / (e * loo.f0)  # null / f0
+    if sp.nu_lam is not None and np.any(gain > NULL_GAIN_MAX):
+        bad = m.gene_ids[int(np.argmax(gain))]
+        raise NumericalFailureError(
+            f"gene {bad}: its fit rests on directions outside the data's "
+            "row space beyond working precision")
+
+
+def _read_off(m: ExpressionMatrix, sp: _Spectrum, loo: _LeaveOneOut, e,
+              e_sig):
+    """``_coefficients`` of the sweep from (``e``, ``e_sig``), after
+    ``_check_null_gain``."""
+    _check_null_gain(m, sp, loo, e)
+    beta_mean, beta_var = _coefficients(sp, loo, e, e_sig)
+    if not (np.isfinite(beta_mean).all() and np.isfinite(beta_var).all()):
+        raise NumericalFailureError("non-finite posterior coefficients")
+    return beta_mean, beta_var
+
+
+def _fit_fixed_prior(m: ExpressionMatrix, sp: _Spectrum,
+                     spectrum_ms: float) -> SemFit:
+    """Every gene at the fixed point of its sweeps under the prior
+    (``A_INIT``, ``B_INIT``), by one ``vb.solve_fixed_points`` over all p
+    genes: one converged iteration."""
+    n, p = m.values.shape
+    hp = HyperParameters(a=A_INIT, b=B_INIT)
+    a_star, c_star = _posterior_shapes(hp, n, p - 1)
+    # every root lies below e = a* / b, where the gain is smallest; a gene
+    # that fails there fails at its root, and might overflow on the way
+    e_hi = np.full(p, a_star / hp.b)
+    _check_null_gain(m, sp, _leave_one_out(sp, e_hi), e_hi)
+    fit = solve_fixed_points(hp, n, np.full(p, p - 1),
+                             lambda e: _root_sums(sp, e),
+                             lambda e: _leave_one_out(sp, e).moments)
+    e_tau, e_sig = a_star / fit.b_star, c_star / fit.d_star
+    beta_mean, beta_var = _read_off(m, sp, _leave_one_out(sp, e_tau), e_tau,
+                                    e_sig)
+    return SemFit(beta_mean, beta_var, fit.b_star, fit.d_star, fit.bound,
+                  hyper=hp, lower_bounds=fit.bound[None], em_iterations=1,
+                  converged=True, gene_ids=m.gene_ids,
+                  trajectory=[{"a": hp.a, "b": hp.b,
+                               "max_abs_delta_bound": None}],
+                  spectrum_ms=spectrum_ms)
+
+
 def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
-    """EM over all gene regressions with shared-prior re-estimation.
+    """Fit every gene's regression, under a shared prior re-estimated by
+    EM or, without global shrinkage, under the fixed prior (``A_INIT``,
+    ``B_INIT``).
 
     Each EM iteration sweeps every gene once under the current (a, b), as
     one array update over the spectrum of X, then updates (a, b) from the
-    pooled moments unless global shrinkage is disabled. Convergence is the
-    max over genes of the per-gene lower-bound change. The posteriors are
-    read off the final sweep. A gene whose f0 rests on X's null space by
-    more than ``NULL_GAIN_MAX`` raises ``NumericalFailureError``.
+    pooled moments. Convergence is the max over genes of the per-gene
+    lower-bound change. The posteriors are read off the final sweep by
+    ``_read_off``. Without global shrinkage the fit is
+    ``_fit_fixed_prior``, and ``config``'s tol and max_iter go unused.
     """
     n, p = m.values.shape
     k = p - 1
@@ -273,6 +355,8 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     start = time.perf_counter()
     spectrum = _gram_spectrum(m.values)
     spectrum_ms = (time.perf_counter() - start) * 1000.0
+    if not config.global_shrinkage:
+        return _fit_fixed_prior(m, spectrum, spectrum_ms)
     a, b = A_INIT, B_INIT
     b_stars = np.full(p, RATE_INIT)
     d_stars = np.full(p, RATE_INIT)
@@ -303,18 +387,10 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
         if delta is not None and delta < config.tol:
             converged = True
             break
-        if config.global_shrinkage:  # from E[tau^-2], E[log tau^-2]
-            a, b = eb_update_approx_moments(
-                a_star / b_stars, digamma(a_star) - np.log(b_stars))
-    gain = loo.scale / (e_tau * loo.f0)  # null / f0 = 1 / (e [M^-1]_gg)
-    if spectrum.nu_lam is not None and np.any(gain > NULL_GAIN_MAX):
-        bad = m.gene_ids[int(np.argmax(gain))]
-        raise NumericalFailureError(
-            f"gene {bad}: its fit rests on directions outside the data's "
-            "row space beyond working precision")
-    beta_mean, beta_var = _coefficients(spectrum, loo, e_tau, e_sig)
-    if not (np.isfinite(beta_mean).all() and np.isfinite(beta_var).all()):
-        raise NumericalFailureError("non-finite posterior coefficients")
+        # from E[tau^-2], E[log tau^-2]
+        a, b = eb_update_approx_moments(
+            a_star / b_stars, digamma(a_star) - np.log(b_stars))
+    beta_mean, beta_var = _read_off(m, spectrum, loo, e_tau, e_sig)
     return SemFit(beta_mean, beta_var, b_stars, d_stars, bounds,
                   hyper=HyperParameters(a=a, b=b),
                   lower_bounds=np.array(history), em_iterations=t,

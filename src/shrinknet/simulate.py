@@ -177,10 +177,11 @@ def _constrained_completion(S: np.ndarray, adj: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(S))
     others = [np.delete(np.arange(p), j) for j in range(p)]
     neighbors = [np.flatnonzero(adj[j]) for j in range(p)]
+    blocks = [np.ix_(nb, nb) for nb in neighbors]
+    targets = [S[nb, j] for j, nb in enumerate(neighbors)]
 
     def regress(j):
-        nb = neighbors[j]
-        return np.linalg.solve(W[np.ix_(nb, nb)], S[nb, j])
+        return np.linalg.solve(W[blocks[j]], targets[j])
 
     for _ in range(_MAX_CYCLES):
         delta = 0.0

@@ -1,22 +1,14 @@
-"""Per-gene variational fit for the shrinkage regression model.
+"""Variational fit of the shrinkage regression model, one regression a row.
 
-Each gene's regression carries a Gaussian coefficient prior with variance
-sigma^2 tau^2 and gamma priors on tau^-2 and sigma^-2, under a factorized
-posterior. Its evidence lower bound is the model-evidence surrogate used
-for Bayes factors downstream.
-
-A coordinate-ascent sweep reads each regression's data only through five
-``Moments`` at its e = E[tau^-2]: ``_spectral_moments`` provides them
-from a stack of design spectra, ``em._leave_one_out`` from one spectrum of
-the whole matrix, and ``_estep`` is the rest of the sweep for both.
-
-Every regression is a row of a stack (``Spectra``), named by gene
-indices: ``make_workspace`` gathers the designs and takes their
-eigenbases with one ``eigh`` call, ``stack_spectra`` pads blocks into one
-stack, and ``fit_spectra`` fits every row at the fixed point of its
-sweeps by one scalar root solve. ``fit_local`` and ``vb_sweep`` fit a
-stack of one, and ``_posterior`` reads its posterior off the eigenbasis
-as a ``VariationalPosterior``.
+Each regression has a Gaussian coefficient prior of variance sigma^2
+tau^2 and gamma priors on tau^-2 and sigma^-2, under a factorized
+posterior whose lower bound stands in for the evidence. A fit is the
+fixed point of the coordinate-ascent sweeps, one scalar root a row,
+solved by ``solve_fixed_points`` from any provider of the regressions'
+``RootSums`` and ``Moments``: ``fit_spectra`` provides them from a stack
+of design spectra (``Spectra``, set up by ``make_workspace``),
+``em._root_sums`` from one spectrum of the whole matrix. ``_estep`` is
+one sweep: the shared-prior EM's, and the one that scores a fit.
 """
 
 from __future__ import annotations
@@ -371,58 +363,62 @@ def stack_groups(blocks):
         yield group
 
 
-def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
-    """Fit every row of ``spectra`` at the fixed point of its sweeps.
+class RootSums(NamedTuple):
+    """What ``solve_fixed_points`` reads of each regression at its e =
+    E[tau^-2], one value per regression, with M and theta as in
+    ``Moments``: ``resid`` = R(e) = rss + e ||theta||^2, ``theta2`` and
+    ``trace`` as in ``Moments``, and the slope sums ``curvature`` =
+    theta^T M^-1 theta and ``trace2`` = tr M^-2."""
 
-    At e = E[tau^-2] the fixed point's rates have closed forms: with
-    R(e) = rss + e ||theta||^2, d*(e) = (d + R/2) / (1 - k / (2 c*)) and
-    b*(e) = b + (c*/d*) ||theta||^2 / 2 + tr M^-1 / 2. A fit is thus a
-    root of h(u) = log(a* / b*(e^u)) - u; b* falls as e rises, and every
-    root lies below u_hi = log(a* / b). The sweeps from ``RATE_INIT`` come
-    down to the largest root, and so does this solve: Newton steps down
-    from u_hi, each at least the fixed-point step u + h(u), which cannot
-    cross the largest root, and at most ``STEP_PAST`` past it; once a
-    probe has h >= 0, Newton inside the bracket while each step is at most
-    half the one before, else bisection, so a row whose h is only known to
-    rounding near its root still closes in on it. A row stops once its
-    Newton step or its bracket is below ``STEP_RTOL`` max(1, |u|), and its
-    evidence is the bound of one ``_estep`` from its rates. Results follow
-    the row order, one entry per row. R is a difference, y^T y -
-    theta^T w; a row on which it rounds below -2d, so that d* <= 0, has no
-    fit at working precision and raises ``NumericalFailureError``.
+    resid: np.ndarray
+    theta2: np.ndarray
+    trace: np.ndarray
+    curvature: np.ndarray
+    trace2: np.ndarray
+
+
+def solve_fixed_points(hp: HyperParameters, n, k, sums,
+                       moments) -> SpectraFit:
+    """Fit every regression, with ``n`` samples and ``k`` (one per
+    regression) covariates, at the fixed point of its sweeps, from
+    ``sums(e)``, its ``RootSums``, and ``moments(e)``, its ``Moments``.
+
+    At e = E[tau^-2] the fixed point's rates have closed forms, d*(e) =
+    (d + R/2) / (1 - k / (2 c*)) and b*(e) = b + (c*/d*) ||theta||^2 / 2 +
+    tr M^-1 / 2, so a fit is a root of h(u) = log(a* / b*(e^u)) - u, all
+    below u_hi = log(a* / b). The solve comes down from u_hi to the largest
+    root, as the sweeps from ``RATE_INIT`` do: Newton steps of at least the
+    fixed-point step u + h(u) and at most ``STEP_PAST`` past it, then,
+    once a probe has h >= 0, Newton inside the bracket while each step
+    halves, else bisection. A row stops once its Newton step or bracket is
+    below ``STEP_RTOL`` max(1, |u|); its evidence is the bound of one
+    ``_estep`` from its rates. A row whose d* rounds to <= 0 raises
+    ``NumericalFailureError``.
     """
-    a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k)
-    d2, w, k = spectra.d2, spectra.w, spectra.k
-    mask = (d2 > 0).astype(float)
-    comp = k - mask.sum(axis=-1)  # directions outside the row space
+    a_star, c_star = _posterior_shapes(hp, n, k)
     scale = 1.0 / (1.0 - k / (2.0 * c_star))
-    u = np.log(a_star / hp.b) + np.zeros(len(spectra.yty))
+    u = np.log(a_star / hp.b) + np.zeros(len(k))
     lo, hi = np.full(u.shape, -np.inf), u
     last = np.full(u.shape, np.inf)  # the step before, once bracketed
     done = np.zeros(u.shape, dtype=bool)
     counts = np.zeros(u.shape, dtype=int)
     for evaluations in range(1, MAX_EVALUATIONS + 1):
         e = np.exp(u)
-        inv = 1.0 / (d2 + e[:, None])
-        theta = w * inv
-        theta2 = _rowdot(theta, theta)
-        d_star = scale * (hp.d + 0.5 * (spectra.yty - _rowdot(theta, w)))
+        s = sums(e)
+        d_star = scale * (hp.d + 0.5 * s.resid)
         if np.any(d_star <= 0):
             raise NumericalFailureError(
                 "precision lost: a sub-model's residual sum of squares "
                 "rounds below zero")
-        b_star = (hp.b + 0.5 * (c_star / d_star) * theta2
-                  + 0.5 * (_rowdot(mask, inv) + comp / e))
+        b_star = hp.b + 0.5 * (c_star / d_star) * s.theta2 + 0.5 * s.trace
         if done.all():
             break
         h = np.log(a_star / b_star) - u
         # db*/de, from dR/de = ||theta||^2, d||theta||^2/de =
-        # -2 sum w^2 / (d^2 + e)^3 and d tr M^-1/de = -sum 1 / (d^2 + e)^2
-        # - comp / e^2
+        # -2 theta^T M^-1 theta and d tr M^-1/de = -tr M^-2
         slope = (0.5 * c_star / d_star * (
-            -2.0 * _rowdot(theta * inv, theta)
-            - 0.5 * scale * theta2 * theta2 / d_star)
-            - 0.5 * (_rowdot(mask, inv * inv) + comp / (e * e)))
+            -2.0 * s.curvature - 0.5 * scale * s.theta2 * s.theta2 / d_star)
+            - 0.5 * s.trace2)
         falling = 1.0 + e * slope / b_star  # -h'(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = u + h / falling
@@ -444,13 +440,33 @@ def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
         raise NumericalFailureError(
             f"fixed point not found in {MAX_EVALUATIONS} evaluations")
     e_tau = a_star / b_star
-    bound = _estep(hp, _spectral_moments(d2, w, mask, spectra.yty, comp,
-                                         e_tau),
-                   e_tau, c_star / d_star, a_star, c_star, k,
-                   _bound_constant(spectra.n, k, hp, a_star, c_star))[2]
+    bound = _estep(hp, moments(e_tau), e_tau, c_star / d_star, a_star,
+                   c_star, k, _bound_constant(n, k, hp, a_star, c_star))[2]
     if not np.isfinite(bound).all():
         raise NumericalFailureError("non-finite lower bound")
     return SpectraFit(bound, b_star, d_star, counts)
+
+
+def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
+    """Fit every row of ``spectra`` by ``solve_fixed_points``, one result
+    per row in row order. In the eigenbasis theta = w / (d^2 + e), and R is
+    summed as the difference y^T y - theta^T w, which can round below
+    -2d on an unscaled rank-deficient design."""
+    d2, w, yty = spectra.d2, spectra.w, spectra.yty
+    mask = (d2 > 0).astype(float)
+    comp = spectra.k - mask.sum(axis=-1)  # directions outside the row space
+
+    def sums(e):
+        inv = 1.0 / (d2 + e[:, None])
+        theta = w * inv
+        return RootSums(yty - _rowdot(theta, w), _rowdot(theta, theta),
+                        _rowdot(mask, inv) + comp / e,
+                        _rowdot(theta * inv, theta),
+                        _rowdot(mask, inv * inv) + comp / (e * e))
+
+    return solve_fixed_points(
+        hp, spectra.n, spectra.k, sums,
+        lambda e: _spectral_moments(d2, w, mask, yty, comp, e))
 
 
 def fit_local(

@@ -51,14 +51,17 @@ def gibbs_posterior_moments(
     return draws.mean(axis=0), draws.var(axis=0, ddof=1)
 
 
-def dense_vb_fit(y, X, a, b, c, d, tol, max_iter, rate_init=1e-3):
+def dense_vb_fit(y, X, a, b, c, d, tol, max_iter, rate_init=1e-3,
+                 d_init=None):
     """Coordinate-ascent variational fit with the full covariance.
 
     Same model as ``gibbs_posterior_moments``. Each sweep sets the
     coefficient posterior N(M^-1 X'y, M^-1 / E[sigma^-2]) with
     M = X'X + E[tau^-2] I from a Cholesky factor of M, then the rates of
-    tau^-2 and sigma^-2; sweeps stop when the evidence lower bound changes
-    by less than ``tol``. Returns (mean, per-coefficient variance, bound).
+    tau^-2 and sigma^-2; sweeps start from both rates at ``rate_init`` (or
+    the rate of sigma^-2 at ``d_init``) and stop when the evidence lower
+    bound changes by less than ``tol``. Returns (mean, per-coefficient
+    variance, bound).
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -68,7 +71,8 @@ def dense_vb_fit(y, X, a, b, c, d, tol, max_iter, rate_init=1e-3):
     yty = float(y @ y)
     a_star = a + 0.5 * k
     c_star = c + 0.5 * (n + k)
-    b_star = d_star = rate_init
+    b_star = rate_init
+    d_star = rate_init if d_init is None else d_init
     prev = None
     for _ in range(max_iter):
         e_tau = a_star / b_star
@@ -103,6 +107,51 @@ def dense_vb_fit(y, X, a, b, c, d, tol, max_iter, rate_init=1e-3):
             break
         prev = bound
     return beta, np.diag(Sigma).copy(), float(bound)
+
+
+def dense_fixed_point(y, X, a, b, c, d, step=0.1):
+    """``dense_vb_fit`` at the largest fixed point of its sweeps, found as
+    a root instead of by sweeping there, which under a vague prior takes
+    some 1e5 sweeps.
+
+    A sweep from E[tau^-2] = e^u leaves the rates d*(u) = (d + R/2) /
+    (1 - k / (2 c*)), R = ||y - X theta||^2 + e^u ||theta||^2, and b*(u) =
+    b + (c*/d*) ||theta||^2 / 2 + tr M^-1 / 2, with theta and M^-1 from a
+    Cholesky factor of M = X'X + e^u I. Its fixed points are the roots of
+    h(u) = log(a* / b*(u)) - u, which all lie below log(a* / b); the
+    largest is bracketed by stepping down from there by ``step`` and closed
+    by ``brentq``. Returns ``dense_vb_fit``'s (mean, per-coefficient
+    variance, bound) of one sweep from the rates at that root.
+    """
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    n, k = X.shape
+    XtX = X.T @ X
+    Xty = X.T @ y
+    yty = float(y @ y)
+    a_star = a + 0.5 * k
+    c_star = c + 0.5 * (n + k)
+
+    def rates(u):
+        e = np.exp(u)
+        cho = cho_factor(XtX + e * np.eye(k), lower=True)
+        theta = cho_solve(cho, Xty)
+        theta2 = float(theta @ theta)
+        rss = yty - 2.0 * float(theta @ Xty) + float(theta @ XtX @ theta)
+        d_star = (d + 0.5 * (rss + e * theta2)) / (1.0 - k / (2.0 * c_star))
+        trace = float(np.trace(cho_solve(cho, np.eye(k))))
+        return b + 0.5 * (c_star / d_star) * theta2 + 0.5 * trace, d_star
+
+    def h(u):
+        return np.log(a_star / rates(u)[0]) - u
+
+    hi = np.log(a_star / b)
+    while h(hi - step) < 0:
+        hi -= step
+    u = brentq(h, hi - step, hi, xtol=1e-15, rtol=1e-15)
+    b_star, d_star = rates(u)
+    return dense_vb_fit(y, X, a, b, c, d, tol=0.0, max_iter=1,
+                        rate_init=b_star, d_init=d_star)
 
 
 def mp_dense_vb_bound(y, X, a, b, c, d, sweeps, dps=50, rate_init=1e-3,

@@ -117,6 +117,11 @@ CANCELLING = Case(3, 29, 0, scale=1e4, flags=("--no-scale",))
 #: unscaled, with a sub-model whose residual rounds below zero on the way
 #: to its fixed point
 LOST = Case(11, 28, 1, scale=1e4, flags=("--no-scale",))
+#: unscaled, with the prior fixed: gene 0, near 1e150 among genes near 1,
+#: rests on X's null space at every E[tau^-2] its root solve would probe
+NULL_BOUND = Case(3, 18, 315, edits=(("duplicate", 2, 3),),
+                  gene_scale=(0, 1e150),
+                  flags=("--no-scale", "--no-global-shrinkage"))
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True,
@@ -128,6 +133,8 @@ LOST = Case(11, 28, 1, scale=1e4, flags=("--no-scale",))
                    flags=("--no-scale",)))
 @example(case=Case(10, 5, 0, gene_scale=(2, 1e150), scale=1e4,
                    flags=("--no-scale",)))
+@example(case=Case(3, 2, 0, gene_scale=(0, 1e150),
+                   flags=("--no-scale", "--no-global-shrinkage")))
 @example(case=CANCELLING)
 @example(case=LOST)
 @example(case=Case(3, 3, 0, cell=(0, 0, "")))
@@ -188,3 +195,13 @@ def test_cancelling_residual_evidence_matches_dense_oracle():
                              hp.a, hp.b, hp.c, hp.d, sweeps=40, dps=30,
                              rate_init=fit.b_star[0], d_init=fit.d_star[0])
     assert abs(fit.bound[0] - float(want)) < 1e-4
+
+
+def test_null_space_failure_found_before_the_solve(tmp_path):
+    """The fixed-prior fit fails on the null-space gain, as the EM's
+    sweeps did, not on a root solve that overflows on the way."""
+    res = _infer(NULL_BOUND, tmp_path / "data.csv", tmp_path / "out")
+    assert res.exit_code == 3, res.output
+    assert res.output == ("numerical failure: gene g0: its fit rests on "
+                          "directions outside the data's row space beyond "
+                          "working precision\n")
