@@ -7,7 +7,6 @@ results are bit-reproducible and independent of worker scheduling.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -58,9 +57,11 @@ def _check_methods(methods) -> None:
 
 def _map_tasks(fn, tasks, threads: int) -> list:
     """``fn`` of each task, in task order: in this process at one thread,
-    else on a pool of ``threads`` worker processes."""
+    else on a pool of ``threads`` worker processes, whose module is
+    imported only then, to keep it out of the command line's start-up."""
     if threads == 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks))
 

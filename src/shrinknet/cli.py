@@ -186,10 +186,10 @@ def main():
               help="Center gene columns but skip unit-variance scaling.")
 @click.option("--tol", default=DEFAULT_TOL, show_default=True,
               help="Stop the shared-prior EM once no gene's bound moves by "
-              "this much; unused with --no-global-shrinkage.")
+              "this much; only the default with --no-global-shrinkage.")
 @click.option("--max-iter", default=DEFAULT_MAX_ITER, show_default=True,
-              help="Iteration cap of the shared-prior EM; unused with "
-              "--no-global-shrinkage.")
+              help="Iteration cap of the shared-prior EM; only the default "
+              "with --no-global-shrinkage.")
 @click.option("--no-global-shrinkage", is_flag=True,
               help="Keep the fixed non-informative shared prior.")
 @click.option("--alpha", default=0.1, show_default=True,
@@ -210,6 +210,11 @@ def infer(run, input_path, fmt, transpose, no_scale, tol, max_iter,
         raise ConfigError("--p0 must lie in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise ConfigError("--alpha must lie in (0, 1)")
+    for name, value, default in (("--tol", tol, DEFAULT_TOL),
+                                 ("--max-iter", max_iter, DEFAULT_MAX_ITER)):
+        if no_global_shrinkage and value != default:
+            raise ConfigError(f"{name} has no effect with "
+                              "--no-global-shrinkage")
     em_config = EmConfig(tol=tol, max_iter=max_iter,
                          global_shrinkage=not no_global_shrinkage)
     stop = StopConfig(patience=patience, use_rmax=not no_rmax)

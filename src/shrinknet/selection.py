@@ -12,7 +12,8 @@ prefix of every gene's partners in ranking order fill one table, whose
 steps along a row are the rank-conditioned Bayes factors that estimate
 the null fraction. Forward selection keeps its own store: it fits the
 sub-models it can reach before its next acceptance ahead of use. Both set
-their sub-models up by one rule, ``EvidenceCache._setups``.
+their sub-models up by one rule, ``EvidenceCache._setups``, and fit them
+by another, ``EvidenceCache._fit``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .vb import (
     gene_blocks,
     make_workspace,
     stack_groups,
-    stack_spectra,
 )
 
 fit_local = vb.fit_local  # the name perfbench's selection.submodel span wraps
@@ -123,12 +123,12 @@ class EvidenceCache:
     matches an unpenalized intercept in the conjugate updates. The one
     store is keyed by (response gene, frozenset of covariate genes); every
     sub-model in it is fitted by ``fit_ahead``, ahead of use or when a
-    lookup finds it missing, so its evidence has the bits of a lone
-    ``fit_local`` fit. ``fill_prefixes`` returns the p0 scan's table and
-    stores none of it. Every fit is ``vb.fit_spectra``'s. ``stats`` counts
-    the fits of both and their solver evaluations, ``submodel_unused`` the
-    fits ahead that no lookup has read, ``submodel_lookups`` the calls of
-    ``log_evidence`` and ``submodel_misses`` those that found no fit.
+    lookup finds it missing. ``fill_prefixes`` returns the p0 scan's table
+    and stores none of it. Every evidence, by ``_fit``, has the bits of a
+    lone ``fit_local`` fit. ``stats`` counts the fits of both and their
+    solver evaluations, ``submodel_unused`` the fits ahead that no lookup
+    has read, ``submodel_lookups`` the calls of ``log_evidence`` and
+    ``submodel_misses`` those that found no fit.
     """
 
     def __init__(self, m: ExpressionMatrix):
@@ -146,18 +146,23 @@ class EvidenceCache:
         """Spectra of each gene of ``genes`` on its row of ``covariates``
         (sorted, k per row), set up a block of rows at a time, as many per
         ``make_workspace`` call as ``vb.STACK_DOUBLES`` holds of their
-        designs. Yields each block's rows and spectra."""
+        designs. Yields each block's spectra, in row order."""
         k = covariates.shape[1]
         for rows in gene_blocks(len(genes), self.n * max(k, 1)):
-            yield rows, make_workspace(self.values, genes[rows],
-                                       covariates[rows])[0]
+            yield make_workspace(self.values, genes[rows],
+                                 covariates[rows])[0]
 
-    def _fit(self, spectra):
-        """Bounds of the rows of ``spectra``, counted in ``stats``."""
-        fit = fit_spectra(spectra, self.prior)
-        self.stats["submodel_fits"] += len(fit.bound)
-        self.stats["submodel_evaluations"] += int(fit.evaluations.sum())
-        return fit.bound
+    def _fit(self, blocks):
+        """Bounds of the rows of the ``Spectra`` ``blocks``, in order, by
+        one ``fit_spectra`` solve per run of ``vb.stack_groups``; counted
+        in ``stats``."""
+        bounds = [np.empty(0)]  # for a call with no blocks
+        for group in stack_groups(blocks):
+            fit = fit_spectra(group, self.prior)
+            self.stats["submodel_fits"] += len(fit.bound)
+            self.stats["submodel_evaluations"] += int(fit.evaluations.sum())
+            bounds.append(fit.bound)
+        return np.concatenate(bounds)
 
     def fill_prefixes(self, ranking: EdgeRanking) -> np.ndarray:
         """Fit, in one batched pass, every sub-model that regresses a gene
@@ -168,8 +173,7 @@ class EvidenceCache:
         The ranking must hold every gene pair exactly once, as
         ``rank_edges`` makes it; otherwise ``ValueError`` is raised. The
         scan walks the prefix lengths in order, sets each one's designs up
-        by ``_setups`` and fits groups of blocks as one stack within
-        ``vb.STACK_DOUBLES`` (``vb.stack_groups``).
+        by ``_setups`` and fits them by ``_fit``.
         """
         p = self.p
         response = np.concatenate([ranking.i, ranking.j])
@@ -181,37 +185,31 @@ class EvidenceCache:
         rank = np.tile(np.arange(len(ranking)), 2)
         order = partner[np.lexsort((rank, response))].reshape(p, p - 1)
         genes = np.arange(p)
-        bound = np.concatenate([
-            self._fit(stack_spectra(group)) for group in stack_groups(
-                spectra for t in range(p) for _, spectra in self._setups(
-                    genes, np.sort(order[:, :t], axis=1)))])
+        bound = self._fit(spectra for t in range(p)
+                          for spectra in self._setups(
+                              genes, np.sort(order[:, :t], axis=1)))
         return bound.reshape(p, p).T  # rows in (t, gene) order
 
     def fit_ahead(self, submodels) -> None:
-        """Fit, as stacks, every sub-model of ``submodels`` (pairs of a
-        response gene and a frozenset of covariate genes) that the store
-        does not hold, and store its evidence.
-
-        Sub-models with the same number k of covariates are set up
-        together by ``_setups``, and each block is fitted as one stack. A
-        block's rows share k, so, unless a design is rank deficient, each
-        row is as wide as its own spectrum and its evidence has the bits
-        of a lone ``fit_local`` fit.
+        """Fit every sub-model of ``submodels`` (pairs of a response gene
+        and a frozenset of covariate genes) that the store does not hold,
+        and store its evidence. Sub-models with the same number k of
+        covariates are set up together by ``_setups``, and all are fitted
+        by ``_fit``.
         """
         wanted = {}
         for key in submodels:
             if key not in self._cache:
                 wanted.setdefault(len(key[1]), {})[key] = None
-        for k, keys in wanted.items():
-            keys = list(keys)
-            genes = np.array([g for g, _ in keys])
-            covariates = np.array([sorted(c) for _, c in keys],
-                                  dtype=np.intp).reshape(len(keys), k)
-            for rows, spectra in self._setups(genes, covariates):
-                self._cache.update(zip((keys[r] for r in rows),
-                                       self._fit(spectra).tolist()))
-            self._unread.update(keys)
-            self.stats["submodel_unused"] += len(keys)
+        blocks = (spectra for k, group in wanted.items()
+                  for spectra in self._setups(
+                      np.array([g for g, _ in group]),
+                      np.array([sorted(c) for _, c in group],
+                               dtype=np.intp).reshape(len(group), k)))
+        keys = [key for group in wanted.values() for key in group]
+        self._cache.update(zip(keys, self._fit(blocks).tolist()))
+        self._unread.update(keys)
+        self.stats["submodel_unused"] += len(keys)
 
     def log_evidence(self, response: int, covariates: frozenset) -> float:
         self.stats["submodel_lookups"] += 1

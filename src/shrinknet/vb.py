@@ -5,10 +5,11 @@ tau^2 and gamma priors on tau^-2 and sigma^-2, under a factorized
 posterior whose lower bound stands in for the evidence. A fit is the
 fixed point of the coordinate-ascent sweeps, one scalar root a row,
 solved by ``solve_fixed_points`` from any provider of the regressions'
-``RootSums`` and ``Moments``: ``fit_spectra`` provides them from a stack
-of design spectra (``Spectra``, set up by ``make_workspace``),
-``em._root_sums`` from one spectrum of the whole matrix. ``_estep`` is
-one sweep: the shared-prior EM's, and the one that scores a fit.
+``RootSums`` and ``Moments``: ``fit_spectra`` provides them from blocks
+of design spectra (``Spectra``, set up by ``make_workspace``), each row's
+from its own directions alone, ``em._root_sums`` from one spectrum of the
+whole matrix. ``_estep`` is one sweep: the shared-prior EM's, and the one
+that scores a fit.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ STEP_RTOL = 1e-9
 #: A solve that has not stopped after this many evaluations has failed.
 MAX_EVALUATIONS = 100
 
-#: Working-memory budget of a stacked computation, in doubles: it bounds
-#: the designs factored in one setup call (``gene_blocks``) and the
-#: directions of a group fitted as one stack (``stack_groups``) of the
+#: Working-memory budget of a batched computation, in doubles: it bounds
+#: the designs factored in one setup call (``gene_blocks``) and the rows
+#: and directions fitted by one solve (``stack_groups``) of the
 #: selection's sub-models (the EM's one spectrum of the whole matrix is
-#: outside it). At 2^14 (128 KiB) the p0 scan at (p, n) = (40, 30) makes
-#: 78 setup calls.
+#: outside it). It bounds memory only: no result depends on it. At 2^14
+#: (128 KiB) the p0 scan at (p, n) = (40, 30) makes 78 setup calls.
 STACK_DOUBLES = 1 << 14
 
 
@@ -82,7 +83,7 @@ class VariationalPosterior:
 
 @dataclass(frozen=True)
 class Spectra:
-    """Stacked regression spectra, one row per regression.
+    """A block of regression spectra, one row per regression.
 
     ``d2`` holds the eigenvalues of each design's cross-product, all
     positive, and ``w`` the matching V^T D^T y; past a row's numerical
@@ -112,26 +113,44 @@ class Moments(NamedTuple):
     dof: np.ndarray
 
 
-def _rowdot(x, y):
-    """Dot products along the last axis of two stacks: one per row."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+class _Directions:
+    """The directions (``d2 > 0``) of the rows of a list of ``Spectra``
+    that share ``n``, flat in row order: ``d2`` and ``w``, with the ``row``
+    each belongs to. ``yty``, ``k`` and ``comp``, the number of directions
+    outside the row space, hold one value per row."""
+
+    def __init__(self, blocks):
+        masks = [block.d2 > 0 for block in blocks]
+        starts = np.cumsum([0] + [len(block.yty) for block in blocks])
+        self.row = np.concatenate([start + np.nonzero(mask)[0]
+                                   for start, mask in zip(starts, masks)])
+        self.d2 = np.concatenate([b.d2[m] for b, m in zip(blocks, masks)])
+        self.w = np.concatenate([b.w[m] for b, m in zip(blocks, masks)])
+        self.yty = np.concatenate([block.yty for block in blocks])
+        self.k = np.concatenate([block.k for block in blocks])
+        self.comp = self.k - np.bincount(self.row, minlength=len(self.k))
+        self.n = blocks[0].n
+
+    def sum(self, x):
+        """Each row's sum of ``x`` (one value per direction) in order, the
+        bits of its lone fit's: no other row or padding enters it."""
+        return np.bincount(self.row, weights=x, minlength=len(self.k))
 
 
-def _spectral_moments(d2, w, mask, yty, comp, e) -> Moments:
-    """The ``Moments`` of each regression of a stack of spectra (see
-    ``Spectra``; the last axis runs over directions) at its own ``e``.
-    ``mask`` is 1.0 where ``d2 > 0`` and ``comp`` counts the directions
-    outside each row space. In the eigenbasis theta = w / (d^2 + e), and
-    rss is summed as y^T y - 2 theta^T w + sum d^2 theta^2."""
-    denom = d2 + e[:, None]
-    theta = w / denom
+def _spectral_moments(dirs: _Directions, e) -> Moments:
+    """The ``Moments`` of each regression of ``dirs`` at its own ``e``. In
+    the eigenbasis theta = w / (d^2 + e), and rss is summed as
+    y^T y - 2 theta^T w + sum d^2 theta^2."""
+    denom = dirs.d2 + e[dirs.row]
+    theta = dirs.w / denom
     inv = 1.0 / denom
     return Moments(
-        rss=yty - 2.0 * _rowdot(theta, w) + _rowdot(d2, theta * theta),
-        theta2=_rowdot(theta, theta),
-        trace=_rowdot(mask, inv) + comp / e,
-        logdet=_rowdot(mask, np.log(denom)) + comp * np.log(e),
-        dof=_rowdot(d2, inv))
+        rss=dirs.yty - 2.0 * dirs.sum(theta * dirs.w)
+        + dirs.sum(dirs.d2 * (theta * theta)),
+        theta2=dirs.sum(theta * theta),
+        trace=dirs.sum(inv) + dirs.comp / e,
+        logdet=dirs.sum(np.log(denom)) + dirs.comp * np.log(e),
+        dof=dirs.sum(dirs.d2 * inv))
 
 
 def _estep(hp, moments: Moments, e_tau, e_sig, a_star, c_star, k, constant):
@@ -141,32 +160,23 @@ def _estep(hp, moments: Moments, e_tau, e_sig, a_star, c_star, k, constant):
     N(theta, M^-1 / e_sig) gives E||y - D beta||^2 = rss + dof / e_sig,
     E[beta^T beta] = theta2 + trace / e_sig and the log determinant of its
     covariance, -k log e_sig - logdet, for k coefficients. Returns the
-    updated rates (b*, d*) and the lower bound after the pass, given
-    ``_bound_constant`` of the regression."""
+    updated rates (b*, d*), d* first and b* from it, and the lower bound
+    after the pass, given ``_bound_constant`` of the regression."""
     ebb = moments.theta2 + moments.trace / e_sig
-    b_new, d_new = _rates(hp, c_star, e_tau,
-                          moments.rss + moments.dof / e_sig, ebb)
+    fit = moments.rss + moments.dof / e_sig
+    d_new = np.maximum(hp.d + 0.5 * fit + 0.5 * e_tau * ebb, RATE_FLOOR)
+    b_new = np.maximum(hp.b + 0.5 * (c_star / d_new) * ebb, RATE_FLOOR)
     sigma_logdet = -k * np.log(e_sig) - moments.logdet
     return b_new, d_new, _bound(constant, a_star, b_new, c_star, d_new,
                                 sigma_logdet, ebb)
 
 
-def _rates(hp, c_star, e_tau, fit, ebb):
-    """The updated rates (b*, d*) of tau^-2 and sigma^-2, d* first and b*
-    from it, given E[tau^-2], ``fit`` = E||y - D beta||^2 and ``ebb`` =
-    E[beta^T beta] under the coefficient posterior just set; one value
-    per regression."""
-    d_new = np.maximum(hp.d + 0.5 * fit + 0.5 * e_tau * ebb, RATE_FLOOR)
-    b_new = np.maximum(hp.b + 0.5 * (c_star / d_new) * ebb, RATE_FLOOR)
-    return b_new, d_new
-
-
 def make_workspace(values, gene, covariates):
-    """Spectral setup of a stack of regressions.
+    """Spectral setup of a block of regressions.
 
     Every regression is gene ``gene`` of the (n, p) matrix ``values`` on
     the genes ``covariates``: an array of genes with one row of covariates
-    each, or one index with a 1-D index array, a stack of one. The
+    each, or one index with a 1-D index array, a block of one. The
     design's columns follow ``covariates``, and callers list them in
     sorted order: so a ranking prefix in the p0 scan's table and the same
     set fitted by ``fit_local`` are the same regression, to the last bit.
@@ -174,7 +184,7 @@ def make_workspace(values, gene, covariates):
     eigenbasis of each design's cross-product, the smaller of D^T D and
     D D^T: d^2 are its eigenvalues above ``RANK_RTOL`` of the largest, V
     the eigenvectors of D^T D (D^T U / d from those U of D D^T), and
-    w = V^T D^T y. A stack is as wide as its largest rank, and the
+    w = V^T D^T y. A block is as wide as its largest rank, and the
     directions of a row past its own rank are zero. Returns the spectra
     and V, (rows, k, width). A regression without covariates has an empty
     spectrum; an all-zero design raises ``DegenerateDesignError`` naming
@@ -199,7 +209,7 @@ def make_workspace(values, gene, covariates):
         v = dt @ v / np.sqrt(np.where(mask, lam, 1.0))[:, None, :]
     d2 = np.where(mask, lam, 0.0)
     w = np.where(mask, (responses[:, None, :] @ designs @ v)[:, 0], 0.0)
-    yty = _rowdot(responses, responses)
+    yty = (responses[:, None, :] @ responses[:, :, None])[:, 0, 0]
     return Spectra(d2, w, yty, np.full(rows, k), n), v
 
 
@@ -208,7 +218,7 @@ _lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 def gammaln(x):
     """log Gamma(x) for x > 0 by ``math.lgamma``: a float for a scalar,
-    elementwise for an array (such as the shapes of a stack's rows)."""
+    elementwise for an array (such as the shapes of a block's rows)."""
     if getattr(x, "ndim", 0):
         return _lgamma(x).astype(float)
     return math.lgamma(x)
@@ -256,30 +266,27 @@ def _bound(constant, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
 
 def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
                hp: HyperParameters, iterations, converged):
-    """The regression of a stack of one, read off after one sweep from the
+    """The regression of a block of one, read off after one sweep from the
     rates ``(b_star, d_star)`` as one record: its coefficient means and
     variances, two rates and lower bound. The rates and bound are those of
     ``_estep``, as in ``fit_spectra``'s sweeps. The coefficient moments
     come back from the eigenbasis through the ``V`` returned with the
-    spectra, its columns past the design's rank dropped; directions
-    outside the design's row space add their conditional prior variance.
+    spectra; directions outside the design's row space add their
+    conditional prior variance.
     """
-    mask = (spectra.d2 > 0).astype(float)
     e_tau, e_sig = a_star / b_star, c_star / d_star
     b_new, d_new, lower_bound = _estep(
-        hp, _spectral_moments(spectra.d2, spectra.w, mask, spectra.yty,
-                              spectra.k - mask.sum(axis=-1), e_tau),
+        hp, _spectral_moments(_Directions([spectra]), e_tau),
         e_tau, e_sig, a_star, c_star, spectra.k,
         _bound_constant(spectra.n, spectra.k, hp, a_star, c_star))
     if not np.isfinite(lower_bound).all():
         raise NumericalFailureError("non-finite lower bound")
     e_tau, e_sig = e_tau[:, None], e_sig[:, None]
     denom = spectra.d2 + e_tau
-    # zero past the rank, in a C-contiguous copy that goes to BLAS
-    v = V * mask[..., None, :]
+    v = np.ascontiguousarray(V)  # a block of one is as wide as its rank
     v2 = v**2
     beta_mean = (v @ (spectra.w / denom)[..., None])[..., 0]
-    beta_var = ((v2 @ (mask / denom)[..., None])[..., 0]
+    beta_var = ((v2 @ (1.0 / denom)[..., None])[..., 0]
                 + (1.0 - v2.sum(axis=-1)) / e_tau) / e_sig
     return VariationalPosterior(beta_mean[0], beta_var[0], a_star,
                                 float(b_new[0]), c_star, float(d_new[0]),
@@ -334,31 +341,18 @@ def gene_blocks(p: int, doubles_per_gene: int) -> list[np.ndarray]:
             for start in range(0, p, size)]
 
 
-def stack_spectra(blocks: list[Spectra]) -> Spectra:
-    """The rows of ``blocks``, which share a sample count, as one stack:
-    the direction arrays are zero-padded out to the widest block."""
-    ends = np.cumsum([0] + [len(block.yty) for block in blocks])
-    width = max(block.d2.shape[1] for block in blocks)
-    d2, w = np.zeros((2, ends[-1], width))
-    for block, start, stop in zip(blocks, ends, ends[1:]):
-        for out, x in ((d2, block.d2), (w, block.w)):
-            out[start:stop, :x.shape[1]] = x
-    return Spectra(d2, w, np.hstack([block.yty for block in blocks]),
-                   np.hstack([block.k for block in blocks]), blocks[0].n)
-
-
 def stack_groups(blocks):
-    """Consecutive runs of ``blocks`` whose stack holds at most
-    ``STACK_DOUBLES`` directions, padding included; a block larger than
+    """Consecutive runs of the ``Spectra`` ``blocks`` that hold at most
+    ``STACK_DOUBLES`` rows and directions together; a block larger than
     that is a run of its own. Yields each run as a list."""
-    group, rows, width = [], 0, 0
+    group, size = [], 0
     for block in blocks:
-        size, cols = block.d2.shape[0], max(1, block.d2.shape[1])
-        if group and (rows + size) * max(width, cols) > STACK_DOUBLES:
+        more = len(block.yty) + np.count_nonzero(block.d2)
+        if group and size + more > STACK_DOUBLES:
             yield group
-            group, rows, width = [], 0, 0
+            group, size = [], 0
         group.append(block)
-        rows, width = rows + size, max(width, cols)
+        size += more
     if group:
         yield group
 
@@ -447,26 +441,25 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
     return SpectraFit(bound, b_star, d_star, counts)
 
 
-def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
-    """Fit every row of ``spectra`` by ``solve_fixed_points``, one result
-    per row in row order. In the eigenbasis theta = w / (d^2 + e), and R is
-    summed as the difference y^T y - theta^T w, which can round below
+def fit_spectra(blocks, hp: HyperParameters) -> SpectraFit:
+    """Fit every row of ``blocks``, a ``Spectra`` or a list of them that
+    share ``n``, by one ``solve_fixed_points``, one result per row in row
+    order, each with the bits of its lone fit. With theta = w / (d^2 + e),
+    R is summed as the difference y^T y - theta^T w, which can round below
     -2d on an unscaled rank-deficient design."""
-    d2, w, yty = spectra.d2, spectra.w, spectra.yty
-    mask = (d2 > 0).astype(float)
-    comp = spectra.k - mask.sum(axis=-1)  # directions outside the row space
+    dirs = _Directions([blocks] if isinstance(blocks, Spectra) else blocks)
+    total, comp = dirs.sum, dirs.comp
 
     def sums(e):
-        inv = 1.0 / (d2 + e[:, None])
-        theta = w * inv
-        return RootSums(yty - _rowdot(theta, w), _rowdot(theta, theta),
-                        _rowdot(mask, inv) + comp / e,
-                        _rowdot(theta * inv, theta),
-                        _rowdot(mask, inv * inv) + comp / (e * e))
+        inv = 1.0 / (dirs.d2 + e[dirs.row])
+        theta = dirs.w * inv
+        return RootSums(dirs.yty - total(theta * dirs.w),
+                        total(theta * theta), total(inv) + comp / e,
+                        total(theta * theta * inv),
+                        total(inv * inv) + comp / (e * e))
 
-    return solve_fixed_points(
-        hp, spectra.n, spectra.k, sums,
-        lambda e: _spectral_moments(d2, w, mask, yty, comp, e))
+    return solve_fixed_points(hp, dirs.n, dirs.k, sums,
+                              lambda e: _spectral_moments(dirs, e))
 
 
 def fit_local(

@@ -15,7 +15,7 @@ from shrinknet.benchmark import SplitConfig
 from shrinknet.cli import main, manifest_argv
 from shrinknet.data import (ExpressionMatrix, load_expression_matrix,
                             standardize)
-from shrinknet.em import EmConfig, fit_sem
+from shrinknet.em import DEFAULT_MAX_ITER, DEFAULT_TOL, EmConfig, fit_sem
 from shrinknet.errors import ConfigError
 from shrinknet.pipeline import infer_network
 from shrinknet.selection import (EvidenceCache, StopConfig, estimate_p0,
@@ -633,6 +633,8 @@ SIM_DATA = "<sim_dir>/data.csv"
       for bad in [["--ev", "nan"], ["--ev", "-1"], ["--alpha", "nan"],
                   ["--resamples", "1"], ["--threads", "0"],
                   ["--n-small", "49"]]),
+    ["infer", SIM_DATA, "--no-global-shrinkage", "--tol", "0.5"],
+    ["infer", SIM_DATA, "--no-global-shrinkage", "--max-iter", "2"],
 ])
 def test_unknown_kind_writes_nothing(runner, sim_dir, tmp_path, args):
     """A bad setting exits 4, and a missing input 2, before --out-dir is
@@ -642,6 +644,23 @@ def test_unknown_kind_writes_nothing(runner, sim_dir, tmp_path, args):
     res = runner.invoke(main, [*args, "--out-dir", str(out)])
     assert res.exit_code == (2 if "nothere.csv" in args else 4), res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, default", [("--tol", DEFAULT_TOL),
+                                             ("--max-iter", DEFAULT_MAX_ITER)])
+def test_fixed_prior_names_an_unused_em_option(runner, sim_dir, tmp_path,
+                                               option, default):
+    """With --no-global-shrinkage the EM's stopping options have no
+    effect: a value other than the default exits 4 in one line that names
+    the option, and the default, as a rerun from a manifest passes it,
+    runs."""
+    run = ["infer", str(sim_dir / "data.csv"), "--no-global-shrinkage",
+           "--out-dir", str(tmp_path / "out"), option]
+    res = runner.invoke(main, [*run, str(default * 2)])
+    assert res.exit_code == 4, res.output
+    assert res.output.count("\n") == 1 and option in res.output
+    res = runner.invoke(main, [*run, str(default)])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and no
-package module imports SciPy.
+"""Every name a package module imports is used in that module, no
+package module imports SciPy, and the command line starts without the
+process-pool machinery.
 
 The checks read each module with ``ast``. A name bound by an import must
 appear as a name somewhere else in the module's code; ``__init__.py`` is
@@ -9,6 +10,9 @@ module: SciPy is a test-only oracle.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +69,17 @@ def test_finds_imported_packages():
 def test_no_scipy_import():
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if "scipy" in _imported_roots(path.read_text())] == []
+
+
+def test_cli_imports_no_process_pool():
+    """``import shrinknet.cli`` in a fresh interpreter loads neither
+    ``concurrent.futures.process`` nor ``multiprocessing``: only a run on
+    more than one worker process needs them."""
+    code = ("import sys, shrinknet.cli; print(sorted(m for m in "
+            "('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout == "[]\n"

@@ -25,7 +25,7 @@ from shrinknet.selection import (
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
 from shrinknet import selection, vb
-from shrinknet.vb import fit_local, fit_spectra, stack_spectra
+from shrinknet.vb import fit_local, fit_spectra
 from test_traced_run import _chain_values
 
 
@@ -330,48 +330,46 @@ class TestBatchedScan:
     @pytest.mark.parametrize("case", sorted(SCAN_CASES))
     def test_matches_fit_local_on_every_prefix(self, case, budget,
                                                monkeypatch):
-        """Prefix sub-models fitted in stacks match lone ``fit_local``
-        fits, whether a budget of 1000 doubles joins blocks of different
-        widths and prefix lengths into one group or a budget of 2 fits
-        each block as a group of its own."""
+        """Prefix sub-models fitted by the scan have the bits and the
+        evaluation counts of lone ``fit_local`` fits, whether a budget of
+        1000 doubles joins blocks of different widths and prefix lengths
+        into one solve or a budget of 2 fits about a block a solve."""
         m, ranking = _scan_input(*SCAN_CASES[case])
         p = m.n_genes
         cache = EvidenceCache(m)
         partners = _ranked_partners(ranking, p)
-        order = np.array(partners)
-        # two blocks of responses per prefix length
-        plan = [(genes, t) for t in range(p)
-                for genes in np.array_split(np.arange(p), 2)]
         monkeypatch.setattr(vb, "STACK_DOUBLES", budget)
-        groups = list(vb.stack_groups(
-            vb.make_workspace(cache.values, genes,
-                              np.sort(order[genes, :t], axis=1))[0]
-            for genes, t in plan))
-        assert (len(groups) < len(plan)) == (budget == 1000)
-        fits = [fit_spectra(stack_spectra(group), cache.prior)
-                for group in groups]
-        bound, evaluations = (np.concatenate([getattr(fit, name)
-                                              for fit in fits])
-                              for name in ("bound", "evaluations"))
-        keys = [(g, t) for genes, t in plan for g in genes]
-        assert len(bound) == len(keys) == p * p
-        for row, (g, t) in enumerate(keys):
+        fits = []
+
+        def fit(blocks, hp):
+            fits.append(vb.fit_spectra(blocks, hp))
+            return fits[-1]
+
+        monkeypatch.setattr(selection, "fit_spectra", fit)
+        with mock.patch.object(selection, "make_workspace",
+                               wraps=vb.make_workspace) as setup:
+            table = cache.fill_prefixes(ranking)
+        if budget == 1000:
+            assert len(fits) < setup.call_count
+        evaluations = np.concatenate([got.evaluations for got in fits])
+        assert len(evaluations) == p * p
+        for row, (t, g) in enumerate(np.ndindex(p, p)):
             vp = fit_local(cache.values, g, sorted(partners[g][:t]),
                            cache.prior)
-            assert abs(bound[row] - vp.lower_bound) <= 1e-8, (g, t)
+            assert table[g, t] == vp.lower_bound, (g, t)
             assert evaluations[row] == vp.iterations, (g, t)
 
     @pytest.mark.parametrize("budget", [1, 1 << 30])
     def test_budget_moves_no_result(self, budget, monkeypatch):
         """The working-memory budget only sets how the scan is split: one
-        gene per setup call and one block per group, or one setup call per
-        prefix length and the whole scan in one group, gives the default's
-        results, and the EM does not read it."""
+        gene per setup call and one block per solve, or one setup call per
+        prefix length and the whole scan in one solve, gives the default's
+        results to the bit, and the EM does not read it."""
         m, ranking = _scan_input(30, 20, 4, False)
         p = m.n_genes
 
         def scan():
-            """The table, the stats and (setup calls, groups fitted)."""
+            """The table, the stats and (setup calls, solves)."""
             cache = EvidenceCache(m)
             with mock.patch.object(selection, "make_workspace",
                                    wraps=vb.make_workspace) as setup, \
@@ -380,13 +378,15 @@ class TestBatchedScan:
                 table = cache.fill_prefixes(ranking).copy()
             return table, cache.stats, (setup.call_count, fit.call_count)
 
-        table, stats, (calls, groups) = scan()
-        assert p < calls < p * p and 1 < groups < calls  # the default
+        table, stats, split = scan()
+        # the default: more than one setup call for some prefix lengths,
+        # and every row and direction of the scan in one solve
+        assert split == (32, 1)
         sem = fit_sem(m)
         monkeypatch.setattr(vb, "STACK_DOUBLES", budget)
         other_table, other_stats, split = scan()
         assert split == ((p * p, p * p) if budget == 1 else (p, 1))
-        np.testing.assert_allclose(other_table, table, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(other_table, table)
         assert other_stats == stats
         other = fit_sem(m)
         np.testing.assert_allclose(other.lower_bounds[-1],
@@ -452,6 +452,55 @@ class TestBatchedScan:
                 prior.b, prior.c, prior.d, 1, rate_init=fit.b_star[0],
                 d_init=fit.d_star[0])
             assert abs(table[g, n - 1] - want) <= 1e-12 * abs(want), g
+
+    def test_table_matches_eigenvalue_oracle(self, monkeypatch):
+        """Every prefix evidence's residual, with prefixes shorter than, at
+        and past the n - 1 centred samples, against one from eigenvalues
+        alone: at the entry's root e = a*/b*, R(e) + e is
+        det(G_aug + eI) / det(G + eI), with G = D^T D and G_aug the
+        cross-product of [D y]. The route's R is read off its fitted
+        d* = (d + R/2) / (1 - k/(2c*))."""
+        m, ranking = _scan_input(12, 10, 3, False)
+        p, n = m.n_genes, m.n_samples
+        cache = EvidenceCache(m)
+        fits = []
+
+        def fit(blocks, hp):
+            fits.append(vb.fit_spectra(blocks, hp))
+            return fits[-1]
+
+        monkeypatch.setattr(selection, "fit_spectra", fit)
+        cache.fill_prefixes(ranking)
+        b_star, d_star = (np.concatenate([getattr(got, name) for got in fits])
+                          for name in ("b_star", "d_star"))
+        prior = cache.prior
+        partners = _ranked_partners(ranking, p)
+        for row, (t, g) in enumerate(np.ndindex(p, p)):
+            a_star = prior.a + 0.5 * t
+            c_star = prior.c + 0.5 * (n + t)
+            e = a_star / b_star[row]
+            resid = 2.0 * (d_star[row] * (1.0 - t / (2.0 * c_star))
+                           - prior.d)
+            design = cache.values[:, sorted(partners[g][:t])]
+            augmented = np.column_stack([design, cache.values[:, g]])
+            want = np.exp(
+                np.log(np.linalg.eigvalsh(augmented.T @ augmented) + e).sum()
+                - np.log(np.linalg.eigvalsh(design.T @ design) + e).sum())
+            assert abs(resid + e - want) <= 1e-10 * want, (g, t)
+
+    @pytest.mark.parametrize("p, n, seed", [(40, 30, 1), (60, 20, 3)])
+    def test_table_bits_do_not_depend_on_the_budget(self, p, n, seed,
+                                                    monkeypatch):
+        """The whole p0 table of a chain input, ranked by the default EM,
+        is the same bytes under a budget of one double, the default and
+        2^30: each sub-model's sums run over its own directions only."""
+        m = standardize(_chain_matrix(p, n, seed))
+        ranking = rank_edges(kappa_scores(fit_sem(m)))
+        want = EvidenceCache(m).fill_prefixes(ranking).tobytes()
+        for budget in (1, 1 << 30):
+            monkeypatch.setattr(vb, "STACK_DOUBLES", budget)
+            got = EvidenceCache(m).fill_prefixes(ranking)
+            assert got.tobytes() == want, budget
 
     @pytest.mark.parametrize("case", sorted(SCAN_CASES))
     def test_estimate_p0_matches_ranking_replay(self, case):
@@ -529,7 +578,7 @@ def test_multi_root_submodels_take_the_sweeps_root(p, n, seed, gene, t):
 class TestLookAhead:
     def test_fits_have_the_bits_of_lone_fits(self, monkeypatch):
         """``fit_ahead`` on sub-models of 0 to 25 covariates, under a
-        budget that splits them: every setup call and every group stays
+        budget that splits them: every setup call and every solve stays
         within it, and every evidence has the bits of ``fit_local``'s."""
         m, _ = _scan_input(40, 30, 5, False)
         p, n = m.n_genes, m.n_samples
@@ -547,9 +596,10 @@ class TestLookAhead:
             setups.append(np.size(covariates) * n)
             return vb.make_workspace(values, genes, covariates)
 
-        def fit(spectra, hp):
-            groups.append(spectra.d2.size)
-            return vb.fit_spectra(spectra, hp)
+        def fit(blocks, hp):
+            groups.append(sum(len(block.yty) + np.count_nonzero(block.d2)
+                              for block in blocks))
+            return vb.fit_spectra(blocks, hp)
 
         monkeypatch.setattr(selection, "make_workspace", setup)
         monkeypatch.setattr(selection, "fit_spectra", fit)

@@ -22,7 +22,6 @@ from shrinknet.vb import (
     fit_spectra,
     gammaln,
     make_workspace,
-    stack_spectra,
     vb_sweep,
 )
 
@@ -341,8 +340,8 @@ class TestSpectralSetup:
 
 class TestFitSpectra:
     def test_single_regression_form(self):
-        """A single regression is a stack of one, rows of different widths
-        joined by ``stack_spectra`` fit as they do alone, and
+        """A single regression is a block of one, rows of different widths
+        fitted as one list of blocks fit as they do alone, to the bit, and
         ``fit_local``'s bound is the fit's, to the bit."""
         problems = [random_problem(20, k, seed=seed)
                     for k, seed in ((4, 1), (3, 4), (6, 2), (30, 9))]
@@ -354,11 +353,39 @@ class TestFitSpectra:
             vp = fit_local(*prob, VAGUE)
             assert vp.lower_bound == got.bound[0]
             assert vp.iterations == got.evaluations[0]
-        joined = fit_spectra(stack_spectra(rows), VAGUE)
+        joined = fit_spectra(rows, VAGUE)
         np.testing.assert_array_equal(
             joined.evaluations, [f.evaluations[0] for f in alone])
-        np.testing.assert_allclose(joined.bound,
-                                   [f.bound[0] for f in alone], rtol=1e-12)
+        np.testing.assert_array_equal(joined.bound,
+                                      [f.bound[0] for f in alone])
+
+    def test_mixed_ranks_fit_as_alone(self):
+        """One solve over blocks that mix full-rank rows, rows on at least
+        n - 1 centred covariates and a row on a duplicated gene, padded
+        within its block, gives each row its lone ``fit_local`` fit."""
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((8, 12))
+        values[:, 11] = values[:, 10]  # a duplicated gene
+        values -= values.mean(axis=0)
+        hp = HyperParameters(a=0.5, b=4.0)
+        rows = [(0, [10, 11]), (1, [3, 4]), (2, [5, 6]),
+                (0, list(range(1, 10))), (1, [0, *range(2, 10)]),
+                (2, [0, 1, 3])]
+        by_k = {}
+        for gene, covariates in rows:
+            by_k.setdefault(len(covariates), []).append((gene, covariates))
+        order = [row for group in by_k.values() for row in group]
+        blocks = [make_workspace(values, [g for g, _ in group],
+                                 [c for _, c in group])[0]
+                  for group in by_k.values()]
+        assert blocks[0].d2.shape == (3, 2)
+        assert np.count_nonzero(blocks[0].d2[0]) == 1  # padded past rank 1
+        assert blocks[1].d2.shape == (2, 7)  # 9 covariates, rank n - 1
+        fit = fit_spectra(blocks, hp)
+        for row, (gene, covariates) in enumerate(order):
+            vp = fit_local(values, gene, covariates, hp)
+            assert fit.bound[row] == vp.lower_bound, (gene, covariates)
+            assert fit.evaluations[row] == vp.iterations, (gene, covariates)
 
 
     def test_unsettled_solve_fails(self, monkeypatch):
