@@ -92,9 +92,10 @@ def load_expression_matrix(
 
     An optional first column of sample ids is auto-detected from the first
     data row: its first cell is a sample id unless it is a number or a
-    missing value (blank, NA or NaN). Missing or non-numeric cells raise
-    an explicit error with their location; nothing is imputed. With
-    ``transpose`` the file is read genes-in-rows and flipped.
+    missing value (blank, NA or NaN); a header cell above it, blank in R's
+    ``write.csv`` layout, is its label. Missing or non-numeric cells and
+    blank ids raise an error with their location; nothing is imputed.
+    With ``transpose`` the file is read genes-in-rows and flipped.
     """
     path = Path(path)
     if format is None:
@@ -129,6 +130,10 @@ def load_expression_matrix(
                 f"have {n_cols}"
             )
         gene_ids = header
+    if "" in gene_ids:
+        column = gene_ids.index("") + 1 + len(header) - len(gene_ids)
+        raise MalformedInputError(
+            f"{path}: blank gene id in header column {column}")
 
     values = []
     sample_ids = []
@@ -139,6 +144,9 @@ def load_expression_matrix(
                 f"{path}: row {i} has {len(cells)} fields, expected {n_cols}"
             )
         if has_sample_col:
+            if not cells[0]:
+                raise MalformedInputError(
+                    f"{path}: blank sample id in row {i}")
             sample_ids.append(cells[0])
             cells = cells[1:]
         else:

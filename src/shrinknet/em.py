@@ -178,7 +178,7 @@ def _gram_spectrum(values) -> _Spectrum:
     design's spectrum (eigenvalues above ``RANK_RTOL``) is used."""
     p = values.shape[1]
     spectra, U = make_workspace(values, 0, np.arange(p))
-    lam, U = spectra.d2[0], U[0]
+    lam, U = spectra.d2, U[0]
     r = lam.size
     u2 = U * U
     if r == p:

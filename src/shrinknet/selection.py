@@ -27,15 +27,16 @@ from . import vb
 from .data import ExpressionMatrix
 from .em import SemFit
 from .errors import NumericalFailureError
-from .vb import (
-    HyperParameters,
-    fit_spectra,
-    gene_blocks,
-    make_workspace,
-    stack_groups,
-)
+from .vb import HyperParameters, fit_spectra, make_workspace
 
 fit_local = vb.fit_local  # the name perfbench's selection.submodel span wraps
+
+#: Working-memory budget of the sub-model fits, in doubles: it bounds the
+#: designs gathered by one ``make_workspace`` call of ``_setups`` and the
+#: rows and directions fitted by one solve of ``_fit``. It bounds memory
+#: only: no result depends on it. At 2^14 (128 KiB) the p0 scan at (p, n)
+#: = (40, 30) makes 78 setup calls.
+STACK_DOUBLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -145,23 +146,37 @@ class EvidenceCache:
     def _setups(self, genes, covariates):
         """Spectra of each gene of ``genes`` on its row of ``covariates``
         (sorted, k per row), set up a block of rows at a time, as many per
-        ``make_workspace`` call as ``vb.STACK_DOUBLES`` holds of their
-        designs. Yields each block's spectra, in row order."""
-        k = covariates.shape[1]
-        for rows in gene_blocks(len(genes), self.n * max(k, 1)):
-            yield make_workspace(self.values, genes[rows],
-                                 covariates[rows])[0]
+        ``make_workspace`` call as ``STACK_DOUBLES`` holds of their designs
+        (one at least). Yields each block's spectra, in row order."""
+        size = max(1, STACK_DOUBLES // (self.n * max(covariates.shape[1], 1)))
+        for start in range(0, len(genes), size):
+            yield make_workspace(self.values, genes[start:start + size],
+                                 covariates[start:start + size])[0]
 
     def _fit(self, blocks):
-        """Bounds of the rows of the ``Spectra`` ``blocks``, in order, by
-        one ``fit_spectra`` solve per run of ``vb.stack_groups``; counted
-        in ``stats``."""
-        bounds = [np.empty(0)]  # for a call with no blocks
-        for group in stack_groups(blocks):
-            fit = fit_spectra(group, self.prior)
+        """Bounds of the rows of the ``Spectra`` ``blocks``, in order. The
+        blocks are taken as they come, ``vb.join``ed into runs of at most
+        ``STACK_DOUBLES`` rows and directions (a larger block is a run of
+        its own), and each run is fitted by one ``fit_spectra`` solve,
+        counted in ``stats``."""
+        bounds, run, size = [np.empty(0)], [], 0  # a call may have no blocks
+
+        def solve():
+            fit = fit_spectra(vb.join(run), self.prior)
             self.stats["submodel_fits"] += len(fit.bound)
             self.stats["submodel_evaluations"] += int(fit.evaluations.sum())
             bounds.append(fit.bound)
+            run.clear()
+
+        for block in blocks:
+            more = len(block.yty) + len(block.d2)
+            if run and size + more > STACK_DOUBLES:
+                solve()
+                size = 0
+            run.append(block)
+            size += more
+        if run:
+            solve()
         return np.concatenate(bounds)
 
     def fill_prefixes(self, ranking: EdgeRanking) -> np.ndarray:

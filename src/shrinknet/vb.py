@@ -5,11 +5,11 @@ tau^2 and gamma priors on tau^-2 and sigma^-2, under a factorized
 posterior whose lower bound stands in for the evidence. A fit is the
 fixed point of the coordinate-ascent sweeps, one scalar root a row,
 solved by ``solve_fixed_points`` from any provider of the regressions'
-``RootSums`` and ``Moments``: ``fit_spectra`` provides them from blocks
-of design spectra (``Spectra``, set up by ``make_workspace``), each row's
-from its own directions alone, ``em._root_sums`` from one spectrum of the
-whole matrix. ``_estep`` is one sweep: the shared-prior EM's, and the one
-that scores a fit.
+``RootSums`` and ``Moments``: ``fit_spectra`` provides them from one
+record of design spectra (``Spectra``, set up by ``make_workspace`` and
+concatenated by ``join``), each row's from its own directions alone,
+``em._root_sums`` from one spectrum of the whole matrix. ``_estep`` is one
+sweep: the shared-prior EM's, and the one that scores a fit.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ STEP_PAST = 0.25
 STEP_RTOL = 1e-9
 #: A solve that has not stopped after this many evaluations has failed.
 MAX_EVALUATIONS = 100
-
-#: Working-memory budget of a batched computation, in doubles: it bounds
-#: the designs factored in one setup call (``gene_blocks``) and the rows
-#: and directions fitted by one solve (``stack_groups``) of the
-#: selection's sub-models (the EM's one spectrum of the whole matrix is
-#: outside it). It bounds memory only: no result depends on it. At 2^14
-#: (128 KiB) the p0 scan at (p, n) = (40, 30) makes 78 setup calls.
-STACK_DOUBLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -83,20 +75,34 @@ class VariationalPosterior:
 
 @dataclass(frozen=True)
 class Spectra:
-    """A block of regression spectra, one row per regression.
-
-    ``d2`` holds the eigenvalues of each design's cross-product, all
-    positive, and ``w`` the matching V^T D^T y; past a row's numerical
-    rank both are zero, so ``d2 > 0`` marks the row's directions. A fit
-    depends on its data only through these, ``y^T y``, the number of
-    covariates ``k`` and the sample count ``n``.
+    """The spectra of a block of regressions, flat by direction: the
+    eigenvalues ``d2`` of each design's cross-product above its numerical
+    rank, all positive, the matching ``w`` = V^T D^T y and the ``row``
+    (regression) each belongs to, in row order. ``yty`` and the number of
+    covariates ``k`` hold one value a row, with the sample count ``n``
+    they share. A fit depends on its data only through these.
     """
 
-    d2: np.ndarray  # (rows, width)
+    d2: np.ndarray  # (directions,)
     w: np.ndarray  # as d2
+    row: np.ndarray  # as d2
     yty: np.ndarray  # (rows,)
     k: np.ndarray  # as yty
     n: int
+
+    def sum(self, x):
+        """Each row's sum of ``x`` (one value per direction) in order, the
+        bits of its lone fit's: no other row enters it."""
+        return np.bincount(self.row, weights=x, minlength=len(self.k))
+
+
+def join(blocks) -> Spectra:
+    """The rows of the ``Spectra`` ``blocks``, which share ``n``, as one
+    record, in order."""
+    starts = np.cumsum([0] + [len(block.yty) for block in blocks])
+    fields = zip(*[(b.d2, b.w, start + b.row, b.yty, b.k)
+                   for start, b in zip(starts, blocks)])
+    return Spectra(*map(np.concatenate, fields), blocks[0].n)
 
 
 class Moments(NamedTuple):
@@ -113,44 +119,21 @@ class Moments(NamedTuple):
     dof: np.ndarray
 
 
-class _Directions:
-    """The directions (``d2 > 0``) of the rows of a list of ``Spectra``
-    that share ``n``, flat in row order: ``d2`` and ``w``, with the ``row``
-    each belongs to. ``yty``, ``k`` and ``comp``, the number of directions
-    outside the row space, hold one value per row."""
-
-    def __init__(self, blocks):
-        masks = [block.d2 > 0 for block in blocks]
-        starts = np.cumsum([0] + [len(block.yty) for block in blocks])
-        self.row = np.concatenate([start + np.nonzero(mask)[0]
-                                   for start, mask in zip(starts, masks)])
-        self.d2 = np.concatenate([b.d2[m] for b, m in zip(blocks, masks)])
-        self.w = np.concatenate([b.w[m] for b, m in zip(blocks, masks)])
-        self.yty = np.concatenate([block.yty for block in blocks])
-        self.k = np.concatenate([block.k for block in blocks])
-        self.comp = self.k - np.bincount(self.row, minlength=len(self.k))
-        self.n = blocks[0].n
-
-    def sum(self, x):
-        """Each row's sum of ``x`` (one value per direction) in order, the
-        bits of its lone fit's: no other row or padding enters it."""
-        return np.bincount(self.row, weights=x, minlength=len(self.k))
-
-
-def _spectral_moments(dirs: _Directions, e) -> Moments:
-    """The ``Moments`` of each regression of ``dirs`` at its own ``e``. In
+def _spectral_moments(spectra: Spectra, e, comp) -> Moments:
+    """The ``Moments`` of each regression of ``spectra`` at its own ``e``,
+    given ``comp``, its number of directions outside the row space. In
     the eigenbasis theta = w / (d^2 + e), and rss is summed as
     y^T y - 2 theta^T w + sum d^2 theta^2."""
-    denom = dirs.d2 + e[dirs.row]
-    theta = dirs.w / denom
+    denom = spectra.d2 + e[spectra.row]
+    theta = spectra.w / denom
     inv = 1.0 / denom
     return Moments(
-        rss=dirs.yty - 2.0 * dirs.sum(theta * dirs.w)
-        + dirs.sum(dirs.d2 * (theta * theta)),
-        theta2=dirs.sum(theta * theta),
-        trace=dirs.sum(inv) + dirs.comp / e,
-        logdet=dirs.sum(np.log(denom)) + dirs.comp * np.log(e),
-        dof=dirs.sum(dirs.d2 * inv))
+        rss=spectra.yty - 2.0 * spectra.sum(theta * spectra.w)
+        + spectra.sum(spectra.d2 * (theta * theta)),
+        theta2=spectra.sum(theta * theta),
+        trace=spectra.sum(inv) + comp / e,
+        logdet=spectra.sum(np.log(denom)) + comp * np.log(e),
+        dof=spectra.sum(spectra.d2 * inv))
 
 
 def _estep(hp, moments: Moments, e_tau, e_sig, a_star, c_star, k, constant):
@@ -184,11 +167,11 @@ def make_workspace(values, gene, covariates):
     eigenbasis of each design's cross-product, the smaller of D^T D and
     D D^T: d^2 are its eigenvalues above ``RANK_RTOL`` of the largest, V
     the eigenvectors of D^T D (D^T U / d from those U of D D^T), and
-    w = V^T D^T y. A block is as wide as its largest rank, and the
-    directions of a row past its own rank are zero. Returns the spectra
-    and V, (rows, k, width). A regression without covariates has an empty
-    spectrum; an all-zero design raises ``DegenerateDesignError`` naming
-    its gene by index.
+    w = V^T D^T y. Returns the spectra, each row's directions alone, and
+    V, (rows, k, width), as wide as the block's largest rank: only its
+    first rank columns of a row are that row's. A regression without
+    covariates has an empty spectrum; an all-zero design raises
+    ``DegenerateDesignError`` naming its gene by index.
     """
     genes = np.atleast_1d(gene)
     covariates = np.asarray(covariates, dtype=np.intp).reshape(
@@ -207,10 +190,10 @@ def make_workspace(values, gene, covariates):
     lam, v, mask = lam[:, :width], v[..., :width], mask[:, :width]
     if k > n:  # from the eigenvectors U of D D^T
         v = dt @ v / np.sqrt(np.where(mask, lam, 1.0))[:, None, :]
-    d2 = np.where(mask, lam, 0.0)
-    w = np.where(mask, (responses[:, None, :] @ designs @ v)[:, 0], 0.0)
+    w = (responses[:, None, :] @ designs @ v)[:, 0]
     yty = (responses[:, None, :] @ responses[:, :, None])[:, 0, 0]
-    return Spectra(d2, w, yty, np.full(rows, k), n), v
+    return Spectra(lam[mask], w[mask], np.nonzero(mask)[0], yty,
+                   np.full(rows, k), n), v
 
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
@@ -266,7 +249,7 @@ def _bound(constant, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
 
 def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
                hp: HyperParameters, iterations, converged):
-    """The regression of a block of one, read off after one sweep from the
+    """The one regression of ``spectra``, read off after one sweep from the
     rates ``(b_star, d_star)`` as one record: its coefficient means and
     variances, two rates and lower bound. The rates and bound are those of
     ``_estep``, as in ``fit_spectra``'s sweeps. The coefficient moments
@@ -276,7 +259,7 @@ def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
     """
     e_tau, e_sig = a_star / b_star, c_star / d_star
     b_new, d_new, lower_bound = _estep(
-        hp, _spectral_moments(_Directions([spectra]), e_tau),
+        hp, _spectral_moments(spectra, e_tau, spectra.k - spectra.d2.size),
         e_tau, e_sig, a_star, c_star, spectra.k,
         _bound_constant(spectra.n, spectra.k, hp, a_star, c_star))
     if not np.isfinite(lower_bound).all():
@@ -330,31 +313,6 @@ class SpectraFit:
 def _posterior_shapes(hp: HyperParameters, n, k):
     """Gamma shapes of the tau^-2 and sigma^-2 posteriors; fixed by (n, k)."""
     return hp.a + 0.5 * k, hp.c + 0.5 * (n + k)
-
-
-def gene_blocks(p: int, doubles_per_gene: int) -> list[np.ndarray]:
-    """Genes 0..p-1 in order, split into blocks whose designs, of
-    ``doubles_per_gene`` doubles each, fit one ``make_workspace`` call
-    within ``STACK_DOUBLES`` (a block holds one gene at least)."""
-    size = max(1, STACK_DOUBLES // doubles_per_gene)
-    return [np.arange(start, min(start + size, p))
-            for start in range(0, p, size)]
-
-
-def stack_groups(blocks):
-    """Consecutive runs of the ``Spectra`` ``blocks`` that hold at most
-    ``STACK_DOUBLES`` rows and directions together; a block larger than
-    that is a run of its own. Yields each run as a list."""
-    group, size = [], 0
-    for block in blocks:
-        more = len(block.yty) + np.count_nonzero(block.d2)
-        if group and size + more > STACK_DOUBLES:
-            yield group
-            group, size = [], 0
-        group.append(block)
-        size += more
-    if group:
-        yield group
 
 
 class RootSums(NamedTuple):
@@ -414,8 +372,8 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
             -2.0 * s.curvature - 0.5 * scale * s.theta2 * s.theta2 / d_star)
             - 0.5 * s.trace2)
         falling = 1.0 + e * slope / b_star  # -h'(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = u + h / falling
+        newton = u + np.divide(h, falling, out=np.full_like(h, np.nan),
+                               where=falling != 0)
         lo, hi = np.where(h >= 0, u, lo), np.where(h >= 0, hi, u)
         inside = ((newton > lo) & (newton < hi)
                   & (np.abs(newton - u) <= 0.5 * last))
@@ -441,25 +399,24 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
     return SpectraFit(bound, b_star, d_star, counts)
 
 
-def fit_spectra(blocks, hp: HyperParameters) -> SpectraFit:
-    """Fit every row of ``blocks``, a ``Spectra`` or a list of them that
-    share ``n``, by one ``solve_fixed_points``, one result per row in row
-    order, each with the bits of its lone fit. With theta = w / (d^2 + e),
-    R is summed as the difference y^T y - theta^T w, which can round below
-    -2d on an unscaled rank-deficient design."""
-    dirs = _Directions([blocks] if isinstance(blocks, Spectra) else blocks)
-    total, comp = dirs.sum, dirs.comp
+def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
+    """Fit every row of ``spectra`` by one ``solve_fixed_points``, one
+    result per row in row order, each with the bits of its lone fit. With
+    theta = w / (d^2 + e), R is summed as the difference y^T y - theta^T w,
+    which can round below -2d on an unscaled rank-deficient design."""
+    total = spectra.sum
+    comp = spectra.k - np.bincount(spectra.row, minlength=len(spectra.k))
 
     def sums(e):
-        inv = 1.0 / (dirs.d2 + e[dirs.row])
-        theta = dirs.w * inv
-        return RootSums(dirs.yty - total(theta * dirs.w),
+        inv = 1.0 / (spectra.d2 + e[spectra.row])
+        theta = spectra.w * inv
+        return RootSums(spectra.yty - total(theta * spectra.w),
                         total(theta * theta), total(inv) + comp / e,
                         total(theta * theta * inv),
                         total(inv * inv) + comp / (e * e))
 
-    return solve_fixed_points(hp, dirs.n, dirs.k, sums,
-                              lambda e: _spectral_moments(dirs, e))
+    return solve_fixed_points(hp, spectra.n, spectra.k, sums,
+                              lambda e: _spectral_moments(spectra, e, comp))
 
 
 def fit_local(

@@ -234,6 +234,49 @@ class TestInfer:
         assert res.output.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("header, blank, args, where", [
+        ("g1,,g3,g4", None, [], "blank gene id in header column 2"),
+        ("id,g1,g2,g3", 6, [], "blank sample id in row 7"),
+        ("id,g1,g2,g3", 6, ["--transpose"], "blank sample id in row 7"),
+        (",g1, ,g3", 0, [], "blank gene id in header column 3"),
+    ], ids=["gene", "sample", "sample_transposed", "gene_after_label"])
+    def test_blank_id_exit_2(self, runner, tmp_path, header, blank, args,
+                             where):
+        """A blank or whitespace-only gene or sample id is named by its
+        position; a sample id's becomes a gene id under ``--transpose``.
+        ``blank`` is the data row whose sample id is a space (0: none), or
+        None for a file without sample ids."""
+        values = np.random.default_rng(0).standard_normal((12, 4))
+        lines = [header] + [",".join(map(repr, row.tolist()))
+                            for row in values]
+        if blank is not None:  # the sample-id column replaces column 1
+            lines[1:] = [(" " if r == blank else f"s{r}") + line[
+                line.index(","):] for r, line in enumerate(lines[1:], 1)]
+        bad = tmp_path / "blank.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["infer", str(bad), "--p0", "0.5", *args,
+                                   "--out-dir", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.endswith(f"{where}\n")
+        assert not out.exists()
+
+    def test_r_layout_loads(self, runner, tmp_path):
+        """R's ``write.csv`` layout: the blank first header cell labels
+        the sample-id column."""
+        values = np.random.default_rng(0).standard_normal((12, 3))
+        lines = [",g1,g2,g3"] + [f"s{r}," + ",".join(map(repr, row.tolist()))
+                                 for r, row in enumerate(values)]
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["infer", str(path), "--p0", "0.5",
+                                   "--out-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        genes = {line.split("\t")[0] for line in
+                 (out / "edges.tsv").read_text().splitlines()[1:]}
+        assert genes == {"g1", "g2"}
+
     @pytest.mark.parametrize("args", [
         ["--alpha", "2.0"], ["--tol", "nan"], ["--patience", "0"],
         ["--patience", "-3"],

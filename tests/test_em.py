@@ -192,7 +192,7 @@ REPLAY_CASES = {
     "wide": lambda: (standardize(_wide()), EmConfig()),
     "wide_duplicate": lambda: (_with_genes(standardize(_wide(seed=9)),
                                            lambda v: v[:, 3]), EmConfig()),
-    # duplicated genes give designs of lower rank, so rows are padded
+    # duplicated genes give designs of lower rank than their columns
     "duplicate": lambda: (_with_genes(small_dataset(seed=1), lambda v:
                                       v[:, 2]), EmConfig(tol=1e-4)),
     "affine_duplicate": lambda: (_with_genes(small_dataset(seed=1), lambda v:

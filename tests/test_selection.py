@@ -338,11 +338,11 @@ class TestBatchedScan:
         p = m.n_genes
         cache = EvidenceCache(m)
         partners = _ranked_partners(ranking, p)
-        monkeypatch.setattr(vb, "STACK_DOUBLES", budget)
+        monkeypatch.setattr(selection, "STACK_DOUBLES", budget)
         fits = []
 
-        def fit(blocks, hp):
-            fits.append(vb.fit_spectra(blocks, hp))
+        def fit(spectra, hp):
+            fits.append(vb.fit_spectra(spectra, hp))
             return fits[-1]
 
         monkeypatch.setattr(selection, "fit_spectra", fit)
@@ -383,7 +383,7 @@ class TestBatchedScan:
         # and every row and direction of the scan in one solve
         assert split == (32, 1)
         sem = fit_sem(m)
-        monkeypatch.setattr(vb, "STACK_DOUBLES", budget)
+        monkeypatch.setattr(selection, "STACK_DOUBLES", budget)
         other_table, other_stats, split = scan()
         assert split == ((p * p, p * p) if budget == 1 else (p, 1))
         np.testing.assert_array_equal(other_table, table)
@@ -397,10 +397,11 @@ class TestBatchedScan:
         np.testing.assert_allclose(other.beta_var, sem.beta_var, rtol=1e-12)
 
     def test_setup_calls_fill_the_budget(self, monkeypatch):
-        """Each setup call of the scan gathers at most ``vb.STACK_DOUBLES``
-        design doubles, as many as its own prefix length's designs fit: 78
-        calls at (p, n) = (40, 30), where blocks sized for the widest
-        design, n p doubles a response, took 160."""
+        """Each setup call of the scan gathers at most
+        ``selection.STACK_DOUBLES`` design doubles, as many as its own
+        prefix length's designs fit: 78 calls at (p, n) = (40, 30), where
+        blocks sized for the widest design, n p doubles a response, took
+        160."""
         m, ranking = _scan_input(40, 30, 0, False)
         gathered = []
 
@@ -411,7 +412,7 @@ class TestBatchedScan:
         monkeypatch.setattr(selection, "make_workspace", setup)
         EvidenceCache(m).fill_prefixes(ranking)
         assert len(gathered) == 78
-        assert max(gathered) <= vb.STACK_DOUBLES
+        assert max(gathered) <= selection.STACK_DOUBLES
 
     def test_table_matches_dense_oracle(self):
         """Every prefix evidence against the dense Cholesky fit, with
@@ -454,39 +455,64 @@ class TestBatchedScan:
             assert abs(table[g, n - 1] - want) <= 1e-12 * abs(want), g
 
     def test_table_matches_eigenvalue_oracle(self, monkeypatch):
-        """Every prefix evidence's residual, with prefixes shorter than, at
-        and past the n - 1 centred samples, against one from eigenvalues
-        alone: at the entry's root e = a*/b*, R(e) + e is
-        det(G_aug + eI) / det(G + eI), with G = D^T D and G_aug the
-        cross-product of [D y]. The route's R is read off its fitted
-        d* = (d + R/2) / (1 - k/(2c*))."""
-        m, ranking = _scan_input(12, 10, 3, False)
-        p, n = m.n_genes, m.n_samples
-        cache = EvidenceCache(m)
+        """Every prefix evidence, with prefixes shorter than, at and past
+        the n - 1 centred samples, against one from eigenvalues alone: the
+        lambda of G = D^T D (all k, so directions outside the row space
+        enter as 0) and the nu of G_aug, the cross-product of [D y]. At
+        the entry's root e = a*/b*, R(e) + e is det(G_aug + eI) /
+        det(G + eI), and its log-derivative gives ||theta||^2 = (R + e)
+        (sum 1/(nu + e) - sum 1/(lambda + e)) - 1. The route's R is read
+        off its fitted d* = (d + R/2) / (1 - k/(2c*)). One sweep from the
+        fitted rates gives d_new = d + R/2 + k / (2 E[sigma^-2]), since
+        tr(G M^-1) + e tr M^-1 = k, and b_new from it; the bound of those
+        rates, with the terms of ``dense_vb_fit``'s, is the entry's, and
+        e is a root: a*/b_new returns it to the solve's tolerance. On a
+        random ranking of a full-rank and of a duplicated-gene input, and
+        on a chain input ranked by the default EM."""
         fits = []
 
-        def fit(blocks, hp):
-            fits.append(vb.fit_spectra(blocks, hp))
+        def fit(spectra, hp):
+            fits.append(vb.fit_spectra(spectra, hp))
             return fits[-1]
 
         monkeypatch.setattr(selection, "fit_spectra", fit)
-        cache.fill_prefixes(ranking)
-        b_star, d_star = (np.concatenate([getattr(got, name) for got in fits])
-                          for name in ("b_star", "d_star"))
-        prior = cache.prior
-        partners = _ranked_partners(ranking, p)
-        for row, (t, g) in enumerate(np.ndindex(p, p)):
-            a_star = prior.a + 0.5 * t
-            c_star = prior.c + 0.5 * (n + t)
-            e = a_star / b_star[row]
-            resid = 2.0 * (d_star[row] * (1.0 - t / (2.0 * c_star))
-                           - prior.d)
-            design = cache.values[:, sorted(partners[g][:t])]
-            augmented = np.column_stack([design, cache.values[:, g]])
-            want = np.exp(
-                np.log(np.linalg.eigvalsh(augmented.T @ augmented) + e).sum()
-                - np.log(np.linalg.eigvalsh(design.T @ design) + e).sum())
-            assert abs(resid + e - want) <= 1e-10 * want, (g, t)
+        chain = standardize(_chain_matrix(40, 30, 1))
+        for m, ranking in (_scan_input(12, 10, 3, False),
+                           _scan_input(10, 15, 2, True),
+                           (chain, rank_edges(kappa_scores(fit_sem(chain))))):
+            p, n = m.n_genes, m.n_samples
+            cache = EvidenceCache(m)
+            fits.clear()
+            table = cache.fill_prefixes(ranking)
+            b_star, d_star = (np.concatenate([getattr(got, name)
+                                              for got in fits])
+                              for name in ("b_star", "d_star"))
+            a, b, c, d = dataclasses.astuple(cache.prior)
+            partners = _ranked_partners(ranking, p)
+            for row, (t, g) in enumerate(np.ndindex(p, p)):
+                a_star, c_star = a + 0.5 * t, c + 0.5 * (n + t)
+                e, e_sig = a_star / b_star[row], c_star / d_star[row]
+                resid = 2.0 * (d_star[row] * (1.0 - t / (2.0 * c_star)) - d)
+                design = cache.values[:, sorted(partners[g][:t])]
+                augmented = np.column_stack([design, cache.values[:, g]])
+                lam = np.linalg.eigvalsh(design.T @ design) + e
+                nu = np.linalg.eigvalsh(augmented.T @ augmented) + e
+                r_e = np.exp(np.log(nu).sum() - np.log(lam).sum())
+                assert abs(resid + e - r_e) <= 1e-10 * r_e, (g, t)
+                theta2 = r_e * ((1.0 / nu).sum() - (1.0 / lam).sum()) - 1.0
+                ebb = theta2 + (1.0 / lam).sum() / e_sig
+                d_new = d + 0.5 * (r_e - e) + 0.5 * t / e_sig
+                b_new = b + 0.5 * (c_star / d_new) * ebb
+                bound = (-0.5 * n * math.log(2.0 * math.pi)
+                         + 0.5 * (-t * math.log(e_sig) - np.log(lam).sum())
+                         + 0.5 * t + a * math.log(b) - math.lgamma(a)
+                         - a_star * math.log(b_new) + math.lgamma(a_star)
+                         + c * math.log(d) - math.lgamma(c)
+                         - c_star * math.log(d_new) + math.lgamma(c_star)
+                         + 0.5 * (c_star / d_new) * (a_star / b_new) * ebb)
+                assert abs(table[g, t] - bound) <= 1e-10 * abs(bound), (g, t)
+                assert abs(math.log(a_star / b_new) - math.log(e)) <= \
+                    vb.STEP_RTOL * max(1.0, abs(math.log(e))), (g, t)
 
     @pytest.mark.parametrize("p, n, seed", [(40, 30, 1), (60, 20, 3)])
     def test_table_bits_do_not_depend_on_the_budget(self, p, n, seed,
@@ -498,7 +524,7 @@ class TestBatchedScan:
         ranking = rank_edges(kappa_scores(fit_sem(m)))
         want = EvidenceCache(m).fill_prefixes(ranking).tobytes()
         for budget in (1, 1 << 30):
-            monkeypatch.setattr(vb, "STACK_DOUBLES", budget)
+            monkeypatch.setattr(selection, "STACK_DOUBLES", budget)
             got = EvidenceCache(m).fill_prefixes(ranking)
             assert got.tobytes() == want, budget
 
@@ -589,17 +615,16 @@ class TestLookAhead:
             others = np.delete(np.arange(p), g)
             keys.append((g, frozenset(
                 rng.choice(others, k, replace=False).tolist())))
-        monkeypatch.setattr(vb, "STACK_DOUBLES", 3000)
+        monkeypatch.setattr(selection, "STACK_DOUBLES", 3000)
         setups, groups = [], []
 
         def setup(values, genes, covariates):
             setups.append(np.size(covariates) * n)
             return vb.make_workspace(values, genes, covariates)
 
-        def fit(blocks, hp):
-            groups.append(sum(len(block.yty) + np.count_nonzero(block.d2)
-                              for block in blocks))
-            return vb.fit_spectra(blocks, hp)
+        def fit(spectra, hp):
+            groups.append(len(spectra.yty) + len(spectra.d2))
+            return vb.fit_spectra(spectra, hp)
 
         monkeypatch.setattr(selection, "make_workspace", setup)
         monkeypatch.setattr(selection, "fit_spectra", fit)
@@ -739,10 +764,10 @@ def test_lookahead_matches_lone_fits(seed, p, n, mixing, alpha, p0,
     ranking = rank_edges(np.abs(np.corrcoef(m.values, rowvar=False)))
     stop = StopConfig(patience=patience, use_rmax=use_rmax)
 
-    def select(budget=vb.STACK_DOUBLES):
+    def select(budget=selection.STACK_DOUBLES):
         cache = EvidenceCache(m)
         given = estimate_p0(m, ranking, cache=cache) if p0 is None else p0
-        with mock.patch.object(vb, "STACK_DOUBLES", budget):
+        with mock.patch.object(selection, "STACK_DOUBLES", budget):
             return forward_select(m, ranking, alpha, given, stop,
                                   cache), cache.stats
 
@@ -777,11 +802,11 @@ def test_table_budget_moves_no_selection_bit():
 
     def select(budget):
         cache = EvidenceCache(m)
-        with mock.patch.object(vb, "STACK_DOUBLES", budget):
+        with mock.patch.object(selection, "STACK_DOUBLES", budget):
             cache.fill_prefixes(ranking)
         return forward_select(m, ranking, 0.1, p0, cache=cache)
 
-    want = select(vb.STACK_DOUBLES)
+    want = select(selection.STACK_DOUBLES)
     assert want.ranks_evaluated > 0
     for budget in (1, 1 << 30):
         got = select(budget)

@@ -272,50 +272,55 @@ class TestSpectralSetup:
     @pytest.mark.parametrize("kind", KINDS)
     def test_factors_reproduce_gram(self, kind):
         """X'X = V diag(d^2) V' and X'y = V w, in a stack of one and as a
-        row of a larger stack."""
+        row of a larger stack, from the row's own directions and the first
+        as many columns of its V."""
         X, y = _design(kind)
         spectra, V = make_workspace(*regression(y, X))
-        np.testing.assert_allclose(V[0] @ np.diag(spectra.d2[0]) @ V[0].T,
+        np.testing.assert_allclose(V[0] @ np.diag(spectra.d2) @ V[0].T,
                                    X.T @ X, atol=1e-10)
-        np.testing.assert_allclose(V[0] @ spectra.w[0], X.T @ y, atol=1e-10)
+        np.testing.assert_allclose(V[0] @ spectra.w, X.T @ y, atol=1e-10)
         assert spectra.yty[0] == pytest.approx(y @ y, rel=1e-14)
         rng = np.random.default_rng(1)
         other, y2 = rng.standard_normal(X.shape), rng.standard_normal(len(y))
         stack, Vs = make_workspace(*regressions([(y2, other), (y, X)]))
         for j, (design, response) in enumerate(((other, y2), (X, y))):
-            v = Vs[j] * (stack.d2[j] > 0)
-            np.testing.assert_allclose(v @ np.diag(stack.d2[j]) @ v.T,
+            mine = stack.row == j
+            v = Vs[j][:, :np.count_nonzero(mine)]
+            np.testing.assert_allclose(v @ np.diag(stack.d2[mine]) @ v.T,
                                        design.T @ design, atol=1e-10)
-            np.testing.assert_allclose(v @ stack.w[j], design.T @ response,
-                                       atol=1e-10)
+            np.testing.assert_allclose(v @ stack.w[mine],
+                                       design.T @ response, atol=1e-10)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_mask_counts_rank(self, kind):
         X, y = _design(kind)
         rank = np.linalg.matrix_rank(X)
         spectra, V = make_workspace(*regression(y, X))
-        assert (spectra.d2 > 0).sum() == rank
-        assert spectra.d2.shape == (1, rank)
+        assert spectra.d2.shape == spectra.w.shape == (rank,)
+        np.testing.assert_array_equal(spectra.row, [0] * rank)
+        assert np.all(spectra.d2 > 0)
         assert V.shape == (1, X.shape[1], rank)
-        # a stack is as wide as its largest rank, zero past each row's
+        # each row holds its own directions; V is as wide as the largest
         full = np.random.default_rng(3).standard_normal(X.shape)
         stack, Vs = make_workspace(*regressions([(y, X), (y, full)]))
-        np.testing.assert_array_equal((stack.d2 > 0).sum(axis=1),
-                                      [rank, min(X.shape)])
-        assert stack.d2.shape == (2, min(X.shape))
-        assert np.all(stack.d2[0, rank:] == 0) and np.all(
-            stack.w[0, rank:] == 0)
+        np.testing.assert_array_equal(
+            stack.row, [0] * rank + [1] * min(X.shape))
+        assert stack.d2.shape == stack.w.shape == stack.row.shape
+        assert np.all(stack.d2 > 0)
+        assert Vs.shape == (2, X.shape[1], min(X.shape))
         np.testing.assert_array_equal(stack.k, [X.shape[1]] * 2)
 
     def test_empty_design_gives_empty_spectrum(self):
         y = np.random.default_rng(2).standard_normal(7)
         spectra, V = make_workspace(*regression(y, np.empty((7, 0))))
-        assert spectra.d2.shape == spectra.w.shape == (1, 0)
+        assert spectra.d2.shape == spectra.w.shape == (0,)
+        assert spectra.row.shape == (0,)
         assert V.shape == (1, 0, 0)
         assert (spectra.k[0], spectra.n) == (0, 7)
         assert spectra.yty[0] == pytest.approx(y @ y, rel=1e-14)
         stack, Vs = make_workspace(*regressions([(y, np.empty((7, 0)))] * 3))
-        assert stack.d2.shape == (3, 0) and Vs.shape == (3, 0, 0)
+        assert stack.d2.shape == (0,) and Vs.shape == (3, 0, 0)
+        assert stack.yty.shape == stack.k.shape == (3,)
         vp = fit_local(*regression(y, np.empty((7, 0))), VAGUE)
         assert vp.beta_mean.shape == vp.beta_var.shape == (0,)
 
@@ -340,29 +345,30 @@ class TestSpectralSetup:
 
 class TestFitSpectra:
     def test_single_regression_form(self):
-        """A single regression is a block of one, rows of different widths
-        fitted as one list of blocks fit as they do alone, to the bit, and
-        ``fit_local``'s bound is the fit's, to the bit."""
+        """A single regression is a record of one, rows of different
+        ranks fitted as one joined record fit as they do alone, to the bit,
+        and ``fit_local``'s bound is the fit's, to the bit."""
         problems = [random_problem(20, k, seed=seed)
                     for k, seed in ((4, 1), (3, 4), (6, 2), (30, 9))]
         rows = [make_workspace(*prob)[0] for prob in problems]
-        assert len({row.d2.shape[1] for row in rows}) == len(rows)
+        assert len({len(row.d2) for row in rows}) == len(rows)
         alone = [fit_spectra(row, VAGUE) for row in rows]
         for prob, got in zip(problems, alone):
             assert got.bound.shape == got.evaluations.shape == (1,)
             vp = fit_local(*prob, VAGUE)
             assert vp.lower_bound == got.bound[0]
             assert vp.iterations == got.evaluations[0]
-        joined = fit_spectra(rows, VAGUE)
+        joined = fit_spectra(vb.join(rows), VAGUE)
         np.testing.assert_array_equal(
             joined.evaluations, [f.evaluations[0] for f in alone])
         np.testing.assert_array_equal(joined.bound,
                                       [f.bound[0] for f in alone])
 
     def test_mixed_ranks_fit_as_alone(self):
-        """One solve over blocks that mix full-rank rows, rows on at least
-        n - 1 centred covariates and a row on a duplicated gene, padded
-        within its block, gives each row its lone ``fit_local`` fit."""
+        """One solve over joined blocks that mix full-rank rows, rows on at
+        least n - 1 centred covariates and a row on a duplicated gene, of
+        lower rank than its block's others, gives each row its lone
+        ``fit_local`` fit."""
         rng = np.random.default_rng(7)
         values = rng.standard_normal((8, 12))
         values[:, 11] = values[:, 10]  # a duplicated gene
@@ -378,10 +384,10 @@ class TestFitSpectra:
         blocks = [make_workspace(values, [g for g, _ in group],
                                  [c for _, c in group])[0]
                   for group in by_k.values()]
-        assert blocks[0].d2.shape == (3, 2)
-        assert np.count_nonzero(blocks[0].d2[0]) == 1  # padded past rank 1
-        assert blocks[1].d2.shape == (2, 7)  # 9 covariates, rank n - 1
-        fit = fit_spectra(blocks, hp)
+        # each row's directions count its rank: the duplicated gene's is 1
+        np.testing.assert_array_equal(np.bincount(blocks[0].row), [1, 2, 2])
+        np.testing.assert_array_equal(np.bincount(blocks[1].row), [7, 7])
+        fit = fit_spectra(vb.join(blocks), hp)
         for row, (gene, covariates) in enumerate(order):
             vp = fit_local(values, gene, covariates, hp)
             assert fit.bound[row] == vp.lower_bound, (gene, covariates)
