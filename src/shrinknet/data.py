@@ -95,7 +95,9 @@ def load_expression_matrix(
     missing value (blank, NA or NaN); a header cell above it, blank in R's
     ``write.csv`` layout, is its label. Missing or non-numeric cells and
     blank ids raise an error with their location; nothing is imputed.
-    With ``transpose`` the file is read genes-in-rows and flipped.
+    The file is read as UTF-8, a leading byte-order mark dropped, and
+    bytes that are not UTF-8 raise ``MalformedInputError``. With
+    ``transpose`` the file is read genes-in-rows and flipped.
     """
     path = Path(path)
     if format is None:
@@ -103,8 +105,13 @@ def load_expression_matrix(
     if format not in ("csv", "tsv"):
         raise ValidationError(f"unknown format {format!r}, expected csv or tsv")
     delim = "\t" if format == "tsv" else ","
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delim)]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh, delimiter=delim)]
+    except UnicodeDecodeError as err:
+        raise MalformedInputError(
+            f"{path}: not UTF-8 text ({err.reason} at byte {err.start})"
+        ) from None
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if len(rows) < 2:
         raise MalformedInputError(f"{path}: need a header row and data rows")

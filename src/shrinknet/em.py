@@ -4,8 +4,8 @@ Every gene's regression is that gene on all the others, so the p designs
 are leave-one-out column blocks of the one matrix X, and their
 cross-products leave-one-out blocks of X^T X. The fit takes one spectrum of
 X, through ``make_workspace``: the eigenvalues lambda of X^T X and the gene
-loadings U (p, rank). At a gene's e = E[tau^-2], the ``vb.Moments`` of its
-regression are Schur complements of M = X^T X + e I (see
+loadings U (p, rank). At a gene's e = E[tau^-2], the ``vb.RootSums`` and
+log det of its regression are Schur complements of M = X^T X + e I (see
 ``_leave_one_out``), so the E-step of all p genes is one array update over
 (p, rank) arrays, finished by ``vb._estep`` as every sub-model's sweep is.
 The shape/rate (a, b) of the shared gamma prior on the local precisions
@@ -13,9 +13,9 @@ are then re-estimated from the pooled moments (M-step) in one closed
 form, ``eb_update_approx_moments``. Without global shrinkage (a, b) stay
 fixed, and every gene's fixed point is one scalar root, which
 ``vb.solve_fixed_points`` solves for all genes at once from the same
-Schur complements (``_root_sums``): one iteration, converged. The fit is
-held as arrays with one row per gene (see ``SemFit``), read off once at
-the end.
+Schur complements with their slope sums (``_root_sums``): one iteration,
+converged. The fit is held as arrays with one row per gene (see
+``SemFit``), read off once at the end.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from .errors import DegenerateDesignError, NumericalFailureError
 from .vb import (
     RATE_INIT,
     HyperParameters,
-    Moments,
-    _bound_constant,
-    _estep,
     RootSums,
+    _estep,
     _posterior_shapes,
     digamma,
     make_workspace,
@@ -198,29 +196,29 @@ class _LeaveOneOut:
     Either way, at any scale of X, the resolvents that carry f0 are at
     least one, none exceeds the larger of 1 / RANK_RTOL and 1 + 1 / nu_g,
     and nu_g times the null resolvent is at most two. ``hat`` is
-    lambda / (lambda + e), ``f0`` is scale [M^-1]_gg and ``moments`` are
-    the gene's regression's ``Moments``."""
+    lambda / (lambda + e), ``f0`` is scale [M^-1]_gg and ``sums`` are
+    the gene's regression's ``vb.RootSums`` without the slope sums."""
 
     scale: np.ndarray
     res: np.ndarray
     hat: np.ndarray
     f0: np.ndarray
-    moments: Moments
+    sums: RootSums
 
 
 def _leave_one_out(sp: _Spectrum, e) -> _LeaveOneOut:
-    """The ``Moments`` of every gene's regression on all the others, at its
-    own ``e`` = E[tau^-2].
+    """The ``vb.RootSums`` of every gene's regression on all the others,
+    but the slope sums, at its own ``e`` = E[tau^-2].
 
     With M = X^T X + e I, f0 = [M^-1]_gg and f1 = [M^-2]_gg, the Schur
-    complements of M give the moments of the gene's regression on its
-    design D, with M_-g = D^T D + e I: ||theta||^2 = f1 / f0^2 - 1,
-    tr M_-g^-1 = tr M^-1 - f1 / f0, log det M_-g = log det M + log f0,
-    rss = (f0 - e f1) / f0^2 and tr(D^T D M_-g^-1) = sum hat - (f0 -
-    e f1) / f0. f1 - f0^2 is summed as the spread of the resolvents about
-    f0, weighted by the squared loadings (which sum to one), and f0 - e f1
-    as the loadings' sum of hat * res, so no moment is a difference of
-    near-equal numbers.
+    complements of M give the sums of the gene's regression on its design
+    D, with M_-g = D^T D + e I: ||theta||^2 = f1 / f0^2 - 1, tr M_-g^-1 =
+    tr M^-1 - f1 / f0 and R(e) = ||y - D theta||^2 + e ||theta||^2, with
+    ||y - D theta||^2 = (f0 - e f1) / f0^2. f1 - f0^2 is summed as the
+    spread of the resolvents about f0, weighted by the squared loadings
+    (which sum to one), and f0 - e f1 as the loadings' sum of hat * res,
+    so no sum is a difference of near-equal numbers and R is a sum of
+    positive terms.
     """
     lam, u2, mult = sp.lam, sp.u2, sp.mult
     if sp.nu_lam is None:
@@ -235,12 +233,17 @@ def _leave_one_out(sp: _Spectrum, e) -> _LeaveOneOut:
     dev = res - f0[:, None]
     ratio = (u2 * dev * dev) @ mult / f0  # scale (f1 / f0 - f0)
     explained = (u2res * hat) @ mult / f0  # (f0 - e f1) / f0
-    return _LeaveOneOut(scale, res, hat, f0, Moments(
-        rss=explained * scale / f0,
-        theta2=ratio / f0,
-        trace=(res @ mult - f0 - ratio) / scale,
-        logdet=np.log(den) @ mult + np.log(f0 / scale),
-        dof=hat @ mult - explained))
+    theta2 = ratio / f0
+    return _LeaveOneOut(scale, res, hat, f0, RootSums(
+        resid=explained * scale / f0 + e * theta2,
+        theta2=theta2,
+        trace=(res @ mult - f0 - ratio) / scale))
+
+
+def _logdet(sp: _Spectrum, loo: _LeaveOneOut, e):
+    """log det M_-g = log det M + log f0 of every gene's regression at its
+    own ``e``, given its ``_leave_one_out`` there."""
+    return np.log(sp.lam + e[:, None]) @ sp.mult + np.log(loo.f0 / loo.scale)
 
 
 def _coefficients(sp: _Spectrum, loo: _LeaveOneOut, e, e_sig):
@@ -268,8 +271,8 @@ def _root_sums(sp: _Spectrum, e) -> RootSums:
     """The ``vb.RootSums`` of every gene's regression at its own ``e``: with
     f2 = [M^-3]_gg, theta^T M_-g^-1 theta = (f0 f2 - f1^2) / f0^3 and
     tr M_-g^-2 = tr M^-2 - (2 f0 f2 - f1^2) / f0^2, in ``_leave_one_out``'s
-    ``scale`` units, f0 f2 - f1^2 summed as the spread f0 sum u^2 res (res
-    - f1/f0)^2, and R(e) = rss + e ||theta||^2, a sum of positive terms."""
+    ``scale`` units, with f0 f2 - f1^2 summed as the spread f0 sum u^2 res
+    (res - f1/f0)^2."""
     loo = _leave_one_out(sp, e)
     f0, res, scale = loo.f0, loo.res, loo.scale
     u2res = sp.u2 * res
@@ -277,11 +280,7 @@ def _root_sums(sp: _Spectrum, e) -> RootSums:
     dev = res - mean[:, None]
     spread = (u2res * dev * dev) @ sp.mult  # (f0 f2 - f1^2) / f0
     inv = res / scale[:, None]  # 1 / (lambda + e): res^2 could overflow
-    moments = loo.moments
-    return RootSums(
-        resid=moments.rss + e * moments.theta2,
-        theta2=moments.theta2,
-        trace=moments.trace,
+    return loo.sums._replace(
         curvature=spread / (f0 * f0) / scale,
         trace2=(inv * inv) @ sp.mult
         - (2.0 * spread / f0 + mean * mean) / scale / scale)
@@ -323,9 +322,9 @@ def _fit_fixed_prior(m: ExpressionMatrix, sp: _Spectrum,
     # that fails there fails at its root, and might overflow on the way
     e_hi = np.full(p, a_star / hp.b)
     _check_null_gain(m, sp, _leave_one_out(sp, e_hi), e_hi)
-    fit = solve_fixed_points(hp, n, np.full(p, p - 1),
-                             lambda e: _root_sums(sp, e),
-                             lambda e: _leave_one_out(sp, e).moments)
+    fit = solve_fixed_points(
+        hp, n, np.full(p, p - 1), lambda e: _root_sums(sp, e),
+        lambda e: _logdet(sp, _leave_one_out(sp, e), e))
     e_tau, e_sig = a_star / fit.b_star, c_star / fit.d_star
     beta_mean, beta_var = _read_off(m, sp, _leave_one_out(sp, e_tau), e_tau,
                                     e_sig)
@@ -370,8 +369,7 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
         e_tau, e_sig = a_star / b_stars, c_star / d_stars
         loo = _leave_one_out(spectrum, e_tau)
         b_stars, d_stars, bounds = _estep(
-            hp, loo.moments, e_tau, e_sig, a_star, c_star, k,
-            _bound_constant(n, k, hp, a_star, c_star))
+            hp, n, k, loo.sums, _logdet(spectrum, loo, e_tau), e_sig)
         if not np.isfinite(bounds).all():
             bad = m.gene_ids[int(np.argmax(~np.isfinite(bounds)))]
             raise NumericalFailureError(

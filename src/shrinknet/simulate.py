@@ -111,7 +111,12 @@ def _tile_blocks(p: int) -> list[int]:
 def make_structure(
     kind: str, p: int, params: dict | None = None, rng=None
 ) -> GraphSpec:
-    """Build the adjacency for one of the four benchmark graph families."""
+    """Build the adjacency for one of the four benchmark graph families.
+
+    ``params`` holds at most the one parameter of ``kind`` (``bandwidth``,
+    ``density`` or ``block_sizes``); without it the kind's defaults apply.
+    Another kind's parameter raises ``InvalidParamsError``.
+    """
     if kind not in GRAPH_KINDS:
         raise InvalidParamsError(
             f"unknown graph kind {kind!r}; valid kinds: {', '.join(GRAPH_KINDS)}"
@@ -120,11 +125,11 @@ def make_structure(
         raise InvalidParamsError("p must be at least 2")
     needed = {"band": "bandwidth", "random": "density",
               "cluster": "block_sizes", "hub": "block_sizes"}[kind]
-    merged = dict(params or {})
-    if needed not in merged:
-        merged.update(default_structure_params(kind, p))
-        if params:
-            merged.update(params)
+    unused = sorted(set(params or {}) - {needed})
+    if unused:
+        raise InvalidParamsError(
+            f"a {kind} graph takes {needed}, not {', '.join(unused)}")
+    merged = dict(params) if params else default_structure_params(kind, p)
     adj = np.zeros((p, p), dtype=bool)
     if kind == "band":
         bw = int(merged["bandwidth"])

@@ -5,17 +5,19 @@ tau^2 and gamma priors on tau^-2 and sigma^-2, under a factorized
 posterior whose lower bound stands in for the evidence. A fit is the
 fixed point of the coordinate-ascent sweeps, one scalar root a row,
 solved by ``solve_fixed_points`` from any provider of the regressions'
-``RootSums`` and ``Moments``: ``fit_spectra`` provides them from one
-record of design spectra (``Spectra``, set up by ``make_workspace`` and
-concatenated by ``join``), each row's from its own directions alone,
-``em._root_sums`` from one spectrum of the whole matrix. ``_estep`` is one
-sweep: the shared-prior EM's, and the one that scores a fit.
+``RootSums`` and log det M: a record of design spectra (``Spectra``, set
+up by ``make_workspace`` and concatenated by ``join``) provides them, each
+row's from its own directions alone, and ``em._root_sums`` from one
+spectrum of the whole matrix. ``_estep`` is one sweep, from the residual
+R(e), ||theta||^2, tr M^-1 and log det M alone: the shared-prior EM's,
+and the one that scores a fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,10 +35,10 @@ RANK_RTOL = 1e-12
 #: Both rates start here in the EM's sweeps.
 RATE_INIT = 0.001
 
-#: ``fit_spectra`` steps at most this far in log E[tau^-2] past the
+#: ``solve_fixed_points`` steps at most this far in log E[tau^-2] past the
 #: fixed-point step, so it cannot jump over a short interval where h >= 0.
 STEP_PAST = 0.25
-#: ``fit_spectra`` stops a row once its Newton step or its bracket in
+#: ``solve_fixed_points`` stops a row once its Newton step or its bracket in
 #: log E[tau^-2] is below this fraction of max(1, |log E[tau^-2]|).
 STEP_RTOL = 1e-9
 #: A solve that has not stopped after this many evaluations has failed.
@@ -80,7 +82,8 @@ class Spectra:
     rank, all positive, the matching ``w`` = V^T D^T y and the ``row``
     (regression) each belongs to, in row order. ``yty`` and the number of
     covariates ``k`` hold one value a row, with the sample count ``n``
-    they share. A fit depends on its data only through these.
+    they share. A fit depends on its data only through these, by
+    ``root_sums`` and ``logdet``.
     """
 
     d2: np.ndarray  # (directions,)
@@ -95,6 +98,30 @@ class Spectra:
         bits of its lone fit's: no other row enters it."""
         return np.bincount(self.row, weights=x, minlength=len(self.k))
 
+    @cached_property
+    def comp(self):
+        """Each row's number of directions outside its design's row
+        space, counted once per record."""
+        return self.k - np.bincount(self.row, minlength=len(self.k))
+
+    def root_sums(self, e) -> RootSums:
+        """Each row's ``RootSums`` at its own ``e``. With theta = w /
+        (d^2 + e), R is summed as the difference y^T y - theta^T w, which
+        can round below -2d on an unscaled rank-deficient design. Every
+        product is formed theta-first, never w w, which would overflow on
+        values near 1e150."""
+        inv = 1.0 / (self.d2 + e[self.row])
+        theta = self.w * inv
+        return RootSums(self.yty - self.sum(theta * self.w),
+                        self.sum(theta * theta), self.sum(inv) + self.comp / e,
+                        self.sum(theta * theta * inv),
+                        self.sum(inv * inv) + self.comp / (e * e))
+
+    def logdet(self, e):
+        """Each row's log det M at its own ``e``."""
+        return (self.sum(np.log(self.d2 + e[self.row]))
+                + self.comp * np.log(e))
+
 
 def join(blocks) -> Spectra:
     """The rows of the ``Spectra`` ``blocks``, which share ``n``, as one
@@ -105,53 +132,46 @@ def join(blocks) -> Spectra:
     return Spectra(*map(np.concatenate, fields), blocks[0].n)
 
 
-class Moments(NamedTuple):
-    """What one E-step reads of each regression at its e = E[tau^-2], one
+class RootSums(NamedTuple):
+    """What a sweep reads of each regression at its e = E[tau^-2], one
     value per regression. With M = D^T D + e I and theta = M^-1 D^T y:
-    ``rss`` = ||y - D theta||^2, ``theta2`` = ||theta||^2, ``trace`` =
-    tr M^-1 (a direction outside the design's row space adds 1 / e),
-    ``logdet`` = log det M and ``dof`` = tr(D^T D M^-1)."""
+    ``resid`` = R(e) = ||y - D theta||^2 + e ||theta||^2, ``theta2`` =
+    ||theta||^2 and ``trace`` = tr M^-1 (a direction outside the design's
+    row space adds 1 / e). The root solve also reads the slope sums
+    ``curvature`` = theta^T M^-1 theta and ``trace2`` = tr M^-2."""
 
-    rss: np.ndarray
+    resid: np.ndarray
     theta2: np.ndarray
     trace: np.ndarray
-    logdet: np.ndarray
-    dof: np.ndarray
+    curvature: np.ndarray | None = None
+    trace2: np.ndarray | None = None
 
 
-def _spectral_moments(spectra: Spectra, e, comp) -> Moments:
-    """The ``Moments`` of each regression of ``spectra`` at its own ``e``,
-    given ``comp``, its number of directions outside the row space. In
-    the eigenbasis theta = w / (d^2 + e), and rss is summed as
-    y^T y - 2 theta^T w + sum d^2 theta^2."""
-    denom = spectra.d2 + e[spectra.row]
-    theta = spectra.w / denom
-    inv = 1.0 / denom
-    return Moments(
-        rss=spectra.yty - 2.0 * spectra.sum(theta * spectra.w)
-        + spectra.sum(spectra.d2 * (theta * theta)),
-        theta2=spectra.sum(theta * theta),
-        trace=spectra.sum(inv) + comp / e,
-        logdet=spectra.sum(np.log(denom)) + comp * np.log(e),
-        dof=spectra.sum(spectra.d2 * inv))
+def _posterior_shapes(hp: HyperParameters, n, k):
+    """Gamma shapes of the tau^-2 and sigma^-2 posteriors; fixed by (n, k)."""
+    return hp.a + 0.5 * k, hp.c + 0.5 * (n + k)
 
 
-def _estep(hp, moments: Moments, e_tau, e_sig, a_star, c_star, k, constant):
-    """One coordinate-ascent pass of every regression, given its
-    ``Moments`` at ``e_tau`` = E[tau^-2] and ``e_sig`` = E[sigma^-2] from
-    the rates the pass starts from: the coefficient posterior
-    N(theta, M^-1 / e_sig) gives E||y - D beta||^2 = rss + dof / e_sig,
-    E[beta^T beta] = theta2 + trace / e_sig and the log determinant of its
-    covariance, -k log e_sig - logdet, for k coefficients. Returns the
-    updated rates (b*, d*), d* first and b* from it, and the lower bound
-    after the pass, given ``_bound_constant`` of the regression."""
-    ebb = moments.theta2 + moments.trace / e_sig
-    fit = moments.rss + moments.dof / e_sig
-    d_new = np.maximum(hp.d + 0.5 * fit + 0.5 * e_tau * ebb, RATE_FLOOR)
+def _estep(hp: HyperParameters, n, k, sums: RootSums, logdet, e_sig):
+    """One coordinate-ascent pass of every regression, with ``n`` samples
+    and ``k`` covariates, given its ``RootSums`` and ``logdet`` = log det M
+    at the e = E[tau^-2] the pass starts from, and ``e_sig`` =
+    E[sigma^-2]. The coefficient posterior N(theta, M^-1 / e_sig) gives
+    E[beta^T beta] = theta2 + trace / e_sig and, as tr(D^T D M^-1) +
+    e tr M^-1 = k, E||y - D beta||^2 + e E[beta^T beta] = R + k / e_sig.
+    Returns the updated rates (b*, d*), d* first and b* from it, and the
+    lower bound after the pass."""
+    a_star, c_star = _posterior_shapes(hp, n, k)
+    ebb = sums.theta2 + sums.trace / e_sig
+    d_new = np.maximum(hp.d + 0.5 * sums.resid + 0.5 * k / e_sig, RATE_FLOOR)
     b_new = np.maximum(hp.b + 0.5 * (c_star / d_new) * ebb, RATE_FLOOR)
-    sigma_logdet = -k * np.log(e_sig) - moments.logdet
-    return b_new, d_new, _bound(constant, a_star, b_new, c_star, d_new,
-                                sigma_logdet, ebb)
+    return b_new, d_new, (
+        -0.5 * n * np.log(2.0 * np.pi) + 0.5 * k
+        + hp.a * np.log(hp.b) - gammaln(hp.a) + gammaln(a_star)
+        + hp.c * np.log(hp.d) - gammaln(hp.c) + gammaln(c_star)
+        + 0.5 * (-k * np.log(e_sig) - logdet)
+        - a_star * np.log(b_new) - c_star * np.log(d_new)
+        + 0.5 * (c_star / d_new) * (a_star / b_new) * ebb)
 
 
 def make_workspace(values, gene, covariates):
@@ -222,46 +242,19 @@ def digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - series - shift
 
 
-def _bound_constant(n, k, hp, a_star, c_star):
-    """The terms of the lower bound that do not move between sweeps."""
-    return (
-        -0.5 * n * np.log(2.0 * np.pi)
-        + 0.5 * k
-        + hp.a * np.log(hp.b)
-        - gammaln(hp.a)
-        + gammaln(a_star)
-        + hp.c * np.log(hp.d)
-        - gammaln(hp.c)
-        + gammaln(c_star)
-    )
-
-
-def _bound(constant, a_star, b_star, c_star, d_star, sigma_logdet, ebb):
-    """Evidence lower bound, given ``_bound_constant`` of the regression."""
-    return (
-        constant
-        + 0.5 * sigma_logdet
-        - a_star * np.log(b_star)
-        - c_star * np.log(d_star)
-        + 0.5 * (c_star / d_star) * (a_star / b_star) * ebb
-    )
-
-
-def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
-               hp: HyperParameters, iterations, converged):
-    """The one regression of ``spectra``, read off after one sweep from the
-    rates ``(b_star, d_star)`` as one record: its coefficient means and
-    variances, two rates and lower bound. The rates and bound are those of
-    ``_estep``, as in ``fit_spectra``'s sweeps. The coefficient moments
-    come back from the eigenbasis through the ``V`` returned with the
-    spectra; directions outside the design's row space add their
-    conditional prior variance.
+def _posterior(spectra: Spectra, V, e_tau, e_sig, hp: HyperParameters,
+               iterations, converged):
+    """The one regression of ``spectra``, read off after one sweep from
+    ``e_tau`` = E[tau^-2] and ``e_sig`` = E[sigma^-2] as one record: its
+    coefficient means and variances, two rates and lower bound. The rates
+    and bound are those of ``_estep`` from the spectra's ``root_sums``,
+    as in ``solve_fixed_points``. The coefficient moments come back from
+    the eigenbasis through the ``V`` returned with the spectra; directions
+    outside the design's row space add their conditional prior variance.
     """
-    e_tau, e_sig = a_star / b_star, c_star / d_star
     b_new, d_new, lower_bound = _estep(
-        hp, _spectral_moments(spectra, e_tau, spectra.k - spectra.d2.size),
-        e_tau, e_sig, a_star, c_star, spectra.k,
-        _bound_constant(spectra.n, spectra.k, hp, a_star, c_star))
+        hp, spectra.n, spectra.k, spectra.root_sums(e_tau),
+        spectra.logdet(e_tau), e_sig)
     if not np.isfinite(lower_bound).all():
         raise NumericalFailureError("non-finite lower bound")
     e_tau, e_sig = e_tau[:, None], e_sig[:, None]
@@ -271,6 +264,7 @@ def _posterior(spectra: Spectra, V, b_star, d_star, a_star, c_star,
     beta_mean = (v @ (spectra.w / denom)[..., None])[..., 0]
     beta_var = ((v2 @ (1.0 / denom)[..., None])[..., 0]
                 + (1.0 - v2.sum(axis=-1)) / e_tau) / e_sig
+    a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k[0])
     return VariationalPosterior(beta_mean[0], beta_var[0], a_star,
                                 float(b_new[0]), c_star, float(d_new[0]),
                                 float(lower_bound[0]), iterations, converged)
@@ -293,9 +287,9 @@ def vb_sweep(
     if not (state.b_star > 0 and state.d_star > 0):
         raise ValueError("state rates must be positive")
     spectra, V = make_workspace(values, gene, covariates)
-    return _posterior(spectra, V, np.array([state.b_star]),
-                      np.array([state.d_star]), state.a_star, state.c_star,
-                      hp, state.iterations + 1, state.converged)
+    return _posterior(spectra, V, np.array([state.a_star / state.b_star]),
+                      np.array([state.c_star / state.d_star]), hp,
+                      state.iterations + 1, state.converged)
 
 
 @dataclass
@@ -310,30 +304,11 @@ class SpectraFit:
     evaluations: np.ndarray
 
 
-def _posterior_shapes(hp: HyperParameters, n, k):
-    """Gamma shapes of the tau^-2 and sigma^-2 posteriors; fixed by (n, k)."""
-    return hp.a + 0.5 * k, hp.c + 0.5 * (n + k)
-
-
-class RootSums(NamedTuple):
-    """What ``solve_fixed_points`` reads of each regression at its e =
-    E[tau^-2], one value per regression, with M and theta as in
-    ``Moments``: ``resid`` = R(e) = rss + e ||theta||^2, ``theta2`` and
-    ``trace`` as in ``Moments``, and the slope sums ``curvature`` =
-    theta^T M^-1 theta and ``trace2`` = tr M^-2."""
-
-    resid: np.ndarray
-    theta2: np.ndarray
-    trace: np.ndarray
-    curvature: np.ndarray
-    trace2: np.ndarray
-
-
 def solve_fixed_points(hp: HyperParameters, n, k, sums,
-                       moments) -> SpectraFit:
+                       logdet) -> SpectraFit:
     """Fit every regression, with ``n`` samples and ``k`` (one per
     regression) covariates, at the fixed point of its sweeps, from
-    ``sums(e)``, its ``RootSums``, and ``moments(e)``, its ``Moments``.
+    ``sums(e)``, its ``RootSums``, and ``logdet(e)``, its log det M.
 
     At e = E[tau^-2] the fixed point's rates have closed forms, d*(e) =
     (d + R/2) / (1 - k / (2 c*)) and b*(e) = b + (c*/d*) ||theta||^2 / 2 +
@@ -344,7 +319,8 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
     once a probe has h >= 0, Newton inside the bracket while each step
     halves, else bisection. A row stops once its Newton step or bracket is
     below ``STEP_RTOL`` max(1, |u|); its evidence is the bound of one
-    ``_estep`` from its rates. A row whose d* rounds to <= 0 raises
+    ``_estep`` from its rates, read from the same ``sums`` and one
+    ``logdet`` call. A row whose d* rounds to <= 0 raises
     ``NumericalFailureError``.
     """
     a_star, c_star = _posterior_shapes(hp, n, k)
@@ -392,31 +368,18 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
         raise NumericalFailureError(
             f"fixed point not found in {MAX_EVALUATIONS} evaluations")
     e_tau = a_star / b_star
-    bound = _estep(hp, moments(e_tau), e_tau, c_star / d_star, a_star,
-                   c_star, k, _bound_constant(n, k, hp, a_star, c_star))[2]
+    bound = _estep(hp, n, k, sums(e_tau), logdet(e_tau), c_star / d_star)[2]
     if not np.isfinite(bound).all():
         raise NumericalFailureError("non-finite lower bound")
     return SpectraFit(bound, b_star, d_star, counts)
 
 
 def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
-    """Fit every row of ``spectra`` by one ``solve_fixed_points``, one
-    result per row in row order, each with the bits of its lone fit. With
-    theta = w / (d^2 + e), R is summed as the difference y^T y - theta^T w,
-    which can round below -2d on an unscaled rank-deficient design."""
-    total = spectra.sum
-    comp = spectra.k - np.bincount(spectra.row, minlength=len(spectra.k))
-
-    def sums(e):
-        inv = 1.0 / (spectra.d2 + e[spectra.row])
-        theta = spectra.w * inv
-        return RootSums(spectra.yty - total(theta * spectra.w),
-                        total(theta * theta), total(inv) + comp / e,
-                        total(theta * theta * inv),
-                        total(inv * inv) + comp / (e * e))
-
-    return solve_fixed_points(hp, spectra.n, spectra.k, sums,
-                              lambda e: _spectral_moments(spectra, e, comp))
+    """Fit every row of ``spectra`` by one ``solve_fixed_points`` on its
+    ``root_sums`` and ``logdet``, one result per row in row order, each
+    with the bits of its lone fit."""
+    return solve_fixed_points(hp, spectra.n, spectra.k, spectra.root_sums,
+                              spectra.logdet)
 
 
 def fit_local(
@@ -431,5 +394,5 @@ def fit_local(
     spectra, V = make_workspace(values, gene, covariates)
     fit = fit_spectra(spectra, hp)
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k[0])
-    return _posterior(spectra, V, fit.b_star, fit.d_star, a_star, c_star,
+    return _posterior(spectra, V, a_star / fit.b_star, c_star / fit.d_star,
                       hp, int(fit.evaluations[0]), True)

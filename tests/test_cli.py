@@ -78,6 +78,24 @@ class TestSimulate:
         assert res.exit_code == 4
         assert "valid kinds" in res.output
 
+    @pytest.mark.parametrize("kind, options, unused", [
+        ("band", ["--blocks", "10,10"], "block_sizes"),
+        ("cluster", ["--bandwidth", "3"], "bandwidth"),
+        ("hub", ["--bandwidth", "3", "--density", "0.5"],
+         "bandwidth, density"),
+        ("random", ["--blocks", "10,10"], "block_sizes"),
+    ])
+    def test_another_kinds_option_exit_4(self, runner, tmp_path, kind,
+                                         options, unused):
+        """Each kind takes its own option alone: another kind's is named
+        rather than recorded and ignored, and no --out-dir is made."""
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["simulate", "--kind", kind, "--p", "20",
+                                   *options, "--out-dir", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.stderr.endswith(f"not {unused}\n")
+        assert not out.exists()
+
     def test_deterministic(self, runner, tmp_path):
         for sub in ("a", "b"):
             res = runner.invoke(
@@ -276,6 +294,43 @@ class TestInfer:
         genes = {line.split("\t")[0] for line in
                  (out / "edges.tsv").read_text().splitlines()[1:]}
         assert genes == {"g1", "g2"}
+
+    @pytest.mark.parametrize("samples", [False, True],
+                             ids=["no_sample_column", "sample_column"])
+    def test_byte_order_mark_is_not_part_of_a_gene_id(self, runner, tmp_path,
+                                                      samples):
+        """A UTF-8 byte-order mark before the header, as spreadsheet
+        programs write it, is dropped: the first gene id is ``g1``."""
+        values = np.random.default_rng(0).standard_normal((12, 3))
+        lines = ["g1,g2,g3"] + [(f"s{r}," if samples else "")
+                                + ",".join(map(repr, row.tolist()))
+                                for r, row in enumerate(values)]
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfg1,")
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["infer", str(path), "--p0", "0.5",
+                                   "--out-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = [line.split("\t") for line in
+                (out / "edges.tsv").read_text().splitlines()[1:]]
+        assert {gene for row in rows for gene in row[:2]} == {"g1", "g2",
+                                                              "g3"}
+
+    def test_input_that_is_not_utf8_exit_2(self, runner, tmp_path):
+        """A Latin-1 gene id is a malformed input file, not a bad
+        setting: exit 2 naming the byte, and no --out-dir."""
+        values = np.random.default_rng(0).standard_normal((12, 3))
+        lines = ["g\xe9,g2,g3"] + [",".join(map(repr, row.tolist()))
+                                   for row in values]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["infer", str(path), "--p0", "0.5",
+                                   "--out-dir", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.endswith("at byte 1)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--alpha", "2.0"], ["--tol", "nan"], ["--patience", "0"],

@@ -14,7 +14,7 @@ from shrinknet.data import ExpressionMatrix
 from shrinknet.em import fit_sem
 from shrinknet import vb
 from shrinknet.errors import DegenerateDesignError, NumericalFailureError
-from shrinknet.selection import EvidenceCache, rank_edges
+from shrinknet.selection import EvidenceCache, rank_edges, selection_prior
 from shrinknet.vb import (
     HyperParameters,
     digamma,
@@ -393,6 +393,31 @@ class TestFitSpectra:
             assert fit.bound[row] == vp.lower_bound, (gene, covariates)
             assert fit.evaluations[row] == vp.iterations, (gene, covariates)
 
+
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("k", [3, 11, 15, 19])
+    def test_scoring_sweep_keeps_the_root_rate(self, k, scale):
+        """The sweep that scores a fit reads the residual R the root was
+        solved on, so ``fit_local``'s d* is the root's within the solve's
+        tolerance on centred designs of any scale, with fewer covariates
+        than n = 12 samples and more; a design whose R rounds below -2d
+        fails alike in both."""
+        n = 12
+        hp = selection_prior(n)
+        for seed in range(40):
+            values = np.random.default_rng(seed).standard_normal(
+                (n, k + 1)) * scale
+            values -= values.mean(axis=0)
+            covariates = np.arange(1, k + 1)
+            try:
+                root = fit_spectra(make_workspace(values, 0, covariates)[0],
+                                   hp).d_star[0]
+            except NumericalFailureError:
+                with pytest.raises(NumericalFailureError):
+                    fit_local(values, 0, covariates, hp)
+                continue
+            vp = fit_local(values, 0, covariates, hp)
+            assert abs(vp.d_star - root) <= 1e-8 * root, seed
 
     def test_unsettled_solve_fails(self, monkeypatch):
         """A solve that has not settled within ``MAX_EVALUATIONS`` raises
