@@ -13,9 +13,8 @@ are then re-estimated from the pooled moments (M-step) in one closed
 form, ``eb_update_approx_moments``. Without global shrinkage (a, b) stay
 fixed, and every gene's fixed point is one scalar root, which
 ``vb.solve_fixed_points`` solves for all genes at once from the same
-Schur complements with their slope sums (``_root_sums``): one iteration,
-converged. The fit is held as arrays with one row per gene (see
-``SemFit``), read off once at the end.
+Schur complements: one iteration, converged. The fit is held as arrays
+with one row per gene (see ``SemFit``), read off once at the end.
 """
 
 from __future__ import annotations
@@ -197,7 +196,7 @@ class _LeaveOneOut:
     least one, none exceeds the larger of 1 / RANK_RTOL and 1 + 1 / nu_g,
     and nu_g times the null resolvent is at most two. ``hat`` is
     lambda / (lambda + e), ``f0`` is scale [M^-1]_gg and ``sums`` are
-    the gene's regression's ``vb.RootSums`` without the slope sums."""
+    the gene's regression's ``vb.RootSums``."""
 
     scale: np.ndarray
     res: np.ndarray
@@ -208,7 +207,7 @@ class _LeaveOneOut:
 
 def _leave_one_out(sp: _Spectrum, e) -> _LeaveOneOut:
     """The ``vb.RootSums`` of every gene's regression on all the others,
-    but the slope sums, at its own ``e`` = E[tau^-2].
+    at its own ``e`` = E[tau^-2].
 
     With M = X^T X + e I, f0 = [M^-1]_gg and f1 = [M^-2]_gg, the Schur
     complements of M give the sums of the gene's regression on its design
@@ -267,25 +266,6 @@ def _coefficients(sp: _Spectrum, loo: _LeaveOneOut, e, e_sig):
     return beta_mean, beta_var
 
 
-def _root_sums(sp: _Spectrum, e) -> RootSums:
-    """The ``vb.RootSums`` of every gene's regression at its own ``e``: with
-    f2 = [M^-3]_gg, theta^T M_-g^-1 theta = (f0 f2 - f1^2) / f0^3 and
-    tr M_-g^-2 = tr M^-2 - (2 f0 f2 - f1^2) / f0^2, in ``_leave_one_out``'s
-    ``scale`` units, with f0 f2 - f1^2 summed as the spread f0 sum u^2 res
-    (res - f1/f0)^2."""
-    loo = _leave_one_out(sp, e)
-    f0, res, scale = loo.f0, loo.res, loo.scale
-    u2res = sp.u2 * res
-    mean = (u2res * res) @ sp.mult / f0  # f1 / f0
-    dev = res - mean[:, None]
-    spread = (u2res * dev * dev) @ sp.mult  # (f0 f2 - f1^2) / f0
-    inv = res / scale[:, None]  # 1 / (lambda + e): res^2 could overflow
-    return loo.sums._replace(
-        curvature=spread / (f0 * f0) / scale,
-        trace2=(inv * inv) @ sp.mult
-        - (2.0 * spread / f0 + mean * mean) / scale / scale)
-
-
 def _check_null_gain(m: ExpressionMatrix, sp: _Spectrum,
                      loo: _LeaveOneOut, e) -> None:
     """Raise ``NumericalFailureError`` if a gene's f0 rests on X's null
@@ -323,7 +303,7 @@ def _fit_fixed_prior(m: ExpressionMatrix, sp: _Spectrum,
     e_hi = np.full(p, a_star / hp.b)
     _check_null_gain(m, sp, _leave_one_out(sp, e_hi), e_hi)
     fit = solve_fixed_points(
-        hp, n, np.full(p, p - 1), lambda e: _root_sums(sp, e),
+        hp, n, np.full(p, p - 1), lambda e: _leave_one_out(sp, e).sums,
         lambda e: _logdet(sp, _leave_one_out(sp, e), e))
     e_tau, e_sig = a_star / fit.b_star, c_star / fit.d_star
     beta_mean, beta_var = _read_off(m, sp, _leave_one_out(sp, e_tau), e_tau,

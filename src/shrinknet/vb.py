@@ -7,10 +7,10 @@ fixed point of the coordinate-ascent sweeps, one scalar root a row,
 solved by ``solve_fixed_points`` from any provider of the regressions'
 ``RootSums`` and log det M: a record of design spectra (``Spectra``, set
 up by ``make_workspace`` and concatenated by ``join``) provides them, each
-row's from its own directions alone, and ``em._root_sums`` from one
-spectrum of the whole matrix. ``_estep`` is one sweep, from the residual
-R(e), ||theta||^2, tr M^-1 and log det M alone: the shared-prior EM's,
-and the one that scores a fit.
+row's from its own directions alone, and ``em._leave_one_out`` from
+one spectrum of the whole matrix. ``_estep`` is one sweep, from the
+residual R(e), ||theta||^2, tr M^-1 and log det M alone: the shared-prior
+EM's, and the one that scores a fit; the solve reads nothing more.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ RATE_INIT = 0.001
 #: ``solve_fixed_points`` steps at most this far in log E[tau^-2] past the
 #: fixed-point step, so it cannot jump over a short interval where h >= 0.
 STEP_PAST = 0.25
-#: ``solve_fixed_points`` stops a row once its Newton step or its bracket in
+#: ``solve_fixed_points`` stops a row once its secant step or its bracket in
 #: log E[tau^-2] is below this fraction of max(1, |log E[tau^-2]|).
 STEP_RTOL = 1e-9
 #: A solve that has not stopped after this many evaluations has failed.
@@ -113,9 +113,7 @@ class Spectra:
         inv = 1.0 / (self.d2 + e[self.row])
         theta = self.w * inv
         return RootSums(self.yty - self.sum(theta * self.w),
-                        self.sum(theta * theta), self.sum(inv) + self.comp / e,
-                        self.sum(theta * theta * inv),
-                        self.sum(inv * inv) + self.comp / (e * e))
+                        self.sum(theta * theta), self.sum(inv) + self.comp / e)
 
     def logdet(self, e):
         """Each row's log det M at its own ``e``."""
@@ -137,14 +135,11 @@ class RootSums(NamedTuple):
     value per regression. With M = D^T D + e I and theta = M^-1 D^T y:
     ``resid`` = R(e) = ||y - D theta||^2 + e ||theta||^2, ``theta2`` =
     ||theta||^2 and ``trace`` = tr M^-1 (a direction outside the design's
-    row space adds 1 / e). The root solve also reads the slope sums
-    ``curvature`` = theta^T M^-1 theta and ``trace2`` = tr M^-2."""
+    row space adds 1 / e)."""
 
     resid: np.ndarray
     theta2: np.ndarray
     trace: np.ndarray
-    curvature: np.ndarray | None = None
-    trace2: np.ndarray | None = None
 
 
 def _posterior_shapes(hp: HyperParameters, n, k):
@@ -314,11 +309,13 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
     (d + R/2) / (1 - k / (2 c*)) and b*(e) = b + (c*/d*) ||theta||^2 / 2 +
     tr M^-1 / 2, so a fit is a root of h(u) = log(a* / b*(e^u)) - u, all
     below u_hi = log(a* / b). The solve comes down from u_hi to the largest
-    root, as the sweeps from ``RATE_INIT`` do: Newton steps of at least the
-    fixed-point step u + h(u) and at most ``STEP_PAST`` past it, then,
-    once a probe has h >= 0, Newton inside the bracket while each step
-    halves, else bisection. A row stops once its Newton step or bracket is
-    below ``STEP_RTOL`` max(1, |u|); its evidence is the bound of one
+    root, as the sweeps from ``RATE_INIT`` do: secant steps, whose slope
+    -h'(u) is taken from the row's last two evaluations (1 at its first,
+    where the step is the fixed-point step u + h(u)), of at least the
+    fixed-point step and at most ``STEP_PAST`` past it, then, once a probe
+    has h >= 0, secant steps inside the bracket while each step halves,
+    else bisection. A row stops once its secant step or bracket is below
+    ``STEP_RTOL`` max(1, |u|); its evidence is the bound of one
     ``_estep`` from its rates, read from the same ``sums`` and one
     ``logdet`` call. A row whose d* rounds to <= 0 raises
     ``NumericalFailureError``.
@@ -328,6 +325,7 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
     u = np.log(a_star / hp.b) + np.zeros(len(k))
     lo, hi = np.full(u.shape, -np.inf), u
     last = np.full(u.shape, np.inf)  # the step before, once bracketed
+    u_prev, h_prev = u, np.zeros(u.shape)
     done = np.zeros(u.shape, dtype=bool)
     counts = np.zeros(u.shape, dtype=int)
     for evaluations in range(1, MAX_EVALUATIONS + 1):
@@ -342,26 +340,24 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
         if done.all():
             break
         h = np.log(a_star / b_star) - u
-        # db*/de, from dR/de = ||theta||^2, d||theta||^2/de =
-        # -2 theta^T M^-1 theta and d tr M^-1/de = -tr M^-2
-        slope = (0.5 * c_star / d_star * (
-            -2.0 * s.curvature - 0.5 * scale * s.theta2 * s.theta2 / d_star)
-            - 0.5 * s.trace2)
-        falling = 1.0 + e * slope / b_star  # -h'(u)
-        newton = u + np.divide(h, falling, out=np.full_like(h, np.nan),
+        # -h'(u) from the row's last two evaluations, 1 at its first
+        falling = np.divide(h_prev - h, u - u_prev, out=np.ones_like(h),
+                            where=u != u_prev)
+        u_prev, h_prev = u, h
+        secant = u + np.divide(h, falling, out=np.full_like(h, np.nan),
                                where=falling != 0)
         lo, hi = np.where(h >= 0, u, lo), np.where(h >= 0, hi, u)
-        inside = ((newton > lo) & (newton < hi)
-                  & (np.abs(newton - u) <= 0.5 * last))
+        inside = ((secant > lo) & (secant < hi)
+                  & (np.abs(secant - u) <= 0.5 * last))
         bracketed = lo > -np.inf
         step = np.where(bracketed,
-                        np.where(inside, newton, 0.5 * (lo + hi)),
-                        np.clip(np.where(falling > 0, newton, -np.inf),
+                        np.where(inside, secant, 0.5 * (lo + hi)),
+                        np.clip(np.where(falling > 0, secant, -np.inf),
                                 u + h - STEP_PAST, u + h))
         last = np.where(bracketed, np.abs(step - u), np.inf)
         tol = STEP_RTOL * np.maximum(1.0, np.abs(u))
-        settled = np.abs(newton - u) < tol
-        u = np.where(done, u, np.where(settled, newton, step))
+        settled = np.abs(secant - u) < tol
+        u = np.where(done, u, np.where(settled, secant, step))
         counts = np.where(done, counts, evaluations + 1)
         done |= settled | (hi - lo < tol)
     else:

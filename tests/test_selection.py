@@ -24,7 +24,7 @@ from shrinknet.selection import (
     threshold_gamma,
 )
 from shrinknet.simulate import make_structure, sample_mvn, sample_precision
-from shrinknet import selection, vb
+from shrinknet import em, selection, vb
 from shrinknet.vb import fit_local, fit_spectra
 from test_traced_run import _chain_values
 
@@ -513,6 +513,32 @@ class TestBatchedScan:
                 assert abs(table[g, t] - bound) <= 1e-10 * abs(bound), (g, t)
                 assert abs(math.log(a_star / b_new) - math.log(e)) <= \
                     vb.STEP_RTOL * max(1.0, abs(math.log(e))), (g, t)
+
+    @pytest.mark.parametrize("p, n, duplicate", [
+        (40, 30, False), (60, 20, False), (30, 60, False), (20, 12, True),
+        (12, 30, True)])
+    def test_last_column_matches_the_em_provider(self, p, n, duplicate):
+        """The table's last column, each gene on all p - 1 others, is the
+        regression whose sums the EM forms from Schur complements of one
+        spectrum of the whole matrix (``em._leave_one_out``). The root
+        solve on that provider at the selection prior gives every entry to
+        1e-10, on chain inputs with p < n, p > n and a duplicated gene,
+        and shares no sub-design eigenvector with the scan."""
+        x = _chain_values(p, n, 1)
+        if duplicate:
+            x[:, -1] = x[:, 0]
+        m = standardize(ExpressionMatrix(x, [f"g{i}" for i in range(p)],
+                                         [f"s{i}" for i in range(n)]))
+        cache = EvidenceCache(m)
+        table = cache.fill_prefixes(
+            rank_edges(np.random.default_rng(0).random((p, p))))
+        sp = em._gram_spectrum(cache.values)
+        fit = vb.solve_fixed_points(
+            cache.prior, n, np.full(p, p - 1),
+            lambda e: em._leave_one_out(sp, e).sums,
+            lambda e: em._logdet(sp, em._leave_one_out(sp, e), e))
+        np.testing.assert_allclose(fit.bound, table[:, p - 1], rtol=1e-10,
+                                   atol=0)
 
     @pytest.mark.parametrize("p, n, seed", [(40, 30, 1), (60, 20, 3)])
     def test_table_bits_do_not_depend_on_the_budget(self, p, n, seed,
