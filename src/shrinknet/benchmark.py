@@ -242,8 +242,7 @@ class SplitConfig:
 
 
 def _run_split_task(args):
-    values, gene_ids, sample_ids, cfg, seed_seq = args
-    m = ExpressionMatrix(values, gene_ids, sample_ids)
+    m, cfg, seed_seq = args
     rng = np.random.default_rng(seed_seq)
     small, large = random_split(m, cfg.n_small, rng=rng)
     out = {}
@@ -281,8 +280,7 @@ def run_split_harness(m: ExpressionMatrix, cfg: SplitConfig) -> SplitHarnessResu
     big_p = p * (p - 1) // 2
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.resamples)
-    tasks = [(m.values, m.gene_ids, m.sample_ids, cfg, child)
-             for child in children]
+    tasks = [(m, cfg, child) for child in children]
     per_split = _map_tasks(_run_split_task, tasks, cfg.threads)
     stability = {}
     validation = {}

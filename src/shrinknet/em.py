@@ -4,17 +4,18 @@ Every gene's regression is that gene on all the others, so the p designs
 are leave-one-out column blocks of the one matrix X, and their
 cross-products leave-one-out blocks of X^T X. The fit takes one spectrum of
 X, through ``make_workspace``: the eigenvalues lambda of X^T X and the gene
-loadings U (p, rank). At a gene's e = E[tau^-2], the ``vb.RootSums`` and
-log det of its regression are Schur complements of M = X^T X + e I (see
-``_leave_one_out``), so the E-step of all p genes is one array update over
-(p, rank) arrays, finished by ``vb._estep`` as every sub-model's sweep is.
-The shape/rate (a, b) of the shared gamma prior on the local precisions
-are then re-estimated from the pooled moments (M-step) in one closed
-form, ``eb_update_approx_moments``. Without global shrinkage (a, b) stay
+loadings U (p, rank). At a gene's e = E[tau^-2], the ``vb.RootSums`` of
+its regression, log det included, are Schur complements of M = X^T X + e I
+(see ``_leave_one_out``), so the E-step of all p genes is one array update
+over (p, rank) arrays, finished by ``vb._estep`` as every sub-model's
+sweep is. The shape/rate (a, b) of the shared gamma prior on the local
+precisions are then re-estimated from the pooled moments (M-step) in one
+closed form, ``eb_update_approx_moments``. Without global shrinkage (a, b) stay
 fixed, and every gene's fixed point is one scalar root, which
 ``vb.solve_fixed_points`` solves for all genes at once from the same
 Schur complements: one iteration, converged. The fit is held as arrays
-with one row per gene (see ``SemFit``), read off once at the end.
+with one row per gene (see ``SemFit``), read off once at the end from the
+``_leave_one_out`` record the final sweep scored.
 """
 
 from __future__ import annotations
@@ -187,27 +188,26 @@ def _gram_spectrum(values) -> _Spectrum:
 
 
 @dataclass
-class _LeaveOneOut:
-    """Every gene's E-step state (see ``_leave_one_out``). ``res`` holds
-    the resolvents 1 / (lambda + e) of its directions in units of
-    ``scale``: lambda_1 + e, M's largest eigenvalue, unless nu_g lambda_1
-    > e, where X's null space carries f0 and the unit is e (1 + 1 / nu_g).
-    Either way, at any scale of X, the resolvents that carry f0 are at
-    least one, none exceeds the larger of 1 / RANK_RTOL and 1 + 1 / nu_g,
-    and nu_g times the null resolvent is at most two. ``hat`` is
-    lambda / (lambda + e), ``f0`` is scale [M^-1]_gg and ``sums`` are
-    the gene's regression's ``vb.RootSums``."""
+class _LeaveOneOut(RootSums):
+    """Every gene's ``vb.RootSums`` and the state its coefficients are
+    read off from (see ``_leave_one_out``). ``res`` holds the resolvents
+    1 / (lambda + e) of its directions in units of ``scale``: lambda_1 +
+    e, M's largest eigenvalue, unless nu_g lambda_1 > e, where X's null
+    space carries f0 and the unit is e (1 + 1 / nu_g). Either way, at any
+    scale of X, the resolvents that carry f0 are at least one, none
+    exceeds the larger of 1 / RANK_RTOL and 1 + 1 / nu_g, and nu_g times
+    the null resolvent is at most two. ``hat`` is lambda / (lambda + e)
+    and ``f0`` is scale [M^-1]_gg."""
 
     scale: np.ndarray
     res: np.ndarray
     hat: np.ndarray
     f0: np.ndarray
-    sums: RootSums
 
 
 def _leave_one_out(sp: _Spectrum, e) -> _LeaveOneOut:
     """The ``vb.RootSums`` of every gene's regression on all the others,
-    at its own ``e`` = E[tau^-2].
+    at its own ``e`` = E[tau^-2], with the state that ``_read_off`` reads.
 
     With M = X^T X + e I, f0 = [M^-1]_gg and f1 = [M^-2]_gg, the Schur
     complements of M give the sums of the gene's regression on its design
@@ -217,7 +217,7 @@ def _leave_one_out(sp: _Spectrum, e) -> _LeaveOneOut:
     spread of the resolvents about f0, weighted by the squared loadings
     (which sum to one), and f0 - e f1 as the loadings' sum of hat * res,
     so no sum is a difference of near-equal numbers and R is a sum of
-    positive terms.
+    positive terms. log det M_-g = log det M + log f0.
     """
     lam, u2, mult = sp.lam, sp.u2, sp.mult
     if sp.nu_lam is None:
@@ -233,16 +233,12 @@ def _leave_one_out(sp: _Spectrum, e) -> _LeaveOneOut:
     ratio = (u2 * dev * dev) @ mult / f0  # scale (f1 / f0 - f0)
     explained = (u2res * hat) @ mult / f0  # (f0 - e f1) / f0
     theta2 = ratio / f0
-    return _LeaveOneOut(scale, res, hat, f0, RootSums(
+    return _LeaveOneOut(
         resid=explained * scale / f0 + e * theta2,
         theta2=theta2,
-        trace=(res @ mult - f0 - ratio) / scale))
-
-
-def _logdet(sp: _Spectrum, loo: _LeaveOneOut, e):
-    """log det M_-g = log det M + log f0 of every gene's regression at its
-    own ``e``, given its ``_leave_one_out`` there."""
-    return np.log(sp.lam + e[:, None]) @ sp.mult + np.log(loo.f0 / loo.scale)
+        trace=(res @ mult - f0 - ratio) / scale,
+        logdet=lambda: np.log(lam + e[:, None]) @ mult + np.log(f0 / scale),
+        scale=scale, res=res, hat=hat, f0=f0)
 
 
 def _coefficients(sp: _Spectrum, loo: _LeaveOneOut, e, e_sig):
@@ -302,12 +298,10 @@ def _fit_fixed_prior(m: ExpressionMatrix, sp: _Spectrum,
     # that fails there fails at its root, and might overflow on the way
     e_hi = np.full(p, a_star / hp.b)
     _check_null_gain(m, sp, _leave_one_out(sp, e_hi), e_hi)
-    fit = solve_fixed_points(
-        hp, n, np.full(p, p - 1), lambda e: _leave_one_out(sp, e).sums,
-        lambda e: _logdet(sp, _leave_one_out(sp, e), e))
-    e_tau, e_sig = a_star / fit.b_star, c_star / fit.d_star
-    beta_mean, beta_var = _read_off(m, sp, _leave_one_out(sp, e_tau), e_tau,
-                                    e_sig)
+    fit = solve_fixed_points(hp, n, np.full(p, p - 1),
+                             lambda e: _leave_one_out(sp, e))
+    beta_mean, beta_var = _read_off(m, sp, fit.root, a_star / fit.b_star,
+                                    c_star / fit.d_star)
     return SemFit(beta_mean, beta_var, fit.b_star, fit.d_star, fit.bound,
                   hyper=hp, lower_bounds=fit.bound[None], em_iterations=1,
                   converged=True, gene_ids=m.gene_ids,
@@ -324,9 +318,10 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
     Each EM iteration sweeps every gene once under the current (a, b), as
     one array update over the spectrum of X, then updates (a, b) from the
     pooled moments. Convergence is the max over genes of the per-gene
-    lower-bound change. The posteriors are read off the final sweep by
-    ``_read_off``. Without global shrinkage the fit is
-    ``_fit_fixed_prior``, and ``config``'s tol and max_iter go unused.
+    lower-bound change. The posteriors are read off the final sweep's
+    ``_leave_one_out`` record by ``_read_off``. Without global shrinkage
+    the fit is ``_fit_fixed_prior``, and ``config``'s tol and max_iter go
+    unused.
     """
     n, p = m.values.shape
     k = p - 1
@@ -348,8 +343,7 @@ def fit_sem(m: ExpressionMatrix, config: EmConfig = EmConfig()) -> SemFit:
         a_star, c_star = _posterior_shapes(hp, n, k)
         e_tau, e_sig = a_star / b_stars, c_star / d_stars
         loo = _leave_one_out(spectrum, e_tau)
-        b_stars, d_stars, bounds = _estep(
-            hp, n, k, loo.sums, _logdet(spectrum, loo, e_tau), e_sig)
+        b_stars, d_stars, bounds = _estep(hp, n, k, loo, e_sig)
         if not np.isfinite(bounds).all():
             bad = m.gene_ids[int(np.argmax(~np.isfinite(bounds)))]
             raise NumericalFailureError(

@@ -5,20 +5,21 @@ tau^2 and gamma priors on tau^-2 and sigma^-2, under a factorized
 posterior whose lower bound stands in for the evidence. A fit is the
 fixed point of the coordinate-ascent sweeps, one scalar root a row,
 solved by ``solve_fixed_points`` from any provider of the regressions'
-``RootSums`` and log det M: a record of design spectra (``Spectra``, set
-up by ``make_workspace`` and concatenated by ``join``) provides them, each
-row's from its own directions alone, and ``em._leave_one_out`` from
-one spectrum of the whole matrix. ``_estep`` is one sweep, from the
-residual R(e), ||theta||^2, tr M^-1 and log det M alone: the shared-prior
-EM's, and the one that scores a fit; the solve reads nothing more.
+``RootSums``, one record per evaluation: a record of design spectra
+(``Spectra``, set up by ``make_workspace`` and concatenated by ``join``)
+provides them, each row's from its own directions alone, and
+``em._leave_one_out`` from one spectrum of the whole matrix. ``_estep``
+is one sweep, from the residual R(e), ||theta||^2, tr M^-1 and log det M
+alone: the shared-prior EM's, and the one that scores a fit, whose
+record the solve returns for the fit's posterior to be read off.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class Spectra:
     (regression) each belongs to, in row order. ``yty`` and the number of
     covariates ``k`` hold one value a row, with the sample count ``n``
     they share. A fit depends on its data only through these, by
-    ``root_sums`` and ``logdet``.
+    ``root_sums``.
     """
 
     d2: np.ndarray  # (directions,)
@@ -113,12 +114,9 @@ class Spectra:
         inv = 1.0 / (self.d2 + e[self.row])
         theta = self.w * inv
         return RootSums(self.yty - self.sum(theta * self.w),
-                        self.sum(theta * theta), self.sum(inv) + self.comp / e)
-
-    def logdet(self, e):
-        """Each row's log det M at its own ``e``."""
-        return (self.sum(np.log(self.d2 + e[self.row]))
-                + self.comp * np.log(e))
+                        self.sum(theta * theta), self.sum(inv) + self.comp / e,
+                        lambda: (self.sum(np.log(self.d2 + e[self.row]))
+                                 + self.comp * np.log(e)))
 
 
 def join(blocks) -> Spectra:
@@ -130,16 +128,19 @@ def join(blocks) -> Spectra:
     return Spectra(*map(np.concatenate, fields), blocks[0].n)
 
 
-class RootSums(NamedTuple):
+@dataclass
+class RootSums:
     """What a sweep reads of each regression at its e = E[tau^-2], one
     value per regression. With M = D^T D + e I and theta = M^-1 D^T y:
     ``resid`` = R(e) = ||y - D theta||^2 + e ||theta||^2, ``theta2`` =
     ||theta||^2 and ``trace`` = tr M^-1 (a direction outside the design's
-    row space adds 1 / e)."""
+    row space adds 1 / e). ``logdet()`` forms log det M, which only a
+    sweep reads, never a step of the root solve."""
 
     resid: np.ndarray
     theta2: np.ndarray
     trace: np.ndarray
+    logdet: Callable[[], np.ndarray]
 
 
 def _posterior_shapes(hp: HyperParameters, n, k):
@@ -147,13 +148,13 @@ def _posterior_shapes(hp: HyperParameters, n, k):
     return hp.a + 0.5 * k, hp.c + 0.5 * (n + k)
 
 
-def _estep(hp: HyperParameters, n, k, sums: RootSums, logdet, e_sig):
+def _estep(hp: HyperParameters, n, k, sums: RootSums, e_sig):
     """One coordinate-ascent pass of every regression, with ``n`` samples
-    and ``k`` covariates, given its ``RootSums`` and ``logdet`` = log det M
-    at the e = E[tau^-2] the pass starts from, and ``e_sig`` =
-    E[sigma^-2]. The coefficient posterior N(theta, M^-1 / e_sig) gives
-    E[beta^T beta] = theta2 + trace / e_sig and, as tr(D^T D M^-1) +
-    e tr M^-1 = k, E||y - D beta||^2 + e E[beta^T beta] = R + k / e_sig.
+    and ``k`` covariates, given its ``RootSums`` at the e = E[tau^-2] the
+    pass starts from, and ``e_sig`` = E[sigma^-2]. The coefficient
+    posterior N(theta, M^-1 / e_sig) gives E[beta^T beta] = theta2 +
+    trace / e_sig and, as tr(D^T D M^-1) + e tr M^-1 = k, E||y - D
+    beta||^2 + e E[beta^T beta] = R + k / e_sig.
     Returns the updated rates (b*, d*), d* first and b* from it, and the
     lower bound after the pass."""
     a_star, c_star = _posterior_shapes(hp, n, k)
@@ -164,7 +165,7 @@ def _estep(hp: HyperParameters, n, k, sums: RootSums, logdet, e_sig):
         -0.5 * n * np.log(2.0 * np.pi) + 0.5 * k
         + hp.a * np.log(hp.b) - gammaln(hp.a) + gammaln(a_star)
         + hp.c * np.log(hp.d) - gammaln(hp.c) + gammaln(c_star)
-        + 0.5 * (-k * np.log(e_sig) - logdet)
+        + 0.5 * (-k * np.log(e_sig) - sums.logdet())
         - a_star * np.log(b_new) - c_star * np.log(d_new)
         + 0.5 * (c_star / d_new) * (a_star / b_new) * ebb)
 
@@ -237,19 +238,18 @@ def digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - series - shift
 
 
-def _posterior(spectra: Spectra, V, e_tau, e_sig, hp: HyperParameters,
-               iterations, converged):
+def _posterior(spectra: Spectra, V, sums: RootSums, e_tau, e_sig,
+               hp: HyperParameters, iterations, converged):
     """The one regression of ``spectra``, read off after one sweep from
     ``e_tau`` = E[tau^-2] and ``e_sig`` = E[sigma^-2] as one record: its
     coefficient means and variances, two rates and lower bound. The rates
-    and bound are those of ``_estep`` from the spectra's ``root_sums``,
-    as in ``solve_fixed_points``. The coefficient moments come back from
-    the eigenbasis through the ``V`` returned with the spectra; directions
-    outside the design's row space add their conditional prior variance.
+    and bound are those of ``_estep`` from ``sums``, the spectra's
+    ``root_sums`` at ``e_tau``, as in ``solve_fixed_points``. The
+    coefficient moments come back from the eigenbasis through the ``V``
+    returned with the spectra; directions outside the design's row space
+    add their conditional prior variance.
     """
-    b_new, d_new, lower_bound = _estep(
-        hp, spectra.n, spectra.k, spectra.root_sums(e_tau),
-        spectra.logdet(e_tau), e_sig)
+    b_new, d_new, lower_bound = _estep(hp, spectra.n, spectra.k, sums, e_sig)
     if not np.isfinite(lower_bound).all():
         raise NumericalFailureError("non-finite lower bound")
     e_tau, e_sig = e_tau[:, None], e_sig[:, None]
@@ -282,28 +282,30 @@ def vb_sweep(
     if not (state.b_star > 0 and state.d_star > 0):
         raise ValueError("state rates must be positive")
     spectra, V = make_workspace(values, gene, covariates)
-    return _posterior(spectra, V, np.array([state.a_star / state.b_star]),
+    e_tau = np.array([state.a_star / state.b_star])
+    return _posterior(spectra, V, spectra.root_sums(e_tau), e_tau,
                       np.array([state.c_star / state.d_star]), hp,
                       state.iterations + 1, state.converged)
 
 
 @dataclass
 class SpectraFit:
-    """Per-row outcome of ``fit_spectra``: the fixed point's rates, the
-    bound of one sweep from them and the evaluations the row's solve
-    took."""
+    """Per-row outcome of ``solve_fixed_points``: the fixed point's
+    rates, the bound of one sweep from them, the evaluations the row's
+    solve took and ``root``, the provider's record at the E[tau^-2] of
+    those rates, which that sweep scored."""
 
     bound: np.ndarray
     b_star: np.ndarray
     d_star: np.ndarray
     evaluations: np.ndarray
+    root: RootSums
 
 
-def solve_fixed_points(hp: HyperParameters, n, k, sums,
-                       logdet) -> SpectraFit:
+def solve_fixed_points(hp: HyperParameters, n, k, sums) -> SpectraFit:
     """Fit every regression, with ``n`` samples and ``k`` (one per
     regression) covariates, at the fixed point of its sweeps, from
-    ``sums(e)``, its ``RootSums``, and ``logdet(e)``, its log det M.
+    ``sums(e)``, its ``RootSums``.
 
     At e = E[tau^-2] the fixed point's rates have closed forms, d*(e) =
     (d + R/2) / (1 - k / (2 c*)) and b*(e) = b + (c*/d*) ||theta||^2 / 2 +
@@ -316,9 +318,9 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
     has h >= 0, secant steps inside the bracket while each step halves,
     else bisection. A row stops once its secant step or bracket is below
     ``STEP_RTOL`` max(1, |u|); its evidence is the bound of one
-    ``_estep`` from its rates, read from the same ``sums`` and one
-    ``logdet`` call. A row whose d* rounds to <= 0 raises
-    ``NumericalFailureError``.
+    ``_estep`` from its rates, read from one more ``sums`` call, the
+    only one whose log det is formed, returned as ``root``. A row whose
+    d* rounds to <= 0 raises ``NumericalFailureError``.
     """
     a_star, c_star = _posterior_shapes(hp, n, k)
     scale = 1.0 / (1.0 - k / (2.0 * c_star))
@@ -363,19 +365,18 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums,
     else:
         raise NumericalFailureError(
             f"fixed point not found in {MAX_EVALUATIONS} evaluations")
-    e_tau = a_star / b_star
-    bound = _estep(hp, n, k, sums(e_tau), logdet(e_tau), c_star / d_star)[2]
+    root = sums(a_star / b_star)
+    bound = _estep(hp, n, k, root, c_star / d_star)[2]
     if not np.isfinite(bound).all():
         raise NumericalFailureError("non-finite lower bound")
-    return SpectraFit(bound, b_star, d_star, counts)
+    return SpectraFit(bound, b_star, d_star, counts, root)
 
 
 def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
     """Fit every row of ``spectra`` by one ``solve_fixed_points`` on its
-    ``root_sums`` and ``logdet``, one result per row in row order, each
-    with the bits of its lone fit."""
-    return solve_fixed_points(hp, spectra.n, spectra.k, spectra.root_sums,
-                              spectra.logdet)
+    ``root_sums``, one result per row in row order, each with the bits of
+    its lone fit."""
+    return solve_fixed_points(hp, spectra.n, spectra.k, spectra.root_sums)
 
 
 def fit_local(
@@ -386,9 +387,9 @@ def fit_local(
 ) -> VariationalPosterior:
     """Fit gene ``gene`` of ``values`` on the genes ``covariates`` (as
     ``make_workspace`` takes them) by ``fit_spectra``, and read off the
-    posterior of one sweep from its rates."""
+    posterior of one sweep from its rates and the sums it scored."""
     spectra, V = make_workspace(values, gene, covariates)
     fit = fit_spectra(spectra, hp)
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k[0])
-    return _posterior(spectra, V, a_star / fit.b_star, c_star / fit.d_star,
-                      hp, int(fit.evaluations[0]), True)
+    return _posterior(spectra, V, fit.root, a_star / fit.b_star,
+                      c_star / fit.d_star, hp, int(fit.evaluations[0]), True)

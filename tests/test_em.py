@@ -308,6 +308,26 @@ class TestFixedPrior:
         np.testing.assert_array_equal(fit.lower_bounds,
                                       fit.lower_bound[None])
 
+    @pytest.mark.parametrize("p, n", [(40, 30), (80, 160)])
+    def test_one_evaluation_at_the_root(self, p, n, monkeypatch):
+        """The fit evaluates ``_leave_one_out`` once at its final
+        E[tau^-2]: the record that scores every gene's bound is the one its
+        coefficients are read off."""
+        m = standardize(ExpressionMatrix(
+            _chain_values(p, n, 1), [f"g{i}" for i in range(p)],
+            [f"s{i}" for i in range(n)]))
+        seen = []
+        leave_one_out = em._leave_one_out
+
+        def spy(sp, e):
+            seen.append(e.copy())
+            return leave_one_out(sp, e)
+
+        monkeypatch.setattr(em, "_leave_one_out", spy)
+        fit = fit_sem(m, self.FIXED)
+        root = (fit.hyper.a + 0.5 * (p - 1)) / fit.b_star
+        assert sum(np.array_equal(e, root) for e in seen) == 1
+
     @pytest.mark.parametrize("case", ["wide", "square", "duplicate"])
     def test_matches_fit_local_and_long_sweeps(self, case):
         """Each gene is at the fixed point of its sweeps. It matches

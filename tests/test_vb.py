@@ -419,6 +419,27 @@ class TestFitSpectra:
             vp = fit_local(values, 0, covariates, hp)
             assert abs(vp.d_star - root) <= 1e-8 * root, seed
 
+    @pytest.mark.parametrize("n, k, seed", [(15, 4, 1), (8, 20, 9)])
+    def test_one_evaluation_at_the_root(self, n, k, seed, monkeypatch):
+        """``fit_local`` reads its posterior off the record that scored its
+        bound: past the solve's evaluations, one ``root_sums`` call, at
+        the E[tau^-2] of its rates. (The solve's last evaluation may
+        already sit on that E[tau^-2] to the bit.)"""
+        prob = random_problem(n, k, seed=seed)
+        fit = fit_spectra(make_workspace(*prob)[0], VAGUE)
+        root_sums = vb.Spectra.root_sums
+        seen = []
+
+        def spy(spectra, e):
+            seen.append(e.copy())
+            return root_sums(spectra, e)
+
+        monkeypatch.setattr(vb.Spectra, "root_sums", spy)
+        vp = fit_local(*prob, VAGUE)
+        assert len(seen) == vp.iterations + 1
+        np.testing.assert_array_equal(seen[-1],
+                                      (VAGUE.a + 0.5 * k) / fit.b_star)
+
     def test_unsettled_solve_fails(self, monkeypatch):
         """A solve that has not settled within ``MAX_EVALUATIONS`` raises
         rather than return a fit short of its fixed point."""
