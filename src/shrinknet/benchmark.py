@@ -27,7 +27,6 @@ from .pipeline import infer_network
 from .simulate import (
     check_dof,
     check_seed,
-    default_structure_params,
     make_structure,
     sample_mvn,
     sample_precision,
@@ -88,8 +87,12 @@ class SimConfig:
             raise InvalidParamsError(
                 "kinds and n_list must be nonempty, reps and threads at "
                 "least 1, p and every n at least 2 and alpha in (0, 1)")
-        for kind in self.kinds:  # a kind unknown, or that cannot tile p
-            default_structure_params(kind, self.p)
+        for kind in self.kinds:  # raises for a kind unknown or not tiling p
+            if kind != "random" and make_structure(  # random: drawn per rep
+                    kind, self.p).density in (0.0, 1.0):
+                raise InvalidParamsError(
+                    f"the default {kind} graph at p={self.p} has no edge or "
+                    "no non-edge, on which partial ROC is undefined")
         _check_methods(self.methods)
 
 

@@ -118,13 +118,12 @@ def eb_update_approx_moments(e_tau2inv, e_log_tau2inv):
 
     Uses the approximation digamma(x) ~ log(x) - 0.5/x; the bracketed
     log-moment gap is nonnegative by Jensen and zero only when all pooled
-    moments coincide, in which case the shape is capped.
+    moments coincide, in which case the shape is capped. Each array (or
+    list) of the p moments is reduced once, by one sum.
     """
-    e_tau2inv = np.asarray(e_tau2inv, dtype=float)
-    e_log_tau2inv = np.asarray(e_log_tau2inv, dtype=float)
-    p = e_tau2inv.shape[0]
-    total = float(np.sum(e_tau2inv))
-    gap = np.log(total) - float(np.mean(e_log_tau2inv)) - np.log(p)
+    p = len(e_tau2inv)
+    total = np.sum(e_tau2inv)
+    gap = np.log(total) - np.sum(e_log_tau2inv) / p - np.log(p)
     if gap <= _DEGENERATE_EPS:
         a_hat = A_MAX
     else:

@@ -12,8 +12,7 @@ prefix of every gene's partners in ranking order fill one table, whose
 steps along a row are the rank-conditioned Bayes factors that estimate
 the null fraction. Forward selection keeps its own store: it fits the
 sub-models it can reach before its next acceptance ahead of use. Both set
-their sub-models up by one rule, ``EvidenceCache._setups``, and fit them
-by another, ``EvidenceCache._fit``.
+up and fit their sub-models by one rule, ``EvidenceCache._fit``.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from .vb import HyperParameters, fit_spectra, make_workspace
 fit_local = vb.fit_local  # the name perfbench's selection.submodel span wraps
 
 #: Working-memory budget of the sub-model fits, in doubles: it bounds the
-#: designs gathered by one ``make_workspace`` call of ``_setups`` and the
-#: rows and directions fitted by one solve of ``_fit``. It bounds memory
+#: designs gathered by one ``make_workspace`` call of ``_fit`` and the
+#: rows and directions fitted by one of its solves. It bounds memory
 #: only: no result depends on it. At 2^14 (128 KiB) the p0 scan at (p, n)
 #: = (40, 30) makes 78 setup calls.
 STACK_DOUBLES = 1 << 14
@@ -143,23 +142,16 @@ class EvidenceCache:
                       "submodel_unused": 0, "submodel_lookups": 0,
                       "submodel_misses": 0}
 
-    def _setups(self, genes, covariates):
-        """Spectra of each gene of ``genes`` on its row of ``covariates``
-        (sorted, k per row), set up a block of rows at a time, as many per
+    def _fit(self, requests):
+        """Bounds of the sub-models of ``requests``, in order: each request
+        pairs an array of genes with their covariates (sorted, k per row).
+        A request's rows are set up a block at a time, as many per
         ``make_workspace`` call as ``STACK_DOUBLES`` holds of their designs
-        (one at least). Yields each block's spectra, in row order."""
-        size = max(1, STACK_DOUBLES // (self.n * max(covariates.shape[1], 1)))
-        for start in range(0, len(genes), size):
-            yield make_workspace(self.values, genes[start:start + size],
-                                 covariates[start:start + size])[0]
-
-    def _fit(self, blocks):
-        """Bounds of the rows of the ``Spectra`` ``blocks``, in order. The
-        blocks are taken as they come, ``vb.join``ed into runs of at most
-        ``STACK_DOUBLES`` rows and directions (a larger block is a run of
-        its own), and each run is fitted by one ``fit_spectra`` solve,
-        counted in ``stats``."""
-        bounds, run, size = [np.empty(0)], [], 0  # a call may have no blocks
+        (one at least). The blocks are ``vb.join``ed as they come into
+        runs of at most ``STACK_DOUBLES`` rows and directions (a larger
+        block is a run of its own), and each run is fitted by one
+        ``fit_spectra`` solve, counted in ``stats``."""
+        bounds, run, size = [np.empty(0)], [], 0  # a call may fit nothing
 
         def solve():
             fit = fit_spectra(vb.join(run), self.prior)
@@ -168,13 +160,18 @@ class EvidenceCache:
             bounds.append(fit.bound)
             run.clear()
 
-        for block in blocks:
-            more = len(block.yty) + len(block.d2)
-            if run and size + more > STACK_DOUBLES:
-                solve()
-                size = 0
-            run.append(block)
-            size += more
+        for genes, covariates in requests:
+            rows = max(1, STACK_DOUBLES
+                       // (self.n * max(covariates.shape[1], 1)))
+            for start in range(0, len(genes), rows):
+                block = make_workspace(self.values, genes[start:start + rows],
+                                       covariates[start:start + rows])[0]
+                more = len(block.yty) + len(block.d2)
+                if run and size + more > STACK_DOUBLES:
+                    solve()
+                    size = 0
+                run.append(block)
+                size += more
         if run:
             solve()
         return np.concatenate(bounds)
@@ -187,8 +184,8 @@ class EvidenceCache:
 
         The ranking must hold every gene pair exactly once, as
         ``rank_edges`` makes it; otherwise ``ValueError`` is raised. The
-        scan walks the prefix lengths in order, sets each one's designs up
-        by ``_setups`` and fits them by ``_fit``.
+        scan walks the prefix lengths in order, and ``_fit`` sets up and
+        fits each one's sub-models.
         """
         p = self.p
         response = np.concatenate([ranking.i, ranking.j])
@@ -200,29 +197,27 @@ class EvidenceCache:
         rank = np.tile(np.arange(len(ranking)), 2)
         order = partner[np.lexsort((rank, response))].reshape(p, p - 1)
         genes = np.arange(p)
-        bound = self._fit(spectra for t in range(p)
-                          for spectra in self._setups(
-                              genes, np.sort(order[:, :t], axis=1)))
+        bound = self._fit((genes, np.sort(order[:, :t], axis=1))
+                          for t in range(p))
         return bound.reshape(p, p).T  # rows in (t, gene) order
 
     def fit_ahead(self, submodels) -> None:
         """Fit every sub-model of ``submodels`` (pairs of a response gene
         and a frozenset of covariate genes) that the store does not hold,
         and store its evidence. Sub-models with the same number k of
-        covariates are set up together by ``_setups``, and all are fitted
-        by ``_fit``.
+        covariates are one request to ``_fit``, which sets up and fits
+        them all.
         """
         wanted = {}
         for key in submodels:
             if key not in self._cache:
                 wanted.setdefault(len(key[1]), {})[key] = None
-        blocks = (spectra for k, group in wanted.items()
-                  for spectra in self._setups(
-                      np.array([g for g, _ in group]),
-                      np.array([sorted(c) for _, c in group],
-                               dtype=np.intp).reshape(len(group), k)))
+        requests = [(np.array([g for g, _ in group]),
+                     np.array([sorted(c) for _, c in group],
+                              dtype=np.intp).reshape(len(group), k))
+                    for k, group in wanted.items()]
         keys = [key for group in wanted.values() for key in group]
-        self._cache.update(zip(keys, self._fit(blocks).tolist()))
+        self._cache.update(zip(keys, self._fit(requests).tolist()))
         self._unread.update(keys)
         self.stats["submodel_unused"] += len(keys)
 
@@ -293,8 +288,6 @@ def threshold_gamma(alpha: float, p0: float) -> float:
 
 
 def _null_probability(bf: float, p0: float) -> float:
-    if math.isinf(bf):
-        return 0.0
     return p0 / (p0 + (1.0 - p0) * bf)
 
 

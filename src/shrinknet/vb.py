@@ -11,7 +11,7 @@ provides them, each row's from its own directions alone, and
 ``em._leave_one_out`` from one spectrum of the whole matrix. ``_estep``
 is one sweep, from the residual R(e), ||theta||^2, tr M^-1 and log det M
 alone: the shared-prior EM's, and the one that scores a fit, whose
-record the solve returns for the fit's posterior to be read off.
+rates, bound and record the solve returns for the fit's posterior.
 """
 
 from __future__ import annotations
@@ -238,20 +238,17 @@ def digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - series - shift
 
 
-def _posterior(spectra: Spectra, V, sums: RootSums, e_tau, e_sig,
+def _posterior(spectra: Spectra, V, e_tau, e_sig, sweep,
                hp: HyperParameters, iterations, converged):
     """The one regression of ``spectra``, read off after one sweep from
     ``e_tau`` = E[tau^-2] and ``e_sig`` = E[sigma^-2] as one record: its
-    coefficient means and variances, two rates and lower bound. The rates
-    and bound are those of ``_estep`` from ``sums``, the spectra's
-    ``root_sums`` at ``e_tau``, as in ``solve_fixed_points``. The
-    coefficient moments come back from the eigenbasis through the ``V``
-    returned with the spectra; directions outside the design's row space
-    add their conditional prior variance.
+    coefficient means and variances, and the two rates and lower bound of
+    ``sweep``, that sweep's checked ``_estep``. The coefficient moments
+    come back from the eigenbasis through the ``V`` returned with the
+    spectra; directions outside the design's row space add their
+    conditional prior variance.
     """
-    b_new, d_new, lower_bound = _estep(hp, spectra.n, spectra.k, sums, e_sig)
-    if not np.isfinite(lower_bound).all():
-        raise NumericalFailureError("non-finite lower bound")
+    b_new, d_new, lower_bound = sweep
     e_tau, e_sig = e_tau[:, None], e_sig[:, None]
     denom = spectra.d2 + e_tau
     v = np.ascontiguousarray(V)  # a block of one is as wide as its rank
@@ -274,7 +271,7 @@ def vb_sweep(
 ) -> VariationalPosterior:
     """One coordinate-ascent pass of gene ``gene`` of ``values`` on the
     genes ``covariates`` (as ``make_workspace`` takes them): covariance/
-    mean, then the two rates.
+    mean, then the two rates: one ``_estep`` from the rates of ``state``.
 
     Each update uses the most recent expectations, so the pass is an exact
     cyclic ascent step and the lower bound cannot decrease.
@@ -283,21 +280,26 @@ def vb_sweep(
         raise ValueError("state rates must be positive")
     spectra, V = make_workspace(values, gene, covariates)
     e_tau = np.array([state.a_star / state.b_star])
-    return _posterior(spectra, V, spectra.root_sums(e_tau), e_tau,
-                      np.array([state.c_star / state.d_star]), hp,
+    e_sig = np.array([state.c_star / state.d_star])
+    sweep = _estep(hp, spectra.n, spectra.k, spectra.root_sums(e_tau), e_sig)
+    if not np.isfinite(sweep[2]).all():
+        raise NumericalFailureError("non-finite lower bound")
+    return _posterior(spectra, V, e_tau, e_sig, sweep, hp,
                       state.iterations + 1, state.converged)
 
 
 @dataclass
 class SpectraFit:
     """Per-row outcome of ``solve_fixed_points``: the fixed point's
-    rates, the bound of one sweep from them, the evaluations the row's
-    solve took and ``root``, the provider's record at the E[tau^-2] of
-    those rates, which that sweep scored."""
+    rates, the rates ``b_swept``, ``d_swept`` and ``bound`` of one sweep
+    from them, the evaluations the row's solve took and ``root``, the
+    provider's record at the E[tau^-2] of those rates, which it scored."""
 
     bound: np.ndarray
     b_star: np.ndarray
     d_star: np.ndarray
+    b_swept: np.ndarray
+    d_swept: np.ndarray
     evaluations: np.ndarray
     root: RootSums
 
@@ -366,10 +368,10 @@ def solve_fixed_points(hp: HyperParameters, n, k, sums) -> SpectraFit:
         raise NumericalFailureError(
             f"fixed point not found in {MAX_EVALUATIONS} evaluations")
     root = sums(a_star / b_star)
-    bound = _estep(hp, n, k, root, c_star / d_star)[2]
+    b_swept, d_swept, bound = _estep(hp, n, k, root, c_star / d_star)
     if not np.isfinite(bound).all():
         raise NumericalFailureError("non-finite lower bound")
-    return SpectraFit(bound, b_star, d_star, counts, root)
+    return SpectraFit(bound, b_star, d_star, b_swept, d_swept, counts, root)
 
 
 def fit_spectra(spectra: Spectra, hp: HyperParameters) -> SpectraFit:
@@ -387,9 +389,10 @@ def fit_local(
 ) -> VariationalPosterior:
     """Fit gene ``gene`` of ``values`` on the genes ``covariates`` (as
     ``make_workspace`` takes them) by ``fit_spectra``, and read off the
-    posterior of one sweep from its rates and the sums it scored."""
+    posterior of the sweep that scored it."""
     spectra, V = make_workspace(values, gene, covariates)
     fit = fit_spectra(spectra, hp)
     a_star, c_star = _posterior_shapes(hp, spectra.n, spectra.k[0])
-    return _posterior(spectra, V, fit.root, a_star / fit.b_star,
-                      c_star / fit.d_star, hp, int(fit.evaluations[0]), True)
+    return _posterior(spectra, V, a_star / fit.b_star, c_star / fit.d_star,
+                      (fit.b_swept, fit.d_swept, fit.bound), hp,
+                      int(fit.evaluations[0]), True)

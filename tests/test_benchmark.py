@@ -44,6 +44,19 @@ class TestSimConfig:
             tiny_sim_config(kinds=("band", kind), p=7)
         tiny_sim_config(kinds=(kind,), p=15)
 
+    @pytest.mark.parametrize("kind, p", [("cluster", 10), ("band", 5),
+                                         ("band", 2)])
+    def test_rejects_a_complete_default_graph(self, kind, p):
+        """A default graph that links every pair leaves partial ROC
+        undefined in every replicate; a random graph is drawn per
+        replicate and is not checked."""
+        with pytest.raises(InvalidParamsError,
+                           match=f"default {kind} graph at p={p} has no "
+                                 "edge or no non-edge"):
+            tiny_sim_config(kinds=(kind,), p=p)
+        tiny_sim_config(kinds=(kind,), p={"band": 6, "cluster": 15}[kind])
+        tiny_sim_config(kinds=("random",), p=p)
+
     @pytest.mark.parametrize("bad", [
         {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": float("nan")},
         {"n_list": (20, 1)}, {"n_list": (0,)}, {"p": 1}, {"threads": 0},
@@ -143,6 +156,29 @@ class TestSplitHarness:
             b.stability["shrinknet"].stable_edges
         assert a.stability["shrinknet"].selection_frequency == \
             b.stability["shrinknet"].selection_frequency
+
+    def test_parallel_matches_serial(self):
+        """Each split draws from its own stream, so two worker processes
+        give the bits of one: the per-split scores and selections, the
+        selection frequencies and the validation."""
+        rng = np.random.default_rng(3)
+        g = make_structure("band", 15, rng=rng)
+        m = standardize(sample_mvn(sample_precision(g, rng=rng), 60, rng=rng))
+        serial, par = (run_split_harness(m, SplitConfig(
+            n_small=20, resamples=3, seed=6, threads=threads))
+            for threads in (1, 2))
+        assert len(serial.per_split) == len(par.per_split) == 3
+        for a, b in zip(serial.per_split, par.per_split):
+            assert a.keys() == b.keys()
+            for method in a:
+                np.testing.assert_array_equal(a[method]["kappa_bar_small"],
+                                              b[method]["kappa_bar_small"])
+                for key in ("selected_small", "selected_large"):
+                    assert a[method][key] == b[method][key]
+        for method in serial.stability:
+            assert serial.stability[method].selection_frequency == \
+                par.stability[method].selection_frequency
+        assert serial.validation == par.validation
 
     def test_rank_correlation_summary(self, split_input):
         cfg = SplitConfig(n_small=20, resamples=3, seed=4,

@@ -722,6 +722,11 @@ SIM_DATA = "<sim_dir>/data.csv"
         ["--n", "1"], ["--n", "0"], ["--n", "-5"], ["--p", "1"],
         ["--p", "0"], ["--dof", "inf"], ["--threads", "0"]]),
     ["simulate", "--kind", "band", "--dof", "inf"],
+    # default graphs with no non-edge, on which every replicate would fail
+    ["benchmark", "--kinds", "cluster", "--p", "10", "--n", "20", "--reps",
+     "2", "--threads", "1"],
+    ["benchmark", "--kinds", "band", "--p", "5", "--n", "20", "--reps", "2",
+     "--threads", "1"],
     ["infer", "nothere.csv"],
     ["stability", "nothere.csv", "--n-small", "5"],
     ["infer", SIM_DATA, "--p0", "nan"],

@@ -52,6 +52,22 @@ class TestEbUpdates:
         assert a_ap == pytest.approx(a_ex, rel=0.10)
         assert b_ap == pytest.approx(b_ex, rel=0.10)
 
+    @pytest.mark.parametrize("spread", [0.1, 0.0], ids=["moments", "cap"])
+    def test_one_sum_per_moment(self, spread):
+        """Arrays and lists give the bits of the update written with
+        ``np.asarray``, ``np.mean`` and ``float``, the cap included."""
+        rng = np.random.default_rng(5)
+        e_tau = rng.uniform(0.5, 2.0, 80) if spread else np.full(80, 2.0)
+        e_log = np.log(e_tau) - spread * rng.uniform(0.0, 1.0, 80)
+        total = float(np.sum(np.asarray(e_tau, dtype=float)))
+        gap = (np.log(total) - float(np.mean(np.asarray(e_log, dtype=float)))
+               - np.log(80))
+        a_hat = A_MAX if gap <= 1e-8 else min(0.5 / gap, A_MAX)
+        want = (a_hat, a_hat * 80 / total)
+        assert (a_hat == A_MAX) == (spread == 0.0)
+        assert eb_update_approx_moments(e_tau, e_log) == want
+        assert eb_update_approx_moments(list(e_tau), list(e_log)) == want
+
     def test_degenerate_moments_hit_cap(self):
         # all moments identical: zero dispersion, point-mass limit
         e_tau = np.full(5, 2.0)

@@ -173,6 +173,9 @@ class TestThreshold:
         p0=st.floats(0.01, 0.99),
         log_bf=st.floats(-20, 20),
     )
+    # bf past exp's range: the bound is 0.0 for any p0 in (0, 1)
+    @example(alpha=0.1, p0=0.99, log_bf=math.inf)
+    @example(alpha=0.1, p0=1e-300, log_bf=math.inf)
     def test_rule_equivalence(self, alpha, p0, log_bf):
         # comparing BF to gamma is the same as bounding the null probability;
         # at an exact tie the two sides may round apart, so ties are left to
@@ -182,6 +185,9 @@ class TestThreshold:
         assume(abs(bf / gamma - 1.0) > 1e-12)
         bound = p0 / (p0 + (1 - p0) * bf)
         assert (bf >= gamma) == (bound <= alpha)
+        assert selection._null_probability(bf, p0) == bound
+        if math.isinf(bf):
+            assert bound == 0.0
 
 
 class TestP0AndSelection:

@@ -440,6 +440,28 @@ class TestFitSpectra:
         np.testing.assert_array_equal(seen[-1],
                                       (VAGUE.a + 0.5 * k) / fit.b_star)
 
+    @pytest.mark.parametrize("n, k, seed", [(15, 4, 1), (8, 20, 9)])
+    def test_one_scoring_sweep(self, n, k, seed, monkeypatch):
+        """``fit_local`` reads its rates and bound off the one sweep that
+        scored its fit, one ``_estep`` call in all; ``vb_sweep`` runs one
+        more."""
+        prob = random_problem(n, k, seed=seed)
+        estep = vb._estep
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return estep(*args)
+
+        monkeypatch.setattr(vb, "_estep", spy)
+        vp = fit_local(*prob, VAGUE)
+        assert len(calls) == 1
+        b_new, d_new, bound = estep(*calls[0])
+        assert (vp.b_star, vp.d_star, vp.lower_bound) == (
+            b_new[0], d_new[0], bound[0])
+        vb_sweep(vp, *prob, VAGUE)
+        assert len(calls) == 2
+
     def test_unsettled_solve_fails(self, monkeypatch):
         """A solve that has not settled within ``MAX_EVALUATIONS`` raises
         rather than return a fit short of its fixed point."""
